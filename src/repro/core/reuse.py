@@ -28,6 +28,8 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.mva.accel import SWITCHED_OFF
+
 __all__ = ["ReuseEngine"]
 
 Point = Tuple[int, ...]
@@ -80,6 +82,7 @@ class ReuseEngine:
         self.cold_solves = 0
         self.warm_iterations = 0
         self.cold_iterations = 0
+        self.aitken_switched_off = 0
 
     # ------------------------------------------------------------------
     # seed store
@@ -126,7 +129,12 @@ class ReuseEngine:
         return kwargs
 
     def record(self, key: Point, solution, warmed: bool) -> None:
-        """Book-keep a finished solve and bank its seed for neighbours."""
+        """Book-keep a finished solve and bank its seed for neighbours.
+
+        Only a converged solution's queue lengths become a seed: an
+        iterate left at the budget would chain its error into every
+        neighbour it seeds.
+        """
         iterations = int(getattr(solution, "iterations", 0))
         if warmed:
             self.warm_solves += 1
@@ -134,7 +142,10 @@ class ReuseEngine:
         else:
             self.cold_solves += 1
             self.cold_iterations += iterations
-        self.prime_seed(key, solution.queue_lengths)
+        if getattr(solution, "extras", {}).get(SWITCHED_OFF):
+            self.aitken_switched_off += 1
+        if getattr(solution, "converged", True):
+            self.prime_seed(key, solution.queue_lengths)
 
     def stats(self) -> Dict[str, float]:
         """Counters for result summaries and benches."""
@@ -143,6 +154,7 @@ class ReuseEngine:
             "cold_solves": self.cold_solves,
             "warm_iterations": self.warm_iterations,
             "cold_iterations": self.cold_iterations,
+            "aitken_switched_off": self.aitken_switched_off,
             "seeds": len(self._seeds),
         }
         if self._lattice_cache is not None:

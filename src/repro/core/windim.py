@@ -90,8 +90,9 @@ class WindimResult:
         solves.
     reuse_stats:
         :class:`~repro.core.reuse.ReuseEngine` counters (warm/cold solve
-        and iteration totals, lattice-cache hits) when ``reuse=True``;
-        ``None`` otherwise.
+        and iteration totals, solves whose Aitken accelerator switched
+        itself off, lattice-cache hits) when ``reuse=True``; ``None``
+        otherwise.
     pool_health:
         :class:`~repro.resilience.health.PoolHealth` of the persistent
         evaluation pool (worker PIDs, respawns, requeues, payload bytes)
@@ -156,8 +157,10 @@ class WindimResult:
         if self.reuse_stats is not None:
             warm = int(self.reuse_stats.get("warm_solves", 0))
             cold = int(self.reuse_stats.get("cold_solves", 0))
+            off = int(self.reuse_stats.get("aitken_switched_off", 0))
             lines.append(
-                f"  reuse engine          = {warm} warm / {cold} cold solves"
+                f"  reuse engine          = {warm} warm / {cold} cold solves, "
+                f"Aitken switched off in {off}"
             )
         if self.seeded_evaluations:
             lines.append(

@@ -16,13 +16,26 @@ dominant geometric error mode is summed to its limit in one step:
     rho   = <dq_k, dq_{k-1}> / <dq_{k-1}, dq_{k-1}>
     q_acc = q_k + rho / (1 - rho) * dq_k
 
-Extrapolation is only engaged for *warm-started* solves, for two
-reasons.  First, safety: the Rayleigh estimate is only meaningful once
-the iteration is in its asymptotic linear regime, which a converged
-neighbour's queue lengths guarantee and a cold balanced start does not.
-Second, the parity wall: the cold path must remain bit-for-bit the PR 3
-iteration, so reuse can be switched off to reproduce every archived
-trajectory exactly.
+The Rayleigh estimate is only meaningful once the iteration is in its
+asymptotic linear regime, and a converged neighbour's queue lengths do
+not guarantee that: on Table 4.12 row 8, seeds from converged
+neighbours start solves on which unguarded extrapolation locks the
+iterate into a limit cycle that never meets the tolerance, although the
+plain iteration from the same seed converges in under 30 sweeps.  So
+the accelerator checks its own work.  It records the plain step length
+``|q_k - q_{k-1}|`` just before each extrapolation; when the next
+cycle's plain step is not shorter, the extrapolation did not pay, and
+the accelerator switches itself off for the rest of the solve.  The
+solve then carries on as the plain thesis iteration from its current
+iterate, with the same stopping criterion and iteration budget, and
+records the switch under :data:`SWITCHED_OFF` in the solution's
+``extras``.
+
+Extrapolation is only engaged for *warm-started* solves.  A cold
+balanced start is far from the linear regime, and the parity wall needs
+the cold path to remain bit-for-bit the plain thesis iteration, so
+reuse can be switched off to reproduce every archived trajectory
+exactly.
 
 The extrapolated iterate is a linear combination of two valid iterates,
 so per-chain mass conservation (``sum_i q_ri == E_r``, Little's law) is
@@ -35,11 +48,15 @@ tolerance as the cold solve.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
-__all__ = ["AitkenAccelerator"]
+__all__ = ["AitkenAccelerator", "SWITCHED_OFF", "solve_extras"]
+
+#: ``NetworkSolution.extras`` key (value 1.0) of a solve whose guard
+#: switched the accelerator off.
+SWITCHED_OFF = "aitken_switched_off"
 
 
 class AitkenAccelerator:
@@ -64,8 +81,13 @@ class AitkenAccelerator:
         self._previous: Optional[np.ndarray] = None
         self._delta: Optional[np.ndarray] = None
         self._since_reset = 0
+        # Squared plain step length just before the last extrapolation.
+        self._step_before: Optional[float] = None
         #: Number of extrapolations actually applied (introspection/tests).
         self.applied = 0
+        #: True once an extrapolation failed to shorten the plain step;
+        #: the accelerator then stays off for the rest of the solve.
+        self.switched_off = False
 
     def push(self, iterate: np.ndarray) -> Optional[np.ndarray]:
         """Observe the latest plain iterate; maybe return a better one.
@@ -76,8 +98,13 @@ class AitkenAccelerator:
         point becomes the new difference base — both subsequent deltas
         are genuine ``G``-steps taken *from* it, so the next ratio
         estimate never mixes pre- and post-extrapolation state (classic
-        Steffensen: two map applications per extrapolation cycle).
+        Steffensen: two map applications per extrapolation cycle).  If
+        the last of those steps is not shorter than the step before the
+        extrapolation, the accelerator switches itself off and returns
+        ``None`` from then on.
         """
+        if self.switched_off:
+            return None
         if self._previous is None:
             self._previous = iterate
             return None
@@ -87,6 +114,12 @@ class AitkenAccelerator:
         self._since_reset += 1
         if self._since_reset < self._period or previous_delta is None:
             return None
+
+        step = float(np.dot(delta.ravel(), delta.ravel()))
+        if self._step_before is not None and step >= self._step_before:
+            self.switched_off = True
+            return None
+        self._step_before = None
 
         denominator = float(np.dot(previous_delta.ravel(), previous_delta.ravel()))
         if denominator <= 0.0:
@@ -99,5 +132,20 @@ class AitkenAccelerator:
         self._previous = accelerated
         self._delta = None
         self._since_reset = 0
+        self._step_before = step
         self.applied += 1
         return accelerated
+
+
+def solve_extras(
+    residual: float, accelerator: Optional[AitkenAccelerator]
+) -> Dict[str, float]:
+    """``NetworkSolution.extras`` of a fixed-point solve.
+
+    The final residual, plus :data:`SWITCHED_OFF` when the solve's
+    accelerator switched itself off.
+    """
+    extras = {"residual": residual}
+    if accelerator is not None and accelerator.switched_off:
+        extras[SWITCHED_OFF] = 1.0
+    return extras

@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.backend import resolve_backend
 from repro.errors import ModelError
-from repro.mva.accel import AitkenAccelerator
+from repro.mva.accel import AitkenAccelerator, solve_extras
 from repro.mva.convergence import IterationControl
 from repro.mva.warmstart import validate_warm_start
 from repro.queueing.network import ClosedNetwork
@@ -110,8 +110,8 @@ def solve_asymptotic(
     accelerator = None
     if warm_start is not None:
         queue_lengths = validate_warm_start(network, warm_start)
-        # Same gating as the heuristic: warm seeds start in the linear
-        # regime where Aitken extrapolation is safe (see repro.mva.accel).
+        # Same gating as the heuristic: warm seeds get guarded Aitken
+        # extrapolation (see repro.mva.accel).
         if control.damping >= 1.0:
             accelerator = AitkenAccelerator()
     else:
@@ -155,7 +155,7 @@ def solve_asymptotic(
                 method="asymptotic",
                 iterations=iterations,
                 converged=True,
-                extras={"residual": residual},
+                extras=solve_extras(residual, accelerator),
             )
         if accelerator is not None:
             accelerated = accelerator.push(queue_lengths)
@@ -171,5 +171,5 @@ def solve_asymptotic(
         method="asymptotic",
         iterations=iterations,
         converged=False,
-        extras={"residual": residual},
+        extras=solve_extras(residual, accelerator),
     )

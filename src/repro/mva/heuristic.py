@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.backend import resolve_backend
 from repro.errors import ModelError
-from repro.mva.accel import AitkenAccelerator
+from repro.mva.accel import AitkenAccelerator, solve_extras
 from repro.mva.convergence import IterationControl
 from repro.mva.single_chain import solve_single_chain
 from repro.mva.warmstart import validate_warm_start
@@ -220,9 +220,10 @@ def solve_mva_heuristic(
 
     if warm_start is not None:
         queue_lengths = validate_warm_start(network, warm_start)
-        # A seed from a converged neighbour puts the iteration straight
-        # into its asymptotic linear regime, where Aitken extrapolation is
-        # both safe and maximally effective; cold solves stay the plain
+        # A seed from a converged neighbour usually starts the iteration
+        # near its asymptotic linear regime, where Aitken extrapolation
+        # pays; the accelerator switches itself off when an extrapolation
+        # does not shorten the plain step.  Cold solves stay the plain
         # thesis iteration (see repro.mva.accel).  Damping changes the
         # error dynamics the ratio estimate assumes, so it disables this.
         accelerator = AitkenAccelerator() if control.damping >= 1.0 else None
@@ -299,7 +300,7 @@ def solve_mva_heuristic(
                 method="mva-heuristic",
                 iterations=iterations,
                 converged=True,
-                extras={"residual": residual},
+                extras=solve_extras(residual, accelerator),
             )
         if accelerator is not None:
             accelerated = accelerator.push(queue_lengths)
@@ -315,5 +316,5 @@ def solve_mva_heuristic(
         method="mva-heuristic",
         iterations=iterations,
         converged=False,
-        extras={"residual": residual},
+        extras=solve_extras(residual, accelerator),
     )

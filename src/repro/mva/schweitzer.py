@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.backend import resolve_backend
 from repro.errors import ModelError
-from repro.mva.accel import AitkenAccelerator
+from repro.mva.accel import AitkenAccelerator, solve_extras
 from repro.mva.convergence import IterationControl
 from repro.mva.warmstart import validate_warm_start
 from repro.queueing.network import ClosedNetwork
@@ -62,9 +62,9 @@ def solve_schweitzer(
 
     if warm_start is not None:
         queue_lengths = validate_warm_start(network, warm_start)
-        # Warm seeds start in the asymptotic regime where Aitken
-        # extrapolation is safe; cold solves stay the plain iteration
-        # (see repro.mva.accel for both the method and the gating).
+        # Warm seeds get guarded Aitken extrapolation; cold solves stay
+        # the plain iteration (see repro.mva.accel for the method, the
+        # gating and the guard).
         accelerator = AitkenAccelerator() if control.damping >= 1.0 else None
     else:
         accelerator = None
@@ -137,7 +137,7 @@ def solve_schweitzer(
                 method="schweitzer",
                 iterations=iterations,
                 converged=True,
-                extras={"residual": residual},
+                extras=solve_extras(residual, accelerator),
             )
         if accelerator is not None:
             accelerated = accelerator.push(queue_lengths)
@@ -153,5 +153,5 @@ def solve_schweitzer(
         method="schweitzer",
         iterations=iterations,
         converged=False,
-        extras={"residual": residual},
+        extras=solve_extras(residual, accelerator),
     )

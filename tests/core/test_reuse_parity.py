@@ -7,9 +7,17 @@ The machinery is designed so this holds exactly — warm starts keep the
 solvers' stopping criteria — and this test wall pins the design.
 """
 
+import dataclasses
+import warnings
+
 import pytest
 
+from repro.core.objective import WindowObjective
 from repro.core.windim import windim
+from repro.errors import ConvergenceWarning
+from repro.mva.heuristic import solve_mva_heuristic
+from repro.netmodel.examples import canadian_four_class, canadian_two_class
+from repro.parallel.pool import _solution_payload
 from repro.verify.golden import golden_cases
 
 MAX_WINDOW = 12
@@ -78,3 +86,64 @@ class TestWindimReuseParity:
         network = GOLDENS["table47_light"].build().network
         result = windim(network, max_window=8)
         assert result.reuse_stats is None
+
+
+#: Table 4.12 row 8 class rates and its reuse-off optimum power.
+ROW8 = (28.18, 38.02, 2.87, 30.93)
+ROW8_COLD_POWER = 576.2566919594269
+
+
+class TestGuardedWarmStarts:
+    def test_row8_reuse_converges_to_cold_optimum(self):
+        """Unguarded Aitken steps once left 14 of this campaign's warm
+        solves at the iteration budget and returned a wrong optimum."""
+        network = canadian_four_class(*ROW8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            result = windim(network, reuse=True)
+        assert result.converged
+        assert result.power >= ROW8_COLD_POWER * (1 - 1e-8)
+        assert result.reuse_stats["aitken_switched_off"] > 0
+        assert "Aitken switched off in" in result.summary()
+
+    def test_guard_never_fires_on_arpanet(self):
+        network = GOLDENS["arpanet_default"].build().network
+        result = windim(network, reuse=True)
+        assert result.reuse_stats["aitken_switched_off"] == 0
+        assert "Aitken switched off in 0" in result.summary()
+
+
+class TestSeedBanking:
+    """Only converged solutions become warm-start seeds."""
+
+    @staticmethod
+    def _unconverged(network, windows):
+        solution = solve_mva_heuristic(network.with_populations(windows))
+        return dataclasses.replace(solution, converged=False)
+
+    def test_in_process_unconverged_solve_banks_no_seed(self):
+        network = canadian_two_class(12.5, 12.5)
+        unconverged = self._unconverged(network, (3, 3))
+
+        def solver(candidate, warm_start=None):
+            if tuple(candidate.populations) == (3, 3):
+                return unconverged
+            return solve_mva_heuristic(candidate, warm_start=warm_start)
+
+        objective = WindowObjective(network, solver=solver, reuse=True)
+        objective((2, 2))
+        before = objective.seed_for((3, 3))
+        objective((3, 3))
+        assert objective.seed_for((3, 3)) is before
+
+    def test_remote_unconverged_solve_banks_no_seed(self):
+        network = canadian_two_class(12.5, 12.5)
+        objective = WindowObjective(network, reuse=True)
+        objective((2, 2))
+        before = objective.seed_for((3, 3))
+        payload = _solution_payload(self._unconverged(network, (3, 3)), True)
+        objective.absorb_remote((3, 3), payload)
+        assert objective.seed_for((3, 3)) is before
+        converged = solve_mva_heuristic(network.with_populations((3, 3)))
+        objective.absorb_remote((3, 3), _solution_payload(converged, True))
+        assert objective.seed_for((3, 3)) is not before
