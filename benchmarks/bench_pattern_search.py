@@ -116,26 +116,25 @@ def _timed_windim_grid(network, repeats, configurations):
 
 
 def run_pattern_search_bench(tiny: bool = False) -> dict:
-    """ARPANET pattern-search throughput, scalar vs vectorized vs parallel.
+    """ARPANET pattern-search throughput, scalar vs vectorized vs pool.
 
     The single-worker scalar/vectorized pair is the regression signal
     (same search, same evaluation count — pure kernel speed).  The
-    multi-worker rows are reported separately: their evaluation counts
-    differ (speculative neighbours) and their speedups depend on pool
-    overhead vs problem size.  ``parallel`` uses the per-batch executor
-    (one ``ProcessPoolExecutor`` per prefetch batch); ``pool`` is the
-    headline row — the persistent shared-memory worker fleet driven by
-    the speculative scheduler, whose ``pool`` sub-record carries the PID
-    stability and per-task payload-byte evidence.
+    multi-worker ``pool`` row is reported separately: its evaluation
+    count differs (speculative neighbours) and its speedup depends on
+    pool overhead vs problem size.  It runs the persistent shared-memory
+    worker fleet driven by the speculative scheduler, and its ``pool``
+    sub-record carries the PID stability and per-task payload-byte
+    evidence.
     """
     if tiny:
         network = canadian_two_class(18.0, 18.0)
         start, max_window, repeats = (6, 6), 12, 1
-        workers, pool_workers = 2, 2
+        pool_workers = 2
     else:
         network = arpanet_fragment((8.0, 8.0, 6.0, 6.0))
         start, max_window, repeats = (12, 12, 12, 12), 24, 9
-        workers, pool_workers = 2, 8
+        pool_workers = 8
 
     base = dict(start=start, max_window=max_window)
     # "reuse" (PR 4) is the same single-worker vectorized search, but
@@ -145,17 +144,13 @@ def run_pattern_search_bench(tiny: bool = False) -> dict:
     configurations = {
         "scalar": dict(base, backend="scalar"),
         "vectorized": dict(base, backend="vectorized"),
-        "parallel": dict(base, backend="vectorized", workers=workers,
-                         pool_mode="per-batch"),
-        "pool": dict(base, backend="vectorized", workers=pool_workers,
-                     pool_mode="persistent"),
+        "pool": dict(base, backend="vectorized", workers=pool_workers),
         "reuse": dict(base, backend="vectorized", reuse=True),
     }
     timed = _timed_windim_grid(network, repeats, configurations)
     annotations = {
         "scalar": ("scalar", 1),
         "vectorized": ("vectorized", 1),
-        "parallel": ("vectorized", workers),
         "pool": ("vectorized", pool_workers),
         "reuse": ("vectorized", 1),
     }
@@ -176,10 +171,6 @@ def run_pattern_search_bench(tiny: bool = False) -> dict:
         "vectorized_speedup_vs_scalar": (
             runs["vectorized"]["evaluations_per_second"]
             / runs["scalar"]["evaluations_per_second"]
-        ),
-        "parallel_speedup_vs_serial_vectorized": (
-            runs["parallel"]["evaluations_per_second"]
-            / runs["vectorized"]["evaluations_per_second"]
         ),
         "pool_speedup_vs_serial_vectorized": (
             runs["pool"]["evaluations_per_second"]
@@ -205,8 +196,6 @@ def test_pattern_search_perf_regression():
     # The vectorized kernels must keep their >= 2x end-to-end win on the
     # ARPANET dimensioning run (the acceptance bar of the backend work).
     assert payload["vectorized_speedup_vs_scalar"] >= 2.0
-    # Parallel must find the same optimum; its speed is informational.
-    assert runs["parallel"]["best_windows"] == runs["scalar"]["best_windows"]
     # The persistent pool must walk the *identical accepted-move
     # trajectory* to the serial search (speculation only ever pre-fills
     # the cache), on a fleet that never lost a worker, shipping micro

@@ -15,12 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple, Union
 
-from repro.core.objective import (
-    Solver,
-    WindowObjective,
-    resolve_pool_mode,
-    resolve_solver,
-)
+from repro.core.objective import Solver, WindowObjective, resolve_solver
 from repro.core.power import network_power
 from repro.core.windim import WindimResult, windim
 from repro.queueing.network import ClosedNetwork
@@ -80,21 +75,18 @@ def optimal_window_sweep(
 
     Notes
     -----
-    With ``workers > 1`` (and the default persistent pool mode, named
-    solvers only) the whole campaign shares **one** worker fleet: the
-    pool is created for the first load point and re-targeted at each
-    subsequent scenario by an in-place shared-memory model rewrite —
-    worker processes survive the entire sweep instead of being respawned
-    per run.  Every :class:`SweepPoint`'s ``result.pool_health`` then
+    With ``workers > 1`` (named solvers only) the whole campaign shares
+    **one** worker fleet: the pool is created for the first load point
+    and re-targeted at each subsequent scenario by an in-place
+    shared-memory model rewrite — worker processes survive the entire
+    sweep instead of being respawned per run.  Every :class:`SweepPoint`'s ``result.pool_health`` then
     reports the same fleet (cumulative counters).
     """
     workers = windim_kwargs.get("workers") or 0
-    pool_mode = resolve_pool_mode(windim_kwargs.get("pool_mode"))
     solver_name = solver if isinstance(solver, str) else None
     share_pool = (
         workers > 1
         and solver_name is not None
-        and pool_mode == "persistent"
         and windim_kwargs.get("shared_pool") is None
         and not windim_kwargs.get("resilient")
     )

@@ -118,23 +118,6 @@ def builtin_plans() -> Dict[str, FaultPlan]:
             ),
         ),
         FaultPlan(
-            name="crash-per-batch",
-            description="an executor child dies; the plane must go serial",
-            pool="per-batch",
-            rules=(FaultRule("pool.worker.task", "crash", occurrence=1),),
-        ),
-        FaultPlan(
-            name="hang-per-batch",
-            description="an executor child wedges past the task deadline",
-            pool="per-batch",
-            rules=(
-                FaultRule(
-                    "pool.worker.task", "hang", occurrence=1, seconds=30.0
-                ),
-            ),
-            env=(("REPRO_TASK_DEADLINE", "0.5"),),
-        ),
-        FaultPlan(
             name="corrupt-store-reload",
             description="bit-rot one store record, then reload the store",
             store=True,
@@ -176,9 +159,9 @@ def builtin_plans() -> Dict[str, FaultPlan]:
             ),
         ),
         FaultPlan(
-            name="slow-store-per-batch",
-            description="slow store IO while the per-batch pool runs",
-            pool="per-batch",
+            name="slow-store-persistent",
+            description="slow store IO while the persistent fleet runs",
+            pool="persistent",
             store=True,
             rules=(
                 FaultRule(
@@ -210,9 +193,9 @@ def builtin_plans() -> Dict[str, FaultPlan]:
             ),
         ),
         FaultPlan(
-            name="corrupt-checkpoint-per-batch",
-            description="checkpoint bit-rot under the per-batch pool",
-            pool="per-batch",
+            name="corrupt-checkpoint-persistent",
+            description="checkpoint bit-rot under the persistent fleet",
+            pool="persistent",
             checkpoint=True,
             runs=2,
             rules=(
@@ -368,7 +351,6 @@ def run_plan(
     kwargs: Dict[str, object] = {"max_window": max_window}
     if plan.pool is not None:
         kwargs["workers"] = plan.workers
-        kwargs["pool_mode"] = plan.pool
     if plan.store:
         kwargs["store_path"] = os.path.join(work_dir, "evals.store")
     if plan.checkpoint:

@@ -4,8 +4,8 @@ The production code calls :func:`perform`/:func:`fire` at each
 instrumented site.  With no plan armed those are near-free no-ops (one
 module-global ``is None`` check), so the hooks can stay compiled into the
 hot path permanently.  :func:`inject` arms a plan for the current process
-*and* stages it into the environment so spawned pool workers and
-``ProcessPoolExecutor`` children observe the same schedule.
+*and* stages it into the environment so spawned pool workers observe
+the same schedule.
 
 Occurrence counting is per-process, but "fire at most ``count`` times
 globally" rules must hold across the whole worker fleet — a crash rule
@@ -208,9 +208,9 @@ def inject(plan: FaultPlan) -> Iterator[FaultInjector]:
 class WorkerChaos:
     """Worker-side handle for ``pool.worker.task`` rules.
 
-    Instantiated inside a pool worker (or executor child) from the
-    environment-staged plan; :meth:`on_task` is consulted once per
-    dequeued task and carries out crash/hang/delay actions.
+    Instantiated inside a pool worker from the environment-staged plan;
+    :meth:`on_task` is consulted once per dequeued task and carries out
+    crash/hang/delay actions.
     """
 
     def __init__(self, injector: FaultInjector, worker: Optional[int] = None):

@@ -27,7 +27,7 @@ __all__ = [
 
 #: Instrumented hook points threaded through the runtime.
 SITES = (
-    "pool.worker.task",  # persistent/per-batch worker, before solving a task
+    "pool.worker.task",  # persistent pool worker, before solving a task
     "store.record",  # evaluation-store append of one record line
     "store.load",  # evaluation-store read of the on-disk lines
     "checkpoint.write",  # atomic checkpoint save
@@ -138,7 +138,7 @@ class FaultPlan:
     description: str = ""
     seed: int = 0
     rules: Tuple[FaultRule, ...] = ()
-    pool: Optional[str] = None  # None = serial, else persistent | per-batch
+    pool: Optional[str] = None  # None = serial, else persistent
     workers: int = 2
     store: bool = False
     checkpoint: bool = False
@@ -150,7 +150,7 @@ class FaultPlan:
     def __post_init__(self) -> None:
         if self.expect not in ("optimal", "degraded"):
             raise SearchError("expect must be 'optimal' or 'degraded'")
-        if self.pool not in (None, "persistent", "per-batch"):
+        if self.pool not in (None, "persistent"):
             raise SearchError(f"unknown pool mode {self.pool!r}")
         if self.runs < 1:
             raise SearchError("runs must be >= 1")

@@ -11,9 +11,8 @@ Subcommands
     the reuse engine: ``--reuse`` (warm-started fixed points, shared
     exact lattices) and ``--store PATH`` (persistent
     cross-run evaluation store, fingerprinted to the model).  With
-    ``--workers N`` evaluations run on a worker pool; ``--pool``
-    selects the strategy (``persistent`` shared-memory fleet with the
-    speculative scheduler — the default — or ``per-batch`` executors).
+    ``--workers N`` evaluations run on a persistent shared-memory
+    worker fleet driven by the speculative scheduler.
 ``evaluate``
     Solve a network at explicit window settings and print the power report.
 ``sweep``
@@ -29,11 +28,10 @@ Subcommands
     applicable solver pair and replay the golden thesis fixtures.
 ``planes``
     List the registered evaluation-plane backends (the execution paths
-    ``solve``/``multistart`` pick from — serial, per-batch pool,
-    persistent fleet, resilient ladder) and what each requires.  Every
-    listed backend is certified by the cross-backend conformance suite
-    (``tests/evalplane/``) to walk the bitwise-identical search
-    trajectory as the serial reference.
+    ``solve``/``multistart`` pick from — serial and the persistent
+    fleet) and what each requires.  Every listed backend is certified by
+    the cross-backend conformance suite (``tests/evalplane/``) to walk
+    the bitwise-identical search trajectory as the serial reference.
 ``chaos``
     Run the named fault-injection battery (worker crashes/hangs, store
     and checkpoint corruption, slow IO, clock skew — see
@@ -151,7 +149,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         solver=args.solver,
         backend=args.solver_backend,
         workers=args.workers,
-        pool_mode=args.pool,
         max_window=args.max_window,
         start=args.start,
         max_evaluations=args.max_evaluations,
@@ -300,7 +297,6 @@ def _cmd_multistart(args: argparse.Namespace) -> int:
         solver=args.solver,
         backend=args.solver_backend,
         workers=args.workers,
-        pool_mode=args.pool,
         max_window=args.max_window,
         reuse=args.reuse,
         store_path=args.store,
@@ -386,14 +382,8 @@ def _cmd_planes(args: argparse.Namespace) -> int:
 
     rows = []
     for spec in plane_specs():
-        needs = []
-        if spec.needs_parallel:
-            needs.append("workers > 1")
-        if spec.pool_mode is not None:
-            needs.append(f"pool={spec.pool_mode}")
-        if spec.needs_ladder:
-            needs.append("resilient ladder")
-        rows.append((spec.name, spec.description, ", ".join(needs) or "-"))
+        needs = "workers > 1" if spec.needs_parallel else "-"
+        rows.append((spec.name, spec.description, needs))
     print(
         render_table(
             ["plane", "description", "requires"],
@@ -473,15 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="evaluate objective points on a pool of N worker processes "
         "(default: in-process)",
-    )
-    solve.add_argument(
-        "--pool",
-        choices=("persistent", "per-batch"),
-        default=None,
-        help="worker-pool strategy with --workers: 'persistent' (default; "
-        "long-lived shared-memory pool driven by the speculative "
-        "scheduler) or 'per-batch' (fresh executor per neighborhood "
-        "batch); default also honours $REPRO_POOL",
     )
     solve.add_argument(
         "--resilient",
@@ -598,12 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="batch-solve seeds and neighborhoods on N worker processes",
-    )
-    multistart.add_argument(
-        "--pool",
-        choices=("persistent", "per-batch"),
-        default=None,
-        help="worker-pool strategy with --workers (see 'solve --pool')",
     )
     multistart.add_argument(
         "--reuse",

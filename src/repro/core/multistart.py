@@ -34,7 +34,6 @@ def windim_multistart(
     solver: Union[str, Solver] = "mva-heuristic",
     backend: Optional[str] = None,
     workers: Optional[int] = None,
-    pool_mode: Optional[str] = None,
     extra_starts: Optional[Sequence[Sequence[int]]] = None,
     max_window: int = 64,
     initial_step: int = 2,
@@ -54,11 +53,9 @@ def windim_multistart(
     size (as in :func:`repro.core.windim.windim`).  With workers, the
     whole deduplicated seed list is batch-solved up front in one
     :meth:`~repro.core.objective.WindowObjective.batch_solve` call, and
-    every search's exploratory neighborhoods run in parallel — under the
-    default persistent ``pool_mode`` on one long-lived worker fleet
-    (created once, shared by the seed batch and every start's
-    speculative scheduler), under ``per-batch`` via synchronous prefetch
-    batches.
+    every search's exploratory neighborhoods run in parallel on one
+    long-lived worker fleet (created once, shared by the seed batch and
+    every start's speculative scheduler).
 
     ``reuse`` and ``store_path`` behave as in
     :func:`repro.core.windim.windim` — and pay off even more here, since
@@ -77,7 +74,6 @@ def windim_multistart(
         backend=backend,
         workers=workers,
         reuse=reuse,
-        pool_mode=pool_mode,
     )
     space = IntegerBox.windows(network.num_chains, max_window)
     cache = EvaluationCache(objective)

@@ -8,18 +8,14 @@ throughputs and delays without re-solving.
 
 Beyond single evaluations, :meth:`WindowObjective.batch_solve` evaluates a
 whole list of window vectors in one call — a pattern-search neighborhood
-or a multistart seed list — optionally dispatching the solves across a
-``concurrent.futures`` process pool (``workers=N``).  Named solvers and
-:class:`~repro.queueing.network.ClosedNetwork` are picklable, so each
-worker reconstructs the candidate network from ``(solver name, backend,
-network, windows)`` and ships back the full solution.
+or a multistart seed list — either as one cross-network SoA pass
+in-process or, with ``workers=N``, on the persistent shared-memory
+worker fleet (:class:`~repro.parallel.pool.PersistentEvalPool`).
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,17 +23,14 @@ import numpy as np
 from repro.backend import resolve_backend
 from repro.core.power import inverse_power
 from repro.core.reuse import ReuseEngine
-from repro.errors import ModelError, PoolFailure, SolverError
+from repro.errors import ModelError, SolverError
 from repro.queueing.network import ClosedNetwork
 from repro.solution import NetworkSolution
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.parallel.pool import PersistentEvalPool
 
-__all__ = ["WindowObjective", "resolve_solver", "resolve_pool_mode", "SOLVERS"]
-
-#: Pool strategies for parallel batch evaluation (see ``pool_mode``).
-POOL_MODES = ("persistent", "per-batch")
+__all__ = ["WindowObjective", "resolve_solver", "SOLVERS"]
 
 #: Bound on retained full :class:`~repro.solution.NetworkSolution`\ s.
 #: At thesis scale a solution is a few KB and the cap is invisible; on
@@ -48,20 +41,6 @@ POOL_MODES = ("persistent", "per-batch")
 #: ``cached_solution()`` returns None and the store harvest skips).
 DEFAULT_MAX_SOLUTIONS = 256
 
-
-def resolve_pool_mode(pool_mode: Optional[str]) -> str:
-    """Validate a pool mode, defaulting from ``REPRO_POOL`` or "persistent".
-
-    Mirrors :func:`repro.backend.resolve_backend`: an explicit argument
-    wins, then the ``REPRO_POOL`` environment variable, then the
-    persistent pool (the fast path).
-    """
-    mode = pool_mode or os.environ.get("REPRO_POOL") or "persistent"
-    if mode not in POOL_MODES:
-        raise ModelError(
-            f"unknown pool mode {mode!r}; expected one of {list(POOL_MODES)}"
-        )
-    return mode
 
 Point = Tuple[int, ...]
 Solver = Callable[..., NetworkSolution]
@@ -175,69 +154,6 @@ def resolve_solver(solver: "str | Solver") -> Solver:
         ) from None
 
 
-#: Per-process chaos handle for executor workers (resolved once from the
-#: environment-staged fault plan; None in fault-free runs).
-_WORKER_CHAOS = None
-_WORKER_CHAOS_CHECKED = False
-
-#: Set (by the executor initializer, in the child only) to mark a process
-#: as a per-batch pool worker.  ``pool.worker.task`` faults must never
-#: fire in the orchestrating parent — a crash rule would kill the search
-#: itself instead of a worker — and the persistent pool arms its own
-#: per-worker handle in ``_worker_main``, so this flag is the only way
-#: ``_solve_windows`` may consult worker chaos.
-_CHAOS_WORKER_ENV = "REPRO_CHAOS_EXECUTOR_WORKER"
-
-
-def _mark_executor_worker() -> None:
-    """ProcessPoolExecutor initializer: tag the child as a pool worker.
-
-    Runs in the child after fork/spawn, so it also resets the cached
-    chaos handle a forked child may have inherited from the parent.
-    """
-    global _WORKER_CHAOS, _WORKER_CHAOS_CHECKED
-    os.environ[_CHAOS_WORKER_ENV] = "1"
-    _WORKER_CHAOS = None
-    _WORKER_CHAOS_CHECKED = False
-
-
-def _consult_worker_chaos() -> None:
-    global _WORKER_CHAOS, _WORKER_CHAOS_CHECKED
-    if not _WORKER_CHAOS_CHECKED:
-        if os.environ.get(_CHAOS_WORKER_ENV) != "1":
-            return  # not an executor worker: faults never fire here
-        from repro.chaos.hooks import worker_chaos
-
-        _WORKER_CHAOS = worker_chaos()
-        _WORKER_CHAOS_CHECKED = True
-    if _WORKER_CHAOS is not None:
-        _WORKER_CHAOS.on_task()
-
-
-def _solve_windows(
-    solver_name: str,
-    backend: Optional[str],
-    network: ClosedNetwork,
-    key: Point,
-) -> "Tuple[float, Optional[NetworkSolution]]":
-    """Process-pool work item: solve one window vector from scratch.
-
-    Module-level (hence picklable) and self-contained: a worker only needs
-    the solver *name*, the kernel backend, the template network, and the
-    windows.  Mirrors ``WindowObjective.__call__`` semantics: a
-    ``SolverError`` becomes ``(inf, None)`` so searches route around the
-    point instead of dying.
-    """
-    _consult_worker_chaos()
-    solver = SOLVERS[solver_name]
-    candidate = network.with_populations(key)
-    try:
-        solution = solver(candidate, backend=backend)
-    except SolverError:
-        return float("inf"), None
-    return inverse_power(solution), solution
-
-
 class WindowObjective:
     """Callable ``windows -> 1/power`` for a fixed network topology.
 
@@ -257,27 +173,17 @@ class WindowObjective:
         their kernels.
     workers:
         When > 1 *and* the solver is a registry name,
-        :meth:`batch_solve` fans its points out over a process pool of
-        this size; single evaluations are unaffected.  ``None``/``0``/
-        ``1`` keeps everything in-process.
+        :meth:`batch_solve` fans its points out over a persistent
+        shared-memory worker fleet of this size; single evaluations are
+        unaffected.  ``None``/``0``/``1`` keeps everything in-process.
     reuse:
         Enable the cross-evaluation :class:`~repro.core.reuse.ReuseEngine`:
         in-process solves are warm-started from the nearest already-solved
         window vector and exact solvers share a lattice cache.  Converged
         values stay within the 1e-8 parity band (the stopping criteria are
-        unchanged); only solve cost drops.  With the *persistent* pool,
-        warm-start seeds also reach workers — by shared-memory slot, not
-        by pickle — and worker results feed the seed store back.
-    pool_mode:
-        Parallel dispatch strategy: ``"persistent"`` (default; a
-        long-lived :class:`~repro.parallel.pool.PersistentEvalPool`
-        whose workers receive the model once through a shared-memory
-        arena and then only micro-tasks) or ``"per-batch"`` (the PR 3
-        ``ProcessPoolExecutor`` fan-out that re-pickles the network into
-        every task — simpler, and the right choice for one-off tiny
-        batches).  ``None`` defers to the ``REPRO_POOL`` environment
-        variable, then ``"persistent"``.  Irrelevant unless
-        ``workers > 1``.
+        unchanged); only solve cost drops.  With workers, warm-start
+        seeds also reach the pool — by shared-memory slot, not by
+        pickle — and worker results feed the seed store back.
     max_solutions:
         Cap on retained full solutions (:data:`DEFAULT_MAX_SOLUTIONS`;
         least recently used evicted first).  Evicted points re-solve on
@@ -299,7 +205,6 @@ class WindowObjective:
         backend: Optional[str] = None,
         workers: Optional[int] = None,
         reuse: bool = False,
-        pool_mode: Optional[str] = None,
         max_solutions: int = DEFAULT_MAX_SOLUTIONS,
     ):
         if backend is not None:
@@ -318,8 +223,6 @@ class WindowObjective:
                 f"solver from {sorted(SOLVERS)}; custom callables may not "
                 "be picklable"
             )
-        self._pool_mode = resolve_pool_mode(pool_mode)
-        self._pool: Optional[ProcessPoolExecutor] = None
         self._eval_pool: Optional["PersistentEvalPool"] = None
         self._eval_pool_owned = True
         if max_solutions < 1:
@@ -344,11 +247,6 @@ class WindowObjective:
         return self._workers > 1 and self._solver_name is not None
 
     @property
-    def pool_mode(self) -> str:
-        """Resolved parallel dispatch strategy (persistent / per-batch)."""
-        return self._pool_mode
-
-    @property
     def workers(self) -> int:
         """Requested pool size (0/1 = in-process)."""
         return self._workers
@@ -356,18 +254,13 @@ class WindowObjective:
     def ensure_pool(self) -> "PersistentEvalPool":
         """The lazily created persistent pool backing this objective.
 
-        Only meaningful in parallel persistent mode; the pool is created
+        Only meaningful for a parallel objective; the pool is created
         on first use with the objective's network/solver/backend and is
         reused for every later batch, scheduler, and multistart phase of
         the run.
         """
         if not self.parallel:
             raise ModelError("ensure_pool() requires workers > 1")
-        if self._pool_mode != "persistent":
-            raise ModelError(
-                "ensure_pool() requires pool_mode='persistent', not "
-                f"{self._pool_mode!r}"
-            )
         if self._eval_pool is None:
             from repro.parallel.pool import PersistentEvalPool
 
@@ -609,8 +502,9 @@ class WindowObjective:
 
         The batch is typically a pattern-search neighborhood or a
         multistart seed list.  With ``workers > 1`` (and a named solver)
-        the solves run concurrently on a process pool — created lazily on
-        first use and reused across calls.  In-process batches of a
+        the solves run concurrently on the persistent worker fleet —
+        created lazily on first use and reused across calls, with warm
+        seeds shipped by arena slot.  In-process batches of a
         batchable named solver on a dense backend run as *one*
         cross-network SoA tensor pass (see :mod:`repro.mva.soa`),
         bit-identical to the per-key loop; everything else runs serially
@@ -636,136 +530,27 @@ class WindowObjective:
             return [self(k) for k in keys]
 
         unique = list(dict.fromkeys(keys))
-        if self._pool_mode == "persistent":
-            pool = self.ensure_pool()
-            seeds = {}
-            for key in unique:
-                seed = self.seed_for(key)
-                if seed is not None:
-                    seeds[key] = seed
-            completed = pool.map(unique, seeds=seeds or None)
-            values = {}
-            for key in unique:
-                done = completed[key]
-                values[key] = done.value
-                self.absorb_remote(key, done.payload)
-            return [values[k] for k in keys]
-
-        from concurrent.futures.process import BrokenProcessPool
-
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self._workers,
-                initializer=_mark_executor_worker,
-            )
-        try:
-            results = self._run_executor(unique)
-        except BrokenProcessPool as error:
-            # A worker died mid-batch (crash, OOM kill): the executor is
-            # permanently broken.  Dispose of it and let the evaluation
-            # plane degrade to a lower rung.
-            self._dispose_executor(kill=True)
-            raise PoolFailure(
-                f"per-batch process pool broke: {error}"
-            ) from error
-        values: Dict[Point, float] = {}
-        for key, (value, solution) in zip(unique, results):
-            self.evaluations += 1
-            values[key] = value
-            if solution is not None:
-                self._retain(key, solution)
-                if self._engine is not None:
-                    # Pool workers solve cold, but their converged queue
-                    # lengths still seed future in-process neighbours.
-                    self._engine.record(key, solution, warmed=False)
+        pool = self.ensure_pool()
+        seeds = {}
+        for key in unique:
+            seed = self.seed_for(key)
+            if seed is not None:
+                seeds[key] = seed
+        completed = pool.map(unique, seeds=seeds or None)
+        values = {}
+        for key in unique:
+            done = completed[key]
+            values[key] = done.value
+            self.absorb_remote(key, done.payload)
         return [values[k] for k in keys]
 
-    def _run_executor(
-        self, unique: List[Point]
-    ) -> "List[Tuple[float, Optional[NetworkSolution]]]":
-        """Run one per-batch fan-out, honouring the task-deadline watchdog.
+    def demote_pool(self) -> None:
+        """Abandon the worker fleet mid-run and evaluate in-process.
 
-        Without ``REPRO_TASK_DEADLINE`` this is a plain ``executor.map``.
-        With a deadline, the batch runs through futures with a bounded
-        wait: a hung executor worker (which ``map`` would block on
-        forever) surfaces as :class:`~repro.errors.PoolFailure` after the
-        whole-batch allowance, and the wedged executor is killed rather
-        than joined.
+        The evaluation plane's side of the degradation ladder: the
+        persistent pool is closed (if owned) and ``workers`` drops to 0,
+        so :meth:`batch_solve` runs in-process from then on.
         """
-        import concurrent.futures as futures_module
-
-        deadline_raw = os.environ.get("REPRO_TASK_DEADLINE")
-        if not deadline_raw or not deadline_raw.strip():
-            return list(
-                self._pool.map(
-                    _solve_windows,
-                    [self._solver_name] * len(unique),
-                    [self._backend] * len(unique),
-                    [self._network] * len(unique),
-                    unique,
-                )
-            )
-        deadline = float(deadline_raw)
-        futures = [
-            self._pool.submit(
-                _solve_windows, self._solver_name, self._backend,
-                self._network, key,
-            )
-            for key in unique
-        ]
-        # Per-task deadline scaled to the batch: tasks queue behind each
-        # other on a small executor, so the whole batch gets deadline x
-        # (tasks + 1) before the watchdog declares it hung.
-        _done, not_done = futures_module.wait(
-            futures, timeout=deadline * (len(unique) + 1)
-        )
-        if not_done:
-            for future in not_done:
-                future.cancel()
-            self._dispose_executor(kill=True)
-            raise PoolFailure(
-                f"per-batch executor exceeded the {deadline:g}s task "
-                f"deadline with {len(not_done)} of {len(unique)} tasks "
-                "unfinished"
-            )
-        return [future.result() for future in futures]
-
-    def _dispose_executor(self, kill: bool = False) -> None:
-        """Drop the per-batch executor; ``kill=True`` SIGKILLs its workers.
-
-        ``shutdown(wait=True)`` on an executor with a hung worker never
-        returns, so the broken-pool paths kill the worker processes first
-        and then shut down without waiting.
-        """
-        pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        if kill:
-            for process in list(getattr(pool, "_processes", {}).values()):
-                try:
-                    process.kill()
-                except Exception:  # pragma: no cover - already dead
-                    pass
-        try:
-            pool.shutdown(wait=not kill, cancel_futures=kill)
-        except Exception:  # pragma: no cover - broken executor internals
-            pass
-
-    def demote_pool(self, mode: str) -> None:
-        """Degrade the parallel dispatch strategy mid-run.
-
-        The evaluation plane's side of the degradation ladder:
-        ``"per-batch"`` abandons a broken persistent pool in favour of
-        the executor fan-out; ``"serial"`` abandons process pools
-        entirely (``workers`` drops to 0, so :meth:`batch_solve` runs
-        in-process from then on).  Broken machinery is disposed of with
-        prejudice — a wedged pool is never joined.
-        """
-        if mode not in ("per-batch", "serial"):
-            raise ModelError(
-                f"cannot demote pool to {mode!r}; "
-                "expected 'per-batch' or 'serial'"
-            )
         if self._eval_pool is not None:
             if self._eval_pool_owned:
                 try:
@@ -774,19 +559,14 @@ class WindowObjective:
                     pass
             self._eval_pool = None
             self._eval_pool_owned = True
-        if mode == "per-batch":
-            self._pool_mode = "per-batch"
-        else:
-            self._dispose_executor(kill=True)
-            self._workers = 0
+        self._workers = 0
 
     def close(self) -> None:
-        """Shut down owned pools (no-op when none was created).
+        """Shut down the owned pool (no-op when none was created).
 
         A pool borrowed via :meth:`attach_pool` is left running — its
         owner (the campaign) closes it once, after every scenario.
         """
-        self._dispose_executor()
         if self._eval_pool is not None:
             if self._eval_pool_owned:
                 self._eval_pool.close()
@@ -798,12 +578,10 @@ class WindowObjective:
 
         A ``WindowObjective`` is shipped to workers (e.g. inside a
         campaign task under the ``spawn`` start method), so its state
-        must stay picklable: process pools, and the shared-memory pool
-        with its queues, are dropped and lazily recreated on first use
-        in the new process.
+        must stay picklable: the shared-memory pool with its queues is
+        dropped and lazily recreated on first use in the new process.
         """
         state = self.__dict__.copy()
-        state["_pool"] = None
         state["_eval_pool"] = None
         state["_eval_pool_owned"] = True
         return state

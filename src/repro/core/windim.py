@@ -99,10 +99,9 @@ class WindimResult:
         when the run used one; ``None`` otherwise.
     degradations:
         :class:`~repro.resilience.health.DegradationEvent` records for
-        every rung the evaluation plane stepped down mid-search
-        (``persistent -> per-batch -> serial``).  Empty for healthy runs;
-        non-empty means the optimum is still trajectory-exact but was
-        computed at reduced parallelism.
+        the evaluation plane's step down mid-search (``persistent ->
+        serial``).  Empty for healthy runs; non-empty means the optimum
+        is still trajectory-exact but was computed in-process.
     store_quarantined:
         Corrupt record lines the persistent evaluation store skipped and
         quarantined to its ``.quarantine`` sidecar on load (0 when no
@@ -242,21 +241,19 @@ def windim(
         wall pins them to ≤ 1e-8).
     workers:
         When > 1 (named solvers only), objective evaluations run on a
-        process pool of this size.  Under the default persistent pool
-        mode the workers are created once, receive the model through a
-        shared-memory arena, and are kept saturated by the asynchronous
+        persistent pool of this size: the workers are created once,
+        receive the model through a shared-memory arena, and are kept
+        saturated by the asynchronous
         :class:`~repro.parallel.scheduler.SpeculativeScheduler` (the
-        search trajectory is identical to the serial run); under
-        ``per-batch`` each neighborhood is batch-evaluated through
-        :meth:`~repro.core.objective.WindowObjective.batch_solve`.
-        Speculative neighbors count as evaluations either way.
-        Incompatible with ``resilient=True`` (health records are
-        in-process); use ``solver="resilient"`` to combine parallelism
-        with the ladder.
+        search trajectory is identical to the serial run; speculative
+        neighbors count as evaluations).  If the pool fails mid-search
+        the run steps down to in-process solving (see
+        ``WindimResult.degradations``).  Incompatible with
+        ``resilient=True`` (health records are in-process); use
+        ``solver="resilient"`` to combine parallelism with the ladder.
     pool_mode:
-        ``"persistent"`` or ``"per-batch"``; ``None`` defers to the
-        ``REPRO_POOL`` environment variable, then ``"persistent"``.
-        See :class:`~repro.core.objective.WindowObjective`.
+        ``None`` or ``"persistent"``, the only pool there is; any other
+        value raises :class:`~repro.errors.ModelError`.
     shared_pool:
         A campaign-owned :class:`~repro.parallel.pool.PersistentEvalPool`
         to borrow instead of creating one (see
@@ -317,6 +314,11 @@ def windim(
     -------
     WindimResult
     """
+    if pool_mode not in (None, "persistent"):
+        raise ModelError(
+            f"unknown pool mode {pool_mode!r}: the per-batch mode was "
+            "removed; pass None or 'persistent'"
+        )
     if start is None:
         start_point: Tuple[int, ...] = initial_windows(network, initial_strategy)
     else:
@@ -349,7 +351,6 @@ def windim(
         backend=backend,
         workers=workers,
         reuse=reuse,
-        pool_mode=pool_mode,
     )
     if shared_pool is not None:
         if not objective.parallel:
@@ -456,15 +457,13 @@ def windim(
         note_evaluation if (store is not None or manager is not None) else None
     )
 
-    # One plane per run: build_plane picks the execution path (resilient
-    # ladder / persistent fleet / per-batch pool / serial) from the
-    # objective's configuration, and the context manager guarantees the
-    # drain-then-close lifecycle on every exit path — a budget-exhausted
-    # or interrupted run can no longer leave paid-for pool results
-    # unmerged or workers alive.
+    # One plane per run: build_plane picks the execution path (persistent
+    # fleet or serial) from the objective's configuration, and the
+    # context manager guarantees the drain-then-close lifecycle on every
+    # exit path — a budget-exhausted or interrupted run can no longer
+    # leave paid-for pool results unmerged or workers alive.
     plane = build_plane(
         objective,
-        resilient_solver=resilient_solver,
         cache=cache,
         space=space,
         budget=budget,

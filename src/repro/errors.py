@@ -78,10 +78,9 @@ class PoolFailure(SearchError):
     """A worker pool is broken beyond its retry budget.
 
     Raised by :class:`repro.parallel.pool.PersistentEvalPool` when the
-    respawn budget is exhausted (respawn storms, watchdog kill loops) and
-    by the per-batch executor when its process pool breaks or deadlines.
-    The evaluation planes catch it and degrade to the next rung of the
-    ladder (persistent → per-batch → serial) instead of failing the run.
+    respawn budget is exhausted (respawn storms, watchdog kill loops).
+    The persistent evaluation plane catches it and steps down its ladder
+    (persistent → serial) instead of failing the run.
     """
 
 

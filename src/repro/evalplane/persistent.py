@@ -16,46 +16,34 @@ shares a single worker fleet across all of its starts.
 
 Degradation ladder
 ------------------
-The plane owns the first two rungs of the mid-search degradation ladder
-(``persistent -> per-batch -> serial``).  A pool that raises
-:class:`~repro.errors.PoolFailure` (respawn budget exhausted), loses a
-demanded task, or exceeds the cumulative ``failure_budget`` of respawns
-plus dropped tasks is retired; the plane demotes the objective to
-per-batch fan-out and continues the same search against the same cache.
-If the per-batch pool breaks too, the last rung is in-process serial
-solving.  Every rung taken is recorded as a
+The plane owns the mid-search degradation ladder, ``persistent ->
+serial``.  A pool that raises :class:`~repro.errors.PoolFailure`
+(respawn budget exhausted), loses a demanded task, or exceeds the
+cumulative ``failure_budget`` of respawns plus dropped tasks is retired;
+the plane demotes the objective to in-process solving and continues the
+same search against the same cache.  The step down is recorded as a
 :class:`~repro.resilience.health.DegradationEvent` (surfaced on
-``EvalResult.health`` and the final ``WindimResult``), and because every
-rung reports through the same :class:`~repro.search.cache.EvaluationCache`
-prime-once bookkeeping, the search trajectory stays bitwise identical to
-a fault-free run.
+``EvalResult.health`` and the final ``WindimResult``), and because both
+rungs report through the same :class:`~repro.search.cache.
+EvaluationCache` prime-once bookkeeping, the search trajectory stays
+bitwise identical to a fault-free run.
 """
 
 from __future__ import annotations
 
-import os
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.errors import PoolFailure, SearchError
 from repro.evalplane.plane import EvaluationPlane
+from repro.parallel.pool import _env_int
 
 __all__ = ["PersistentPlane", "DEFAULT_FAILURE_BUDGET"]
 
 Point = Tuple[int, ...]
 
 #: Cumulative (respawns + dropped tasks) tolerated before the plane
-#: stops trusting the persistent pool and steps down a rung.
+#: stops trusting the persistent pool and steps down to serial.
 DEFAULT_FAILURE_BUDGET = 8
-
-
-def _env_failure_budget(default: int) -> int:
-    raw = os.environ.get("REPRO_POOL_FAILURE_BUDGET", "").strip()
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
 
 
 class PersistentPlane(EvaluationPlane):
@@ -70,23 +58,20 @@ class PersistentPlane(EvaluationPlane):
                 "PersistentPlane requires a parallel objective (workers > 1 "
                 "and a named solver)"
             )
-        if getattr(objective, "pool_mode", None) != "persistent":
-            raise SearchError(
-                "PersistentPlane requires pool_mode='persistent', not "
-                f"{getattr(objective, 'pool_mode', None)!r}"
-            )
         if self.space is None:
             raise SearchError("PersistentPlane requires a search space")
         self._scheduler = None
         self._mode = "persistent"
         if failure_budget is None:
-            failure_budget = _env_failure_budget(DEFAULT_FAILURE_BUDGET)
+            failure_budget = _env_int(
+                "REPRO_POOL_FAILURE_BUDGET", DEFAULT_FAILURE_BUDGET
+            )
         self.failure_budget = failure_budget
 
     # ------------------------------------------------------------------
     @property
     def mode(self) -> str:
-        """Current ladder rung: ``persistent``, ``batch`` or ``serial``."""
+        """Current ladder rung: ``persistent`` or ``serial``."""
         return self._mode
 
     def _live_scheduler(self):
@@ -114,40 +99,35 @@ class PersistentPlane(EvaluationPlane):
     # ------------------------------------------------------------------
     # degradation ladder
     # ------------------------------------------------------------------
-    def _over_budget(self) -> bool:
-        """Has the pool burned through its cumulative failure budget?"""
-        if self._mode != "persistent" or self.failure_budget <= 0:
-            return False
-        health = getattr(self._objective, "pool_health", None)
-        if health is None:
-            return False
-        return (health.respawns + health.tasks_dropped) >= self.failure_budget
-
-    def _degrade(self, to_mode: str, reason: str) -> None:
-        """Step down one rung; the broken pool is abandoned, not drained."""
-        self._record_degradation(self._mode, to_mode, reason)
+    def _degrade(self, reason: str) -> None:
+        """Step down to serial; the broken pool is abandoned, not drained."""
+        self._record_degradation("persistent", "serial", reason)
         # The scheduler fronted a pool we no longer trust: drop it without
         # finish() — in-flight speculation on a broken fleet is forfeit.
         self._scheduler = None
-        self._objective.demote_pool(
-            "per-batch" if to_mode == "batch" else "serial"
-        )
-        self._mode = to_mode
+        self._objective.demote_pool()
+        self._mode = "serial"
 
-    def _check_budget(self) -> None:
-        if self._over_budget():
-            health = self._objective.pool_health
+    def _pooled(self) -> bool:
+        """Still on the pool rung?  Steps down first if over budget."""
+        if self._mode != "persistent":
+            return False
+        health = self._objective.pool_health
+        if (
+            self.failure_budget > 0
+            and health is not None
+            and health.respawns + health.tasks_dropped >= self.failure_budget
+        ):
             self._degrade(
-                "batch",
                 f"pool failure budget exhausted ({health.respawns} respawns"
                 f" + {health.tasks_dropped} dropped >= {self.failure_budget})",
             )
+            return False
+        return True
 
     # ------------------------------------------------------------------
     def _fulfil(self, key: Point):
-        if self._mode == "persistent":
-            self._check_budget()
-        if self._mode == "persistent":
+        if self._pooled():
             # demand() blocks until the pool's value for this point is
             # merged into the cache; the scheduler fires on_evaluation on
             # every merge, so the base class must not fire it again.
@@ -155,42 +135,23 @@ class PersistentPlane(EvaluationPlane):
                 self._live_scheduler().demand(key)
                 return self.cache(key), True
             except (PoolFailure, SearchError) as error:
-                self._degrade("batch", str(error))
-        if self._mode == "batch" and key not in self.cache:
-            try:
-                self._merge_batch([key])
-            except PoolFailure as error:
-                self._degrade("serial", str(error))
+                self._degrade(str(error))
         if key in self.cache.values:
-            # merged by a rung above (hook already fired there)
+            # merged by the pool before it failed (hook already fired)
             return self.cache.values[key], True
-        # last rung: plain in-process solve, base class fires the hook
+        # serial rung: plain in-process solve, base class fires the hook
         return self.cache(key), False
 
     # ------------------------------------------------------------------
-    # speculation
+    # speculation (the serial rung has nothing worth prepaying for)
     # ------------------------------------------------------------------
     def hint_sweep(self, point: Sequence[int], value: float, step: int) -> None:
-        if self._mode == "persistent":
-            self._check_budget()
-        if self._mode == "persistent":
-            try:
-                self._live_scheduler().begin_sweep(self._key(point), step)
-                return
-            except (PoolFailure, SearchError) as error:
-                self._degrade("batch", str(error))
-        if self._mode == "batch":
-            key = self._key(point)
-            fresh = self._uncached_cross(key, step)
-            room = self.max_evaluations - self.cache.evaluations
-            fresh = fresh[: max(0, room)]
-            if not fresh or self._caps_spent():
-                return
-            try:
-                self._merge_batch(fresh)
-            except PoolFailure as error:
-                self._degrade("serial", str(error))
-        # serial rung: no speculation worth prepaying for
+        if not self._pooled():
+            return
+        try:
+            self._live_scheduler().begin_sweep(self._key(point), step)
+        except (PoolFailure, SearchError) as error:
+            self._degrade(str(error))
 
     def hint_accept(
         self,
@@ -199,17 +160,14 @@ class PersistentPlane(EvaluationPlane):
         value: float,
         step: int,
     ) -> None:
-        if self._mode != "persistent":
-            return
-        self._check_budget()
-        if self._mode != "persistent":
+        if not self._pooled():
             return
         try:
             self._live_scheduler().note_accept(
                 self._key(new_base), self._key(previous), step
             )
         except (PoolFailure, SearchError) as error:
-            self._degrade("batch", str(error))
+            self._degrade(str(error))
 
     def hint_step(self, step: int) -> None:
         if self._mode != "persistent" or self._scheduler is None:
@@ -217,46 +175,22 @@ class PersistentPlane(EvaluationPlane):
         try:
             self._scheduler.note_step(step)
         except (PoolFailure, SearchError) as error:
-            self._degrade("batch", str(error))
+            self._degrade(str(error))
 
     def submit_many(self, batch: Sequence[Sequence[int]]):
-        """Seed-list fan-out on the current rung (one barrier batch).
+        """Seed-list fan-out on the pool (one barrier batch).
 
         Uses the objective's pool ``map`` path — warm seeds travel by
         arena slot — then reports through the cache like every other
         merge.  Caps are honoured quietly, as in the base class.  A pool
-        failure mid-batch degrades one rung and replays the remaining
-        keys there.
+        failure mid-batch degrades to serial and replays the batch there.
         """
-        if self._mode == "serial":
-            return super().submit_many(batch)
-        keys = [self._key(w) for w in batch]
-        fresh: List[Point] = []
-        seen = set()
-        for key in keys:
-            if key in self.cache or key in seen:
-                continue
-            seen.add(key)
-            fresh.append(key)
-        room = self.max_evaluations - self.cache.evaluations
-        fresh = fresh[: max(0, room)]
-        if fresh and not self._caps_spent():
+        if self._mode == "persistent":
             try:
-                values = self._objective.batch_solve(fresh)
+                return self._submit_batched(batch)
             except (PoolFailure, SearchError) as error:
-                self._degrade(
-                    "batch" if self._mode == "persistent" else "serial",
-                    str(error),
-                )
-                return self.submit_many(batch)
-            for key, value in zip(fresh, values):
-                if self.cache.prime(key, value) and self.on_evaluation is not None:
-                    self.on_evaluation(self.cache)
-        return [
-            self._result(key, self.cache.values[key], fresh=key in seen)
-            for key in keys
-            if key in self.cache
-        ]
+                self._degrade(str(error))
+        return super().submit_many(batch)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -276,4 +210,4 @@ class PersistentPlane(EvaluationPlane):
             try:
                 scheduler.finish()
             except (PoolFailure, SearchError) as error:
-                self._degrade("batch", f"pool failed during drain: {error}")
+                self._degrade(f"pool failed during drain: {error}")

@@ -1,13 +1,9 @@
 """The unified evaluation plane interface.
 
-Before this module, every execution path — the serial objective, the
-per-batch ``ProcessPoolExecutor`` fan-out, the persistent shared-memory
-pool with its speculative scheduler, the resilient ladder — was wired
-into :func:`~repro.search.pattern.pattern_search`, ``windim`` and
-``windim_multistart`` with bespoke glue (``prefetch=`` callables,
-``scheduler=`` objects, per-caller cache/store/checkpoint merging).
-:class:`EvaluationPlane` is the single interface all of them now sit
-behind:
+Every execution path — the serial objective and the persistent
+shared-memory pool with its speculative scheduler — sits behind
+:class:`EvaluationPlane`, so :func:`~repro.search.pattern.pattern_search`,
+``windim`` and ``windim_multistart`` carry no per-path glue:
 
 * :meth:`~EvaluationPlane.submit` — blocking ``windows -> EvalResult``
   through the shared evaluation cache, with budget/cap enforcement and
@@ -35,7 +31,7 @@ new glue tests.
 from __future__ import annotations
 
 import warnings
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ModelError, SearchError
 from repro.evalplane.result import EvalResult
@@ -290,11 +286,9 @@ class EvaluationPlane:
     def _health_record(self):
         """Per-evaluation health attached to results.
 
-        The resilient plane overrides this with the ladder's
-        :class:`~repro.resilience.health.SolveHealth`; the base class
-        reports the degradation-ladder rungs taken so far (None while the
-        plane is healthy), so a fault that forced a mid-search mode
-        change is visible on every later result.
+        The degradation-ladder rungs taken so far (None while the plane
+        is healthy), so a fault that forced a mid-search mode change is
+        visible on every later result.
         """
         return self.degradations or None
 
@@ -316,37 +310,40 @@ class EvaluationPlane:
         )
 
     # ------------------------------------------------------------------
-    # shared batch helpers (used by the pooled planes and their rungs)
+    # shared batch helper
     # ------------------------------------------------------------------
-    def _merge_batch(self, keys: Sequence[Point]) -> None:
-        """Fan ``keys`` out via ``objective.batch_solve`` and prime the cache.
+    def _submit_batched(
+        self, batch: Sequence[Sequence[int]]
+    ) -> List[EvalResult]:
+        """:meth:`submit_many` as one ``objective.batch_solve`` call.
 
-        Each primed value counts as one fresh evaluation and fires
-        ``on_evaluation`` once — identical bookkeeping to an in-process
-        solve, which is what keeps checkpoints and stores path-agnostic.
+        The fresh, deduplicated slice of ``batch`` (trimmed quietly to
+        the remaining room) is solved in one call and primed into the
+        cache.  Each primed value counts as one fresh evaluation and
+        fires ``on_evaluation`` once — identical bookkeeping to an
+        in-process solve, which is what keeps checkpoints and stores
+        path-agnostic.
         """
-        if not keys:
-            return
-        values = self._objective.batch_solve(keys)
-        for key, value in zip(keys, values):
-            if self.cache.prime(key, value) and self.on_evaluation is not None:
-                self.on_evaluation(self.cache)
-
-    def _uncached_cross(self, point: Point, step: int):
-        """The not-yet-cached ±step cross of ``point``."""
+        keys = [self._key(w) for w in batch]
+        seen = set()
         fresh: List[Point] = []
-        for axis in range(self.space.dimensions):
-            for direction in (+1, -1):
-                candidate = list(point)
-                candidate[axis] += direction * step
-                candidate_t = tuple(candidate)
-                if (
-                    candidate_t in self.space
-                    and candidate_t not in self.cache
-                    and candidate_t not in fresh
-                ):
-                    fresh.append(candidate_t)
-        return fresh
+        for key in keys:
+            if key in self.cache or key in seen:
+                continue
+            seen.add(key)
+            fresh.append(key)
+        room = self.max_evaluations - self.cache.evaluations
+        fresh = fresh[: max(0, room)]
+        if fresh and not self._caps_spent():
+            values = self._objective.batch_solve(fresh)
+            for key, value in zip(fresh, values):
+                if self.cache.prime(key, value) and self.on_evaluation is not None:
+                    self.on_evaluation(self.cache)
+        return [
+            self._result(key, self.cache.values[key], fresh=key in seen)
+            for key in keys
+            if key in self.cache
+        ]
 
     # ------------------------------------------------------------------
     # speculation hints (no-ops on serial planes)
@@ -422,35 +419,18 @@ class EvaluationPlane:
         )
 
 
-def build_plane(
-    objective,
-    resilient_solver=None,
-    **wiring,
-) -> EvaluationPlane:
+def build_plane(objective, **wiring) -> EvaluationPlane:
     """Pick the evaluation plane matching an objective's configuration.
 
-    The decision mirrors what ``windim`` hand-wired before the planes
-    existed: a :class:`~repro.evalplane.resilient.ResilientPlane` when
-    the run wraps the escalation ladder, a
-    :class:`~repro.evalplane.persistent.PersistentPlane` /
-    :class:`~repro.evalplane.batch.BatchPlane` for parallel objectives
-    (by pool mode), and the plain
-    :class:`~repro.evalplane.serial.SerialPlane` otherwise.  ``wiring``
-    is forwarded to the plane constructor (cache, space, budget, caps,
-    hooks).
+    A :class:`~repro.evalplane.persistent.PersistentPlane` for parallel
+    objectives, the plain :class:`~repro.evalplane.serial.SerialPlane`
+    otherwise.  ``wiring`` is forwarded to the plane constructor (cache,
+    space, budget, caps, hooks).
     """
-    if resilient_solver is not None:
-        from repro.evalplane.resilient import ResilientPlane
-
-        return ResilientPlane(objective, resilient_solver, **wiring)
     if getattr(objective, "parallel", False):
-        if getattr(objective, "pool_mode", "persistent") == "persistent":
-            from repro.evalplane.persistent import PersistentPlane
+        from repro.evalplane.persistent import PersistentPlane
 
-            return PersistentPlane(objective, **wiring)
-        from repro.evalplane.batch import BatchPlane
-
-        return BatchPlane(objective, **wiring)
+        return PersistentPlane(objective, **wiring)
     from repro.evalplane.serial import SerialPlane
 
     return SerialPlane(objective, **wiring)

@@ -2,10 +2,9 @@
 
 Every execution path that wants the conformance suite's certification
 registers a :class:`PlaneSpec` here: a factory plus the objective
-configuration it needs (parallel workers? which pool mode? the resilient
-ladder?).  The suite in ``tests/evalplane/`` parametrises over
-:func:`plane_names` and builds each plane through :func:`create_plane`,
-so a new backend gets the whole battery — golden parity, seeded fuzz
+configuration it needs (parallel workers or not).  The suite in
+``tests/evalplane/`` parametrises over :func:`plane_names` and builds
+each plane through :func:`create_plane`, so a new backend gets the whole battery — golden parity, seeded fuzz
 trajectory equivalence, budget/resume semantics, fault injection — by
 adding one ``register_plane`` call and zero new test glue.
 
@@ -17,8 +16,8 @@ cheap and cycle-free with :mod:`repro.core`.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, Tuple
 
 from repro.errors import SearchError
 
@@ -49,21 +48,12 @@ class PlaneSpec:
     needs_parallel:
         The objective must be constructed with ``workers > 1`` and a
         *named* solver (pooled planes ship work to processes).
-    pool_mode:
-        Required :class:`~repro.core.objective.WindowObjective` pool
-        mode (``"persistent"``/``"per-batch"``), or None when any will
-        do.
-    needs_ladder:
-        The factory expects a ``resilient_solver`` in its wiring and the
-        objective to solve through it.
     """
 
     name: str
     factory: Callable
     description: str
     needs_parallel: bool = False
-    pool_mode: Optional[str] = None
-    needs_ladder: bool = False
 
 
 _REGISTRY: Dict[str, PlaneSpec] = {}
@@ -135,23 +125,10 @@ def _serial_factory(objective, **wiring):
     return SerialPlane(objective, **wiring)
 
 
-def _batch_factory(objective, **wiring):
-    from repro.evalplane.batch import BatchPlane
-
-    return BatchPlane(objective, **wiring)
-
-
 def _persistent_factory(objective, **wiring):
     from repro.evalplane.persistent import PersistentPlane
 
     return PersistentPlane(objective, **wiring)
-
-
-def _resilient_factory(objective, **wiring):
-    from repro.evalplane.resilient import ResilientPlane
-
-    ladder = wiring.pop("resilient_solver", None)
-    return ResilientPlane(objective, ladder, **wiring)
 
 
 register_plane(
@@ -163,15 +140,6 @@ register_plane(
 )
 register_plane(
     PlaneSpec(
-        name="batch",
-        factory=_batch_factory,
-        description="per-sweep cross prefetch over a per-batch process pool",
-        needs_parallel=True,
-        pool_mode="per-batch",
-    )
-)
-register_plane(
-    PlaneSpec(
         name="persistent",
         factory=_persistent_factory,
         description=(
@@ -179,14 +147,5 @@ register_plane(
             "scheduling"
         ),
         needs_parallel=True,
-        pool_mode="persistent",
-    )
-)
-register_plane(
-    PlaneSpec(
-        name="resilient",
-        factory=_resilient_factory,
-        description="in-process evaluation through the retry/escalation ladder",
-        needs_ladder=True,
     )
 )

@@ -1,10 +1,9 @@
 """The unit of currency of the evaluation plane: one finished evaluation.
 
-Every execution path — serial objective call, per-batch process-pool
-fan-out, persistent shared-memory fleet, resilient ladder — answers a
-:meth:`~repro.evalplane.plane.EvaluationPlane.submit` with the same
-:class:`EvalResult`, so callers (and the conformance suite) never need to
-know which backend produced a number.
+Every execution path — serial objective call or persistent shared-memory
+fleet — answers a :meth:`~repro.evalplane.plane.EvaluationPlane.submit`
+with the same :class:`EvalResult`, so callers (and the conformance suite)
+never need to know which backend produced a number.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import TYPE_CHECKING, Optional, Tuple
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
-    from repro.resilience.health import SolveHealth
+    from repro.resilience.health import DegradationEvent
     from repro.solution import NetworkSolution
 
 __all__ = ["EvalResult"]
@@ -39,8 +38,7 @@ class EvalResult:
         EvaluationCache` (a hit costs nothing and fires no hooks).
     source:
         Name of the plane that produced the value (``"serial"``,
-        ``"batch"``, ``"persistent"``, ``"resilient"``, or a registered
-        custom backend).
+        ``"persistent"``, or a registered custom backend).
     solution:
         The full :class:`~repro.solution.NetworkSolution` when the
         objective retains one (named solvers via ``WindowObjective``);
@@ -51,12 +49,9 @@ class EvalResult:
         converge, or the objective retains no solutions).  This is the
         same matrix the reuse engine and the persistent store harvest.
     health:
-        Per-evaluation health annotation.  The resilient ladder attaches
-        its :class:`~repro.resilience.health.SolveHealth`; the pooled
-        planes attach the tuple of
+        Per-evaluation health annotation: the tuple of
         :class:`~repro.resilience.health.DegradationEvent` rungs taken
-        once the degradation ladder has fired.  None for healthy direct
-        solves.
+        once the degradation ladder has fired.  None for healthy runs.
     """
 
     windows: Point
@@ -65,7 +60,7 @@ class EvalResult:
     source: str
     solution: Optional["NetworkSolution"] = None
     warm_seed: Optional["np.ndarray"] = None
-    health: Optional["SolveHealth"] = None
+    health: Optional[Tuple["DegradationEvent", ...]] = None
 
     @property
     def ok(self) -> bool:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.evalplane.plane import EvaluationPlane, Point
+from repro.evalplane.plane import EvaluationPlane
 from repro.evalplane.result import EvalResult
 
 __all__ = ["SerialPlane"]
@@ -53,20 +53,4 @@ class SerialPlane(EvaluationPlane):
                 if not engaged:
                     autobatch.record_declined(reason, len(batch))
             return super().submit_many(batch)
-        keys = [self._key(w) for w in batch]
-        seen = set()
-        fresh: List[Point] = []
-        for key in keys:
-            if key in self.cache or key in seen:
-                continue
-            seen.add(key)
-            fresh.append(key)
-        room = self.max_evaluations - self.cache.evaluations
-        fresh = fresh[: max(0, room)]
-        if fresh and not self._caps_spent():
-            self._merge_batch(fresh)
-        return [
-            self._result(key, self.cache.values[key], fresh=key in seen)
-            for key in keys
-            if key in self.cache
-        ]
+        return self._submit_batched(batch)

@@ -1,9 +1,7 @@
 """Persistent worker pool for WINDIM objective evaluations.
 
-:class:`PersistentEvalPool` replaces the per-batch
-``ProcessPoolExecutor`` fan-out of PR 3 with a long-lived fleet: workers
-are spawned **once** per ``windim``/``windim_multistart``/campaign run,
-receive the network model and solver configuration exactly once through
+:class:`PersistentEvalPool` is a long-lived fleet: workers are spawned
+**once** per ``windim``/``windim_multistart``/campaign run, receive the network model and solver configuration exactly once through
 a :class:`~repro.parallel.shm.ModelArena` (zero-copy for the dense
 numeric payload), and from then on accept only
 ``(eval_id, window_vector, seed_slot)`` micro-tasks a few hundred bytes

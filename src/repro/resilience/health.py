@@ -279,16 +279,15 @@ class PoolHealth:
 class DegradationEvent:
     """One rung taken on the plane degradation ladder.
 
-    Recorded when an evaluation plane abandons a broken execution mode
-    mid-search (persistent pool → per-batch executor → serial) while
-    preserving the bitwise search trajectory through the shared
-    evaluation cache.
+    Recorded when the persistent evaluation plane abandons a broken
+    worker pool mid-search (persistent → serial) while preserving the
+    bitwise search trajectory through the shared evaluation cache.
 
     Attributes
     ----------
     from_mode / to_mode:
         The execution modes before and after the rung
-        (``"persistent"``, ``"batch"``, ``"serial"``).
+        (``"persistent"``, ``"serial"``).
     reason:
         Why the plane degraded (the pool failure message, the failure
         budget summary, ...).

@@ -25,12 +25,11 @@ telegraphs its intent through the plane's speculation hints
 speculation with
 :meth:`~repro.evalplane.plane.EvaluationPlane.drain` on every exit from
 the loop.  Which execution backend sits behind those calls — in-process
-serial, per-batch process pool, persistent shared-memory fleet, the
-resilient ladder — is entirely the plane's business; the conformance
-suite (``tests/evalplane/``) certifies that all of them walk the same
-trajectory.  Budget/cap enforcement and the ``on_evaluation`` checkpoint
-hook live in the plane, at the single choke point every fresh evaluation
-passes through.
+serial or the persistent shared-memory fleet — is entirely the plane's
+business; the conformance suite (``tests/evalplane/``) certifies that
+both walk the same trajectory.  Budget/cap enforcement and the
+``on_evaluation`` checkpoint hook live in the plane, at the single choke
+point every fresh evaluation passes through.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 The fast half certifies the registry's shape — coverage of the required
 fault × runtime matrix and lossless serialisation, since plans cross the
 spawn boundary as JSON.  The slow half actually runs the battery; CI's
-``chaos`` job executes it with ``REPRO_POOL=persistent`` and per-test
-timeouts (see ``.github/workflows/ci.yml``).
+``chaos`` job executes it with per-test timeouts (see
+``.github/workflows/ci.yml``).
 """
 
 import pytest
@@ -44,10 +44,9 @@ class TestRegistry:
                 for plan in plans
             )
 
-        # worker crash and hang on both pool runtimes
-        for pool in ("persistent", "per-batch"):
-            assert covered("crash", "pool.worker.task", pool), pool
-            assert covered("hang", "pool.worker.task", pool), pool
+        # worker crash and hang on the pool runtime
+        assert covered("crash", "pool.worker.task", "persistent")
+        assert covered("hang", "pool.worker.task", "persistent")
         # corrupted store bytes, corrupted checkpoint bytes, slow IO, skew
         assert any(
             any(r.site == "store.record" and r.action == "corrupt"

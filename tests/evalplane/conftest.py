@@ -4,14 +4,11 @@ Every test in this package parametrises over the evaluation-plane
 registry (:func:`repro.evalplane.plane_names`): a backend registered
 there is automatically pulled through the whole battery.  The harness
 knows how to build, for any registered spec, an objective satisfying the
-spec's requirements (worker pool of the right mode, resilient ladder)
-plus the plane on top of it — tests only say *which* backend and *which*
-network.
+spec's requirements (a worker pool or none) plus the plane on top of it
+— tests only say *which* backend and *which* network.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import pytest
 
@@ -34,27 +31,15 @@ def build_harness(
     budget=None,
     max_evaluations: int = 10**9,
     on_evaluation=None,
-    solver: str = "mva-heuristic",
+    solver="mva-heuristic",
 ):
-    """Build ``(objective, plane)`` satisfying a registered spec's needs."""
-    spec = get_spec(plane_name)
-    wiring = {}
-    if spec.needs_ladder:
-        from repro.resilience.ladder import ResilientSolver
+    """Build ``(objective, plane)`` satisfying a registered spec's needs.
 
-        ladder = ResilientSolver(solver)
-        objective = WindowObjective(network, ladder, reuse=reuse)
-        wiring["resilient_solver"] = ladder
-    elif spec.needs_parallel:
-        objective = WindowObjective(
-            network,
-            solver,
-            workers=POOL_WORKERS,
-            pool_mode=spec.pool_mode,
-            reuse=reuse,
-        )
-    else:
-        objective = WindowObjective(network, solver, reuse=reuse)
+    ``solver`` is a registry name or, on unpooled planes, any solver
+    callable (e.g. a :class:`~repro.resilience.ladder.ResilientSolver`).
+    """
+    workers = POOL_WORKERS if get_spec(plane_name).needs_parallel else None
+    objective = WindowObjective(network, solver, workers=workers, reuse=reuse)
     space = IntegerBox.windows(network.num_chains, max_window)
     plane = create_plane(
         plane_name,
@@ -65,7 +50,6 @@ def build_harness(
         max_evaluations=max_evaluations,
         on_evaluation=on_evaluation,
         seed_for=objective.seed_for if reuse else None,
-        **wiring,
     )
     return objective, plane
 

@@ -1,7 +1,7 @@
 """End-to-end CLI matrix over the evaluation-plane backends.
 
-Drives ``repro.cli.main`` in-process across the ``--pool`` ×
-``--workers`` × ``--reuse`` × ``--resume`` matrix and asserts that every
+Drives ``repro.cli.main`` in-process across the ``--workers`` ×
+``--reuse`` × ``--resume`` matrix and asserts that every
 combination reports the *identical* optimum, and that resuming from a
 checkpoint performs strictly fewer fresh evaluations than the run that
 wrote it.  This is the user-facing face of the conformance wall: the
@@ -30,15 +30,14 @@ BASE = [
     str(MAX_WINDOW),
 ]
 
-#: (label, extra argv) — every pool strategy the CLI exposes, with and
-#: without cross-evaluation reuse, capped at 2 workers for CI.
+#: (label, extra argv) — serial, the worker pool and the resilient
+#: ladder, with and without cross-evaluation reuse, capped at 2 workers
+#: for CI.
 MATRIX = [
     ("serial", []),
     ("serial-reuse", ["--reuse"]),
-    ("per-batch", ["--workers", "2", "--pool", "per-batch"]),
-    ("per-batch-reuse", ["--workers", "2", "--pool", "per-batch", "--reuse"]),
-    ("persistent", ["--workers", "2", "--pool", "persistent"]),
-    ("persistent-reuse", ["--workers", "2", "--pool", "persistent", "--reuse"]),
+    ("persistent", ["--workers", "2"]),
+    ("persistent-reuse", ["--workers", "2", "--reuse"]),
     ("resilient", ["--resilient"]),
 ]
 
@@ -60,7 +59,7 @@ def _run(argv, capsys):
 
 class TestSolveMatrix:
     def test_all_backends_agree_on_the_optimum(self, capsys):
-        """Every --pool/--reuse combination reports the same windows."""
+        """Every --workers/--reuse combination reports the same windows."""
         runs = {label: _run(BASE + extra, capsys) for label, extra in MATRIX}
         windows = {r[0] for r in runs.values()}
         powers = {r[1] for r in runs.values()}
@@ -72,12 +71,7 @@ class TestSolveMatrix:
         "pool_args",
         [
             pytest.param([], id="serial"),
-            pytest.param(
-                ["--workers", "2", "--pool", "per-batch"], id="per-batch"
-            ),
-            pytest.param(
-                ["--workers", "2", "--pool", "persistent"], id="persistent"
-            ),
+            pytest.param(["--workers", "2"], id="persistent"),
         ],
     )
     def test_resume_reuses_the_checkpoint(self, pool_args, capsys, tmp_path):
@@ -116,7 +110,7 @@ class TestSolveMatrix:
         """`windim planes` advertises the full registry."""
         assert main(["planes"]) == 0
         out = capsys.readouterr().out
-        for name in ("serial", "batch", "persistent", "resilient"):
+        for name in ("serial", "persistent"):
             assert name in out
 
 
@@ -144,9 +138,7 @@ class TestExitCodes:
             env=(("REPRO_MAX_RESPAWNS", "0"),),
         )
         with inject(plan), pytest.warns(RuntimeWarning, match="degraded"):
-            code = main(
-                BASE + ["--workers", "2", "--pool", "persistent"]
-            )
+            code = main(BASE + ["--workers", "2"])
         out = capsys.readouterr().out
         assert "WINDIM optimal windows" in out  # it still finished
         assert code == EXIT_DEGRADED == 3

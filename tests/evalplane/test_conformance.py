@@ -38,6 +38,7 @@ from repro.evalplane import (
 )
 from repro.evalplane.serial import SerialPlane
 from repro.resilience.budget import SearchBudget
+from repro.resilience.ladder import ResilientSolver
 from repro.search.pattern import pattern_search
 from repro.verify.fuzz import FuzzConfig, generate_named_cases
 from repro.verify.golden import golden_cases
@@ -145,7 +146,7 @@ class TestLifecycle:
         _objective, plane = build_harness(plane_name, moderate_net)
         with plane:
             plane.submit((2, 2))
-        if spec.pool_mode == "persistent":
+        if spec.needs_parallel:
             assert plane.pool_health is not None
             assert plane.pool_health.workers >= 1
         else:
@@ -160,30 +161,35 @@ class TestLifecycle:
         try:
             with pytest.raises(SearchError):
                 create_plane(
-                    plane_name,
-                    objective,
-                    cache=other,
-                    space=plane.space,
-                    **(
-                        {"resilient_solver": plane.ladder}
-                        if get_spec(plane_name).needs_ladder
-                        else {}
-                    ),
+                    plane_name, objective, cache=other, space=plane.space
                 )
         finally:
             plane.close()
 
 
 class TestGoldenTrajectoryParity:
-    """Bitwise-identical search on every golden thesis fixture."""
+    """Bitwise-identical search on every golden thesis fixture.
+
+    The inputs are every registered plane plus ``resilient``: the serial
+    plane driving an objective that solves through the retry/escalation
+    ladder, which is what ``windim(resilient=True)`` runs.
+    """
 
     @pytest.mark.parametrize("golden", _golden_params)
-    def test_identical_trajectory_and_optimum(self, plane_name, golden):
+    @pytest.mark.parametrize("harness", [*plane_names(), "resilient"])
+    def test_identical_trajectory_and_optimum(self, harness, golden):
         network = _GOLDENS[golden].build().network
         max_window = 6 if network.num_chains > 2 else 12
         oracle = _oracle(golden, network, max_window)
-        result, plane = _run_search(plane_name, network, max_window)
-        _assert_identical(result, oracle, f"{golden} via {plane_name}")
+        if harness == "resilient":
+            ladder = ResilientSolver("mva-heuristic")
+            result, plane = _run_search(
+                "serial", network, max_window, solver=ladder
+            )
+            assert len(ladder.health_log) == plane.cache.evaluations
+        else:
+            result, plane = _run_search(harness, network, max_window)
+        _assert_identical(result, oracle, f"{golden} via {harness}")
         assert plane.closed
 
 
@@ -276,7 +282,7 @@ class TestSeededResume:
         assert second.best_point == first.best_point
         assert second.best_value == first.best_value
         assert second.base_points == first.base_points
-        if get_spec(plane_name).pool_mode == "persistent":
+        if get_spec(plane_name).needs_parallel:
             # Every *demanded* point is a seeded hit; the speculative
             # frontier may still pay for a few candidates the first run
             # cancelled before they reached a worker.
@@ -305,9 +311,6 @@ class TestWarmSeedsAndBounds:
         )
 
     def test_reuse_run_matches_same_optimum(self, plane_name, moderate_net):
-        spec = get_spec(plane_name)
-        if spec.needs_ladder:
-            pytest.skip("ladder objective manages its own reuse internally")
         plain, _ = _run_search(plane_name, moderate_net, 12)
         reused, plane = _run_search(
             plane_name, moderate_net, 12, reuse=True
@@ -475,7 +478,7 @@ class TestRegistry:
 
     def test_builtins_registered(self):
         names = plane_names()
-        for expected in ("serial", "batch", "persistent", "resilient"):
+        for expected in ("serial", "persistent"):
             assert expected in names
 
     def test_unknown_plane_rejected(self, moderate_net):

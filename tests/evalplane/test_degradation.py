@@ -1,7 +1,7 @@
 """The plane degradation ladder, exercised at the plane layer.
 
 Satellite coverage for ``PersistentPlane.drain()`` under mid-drain
-worker death, the failure budget, and the degraded rungs' bookkeeping
+worker death, the failure budget, and the serial rung's bookkeeping
 (cache priming, ``EvalResult.health``, trajectory preservation).
 """
 
@@ -12,6 +12,7 @@ import time
 import pytest
 
 from repro.core.objective import WindowObjective
+from repro.errors import SearchError
 from repro.evalplane import create_plane
 from repro.resilience.health import DegradationEvent
 from repro.search.cache import EvaluationCache
@@ -45,7 +46,7 @@ class TestMidDrainDeath:
             plane.hint_sweep(POINT, first.value, 2)  # speculation in flight
             _kill_one_worker(objective)
             plane.drain()  # must neither raise nor hang
-            assert plane.mode in ("persistent", "batch")
+            assert plane.mode in ("persistent", "serial")
             # the plane is still serviceable after the drain
             again = plane.submit(POINT)
             assert again.value == first.value
@@ -61,10 +62,11 @@ class TestMidDrainDeath:
             plane.hint_sweep(POINT, first.value, 2)
             _kill_one_worker(objective)
             plane.drain()
-            assert plane.mode == "batch"
+            assert plane.mode == "serial"
             assert plane.degradations
             assert plane.degradations[0].from_mode == "persistent"
-            # demanded evaluations keep flowing on the lower rung, and
+            assert plane.degradations[0].to_mode == "serial"
+            # demanded evaluations keep flowing on the serial rung, and
             # results now carry the degradation record
             probe = plane.submit((5, 5))
             assert probe.value > 0
@@ -74,9 +76,7 @@ class TestMidDrainDeath:
 
 class TestFailureBudget:
     def test_budget_breach_degrades_before_next_demand(self, moderate_net):
-        objective = WindowObjective(
-            moderate_net, "mva-heuristic", workers=2, pool_mode="persistent"
-        )
+        objective = WindowObjective(moderate_net, "mva-heuristic", workers=2)
         space = IntegerBox.windows(moderate_net.num_chains, 12)
         plane = create_plane(
             "persistent",
@@ -98,7 +98,7 @@ class TestFailureBudget:
                 for event in plane.degradations
             )
         # the trajectory-facing contract held throughout: values primed
-        # by the degraded rungs match in-process solves
+        # by the pool and by the serial rung match in-process solves
         with WindowObjective(moderate_net, "mva-heuristic") as serial:
             assert plane.cache.values[POINT] == serial(POINT)
 
@@ -107,3 +107,8 @@ class TestFailureBudget:
         objective, plane = build_harness("persistent", moderate_net)
         with plane:
             assert plane.failure_budget == 3
+
+    def test_malformed_env_budget_raises(self, moderate_net, monkeypatch):
+        monkeypatch.setenv("REPRO_POOL_FAILURE_BUDGET", "abc")
+        with pytest.raises(SearchError, match="REPRO_POOL_FAILURE_BUDGET"):
+            build_harness("persistent", moderate_net)

@@ -47,7 +47,6 @@ class TestMultistartLifecycle:
             moderate_net,
             max_window=8,
             workers=2,
-            pool_mode="persistent",
             max_evaluations=3,
         )
         (plane,) = captured_planes
@@ -84,7 +83,6 @@ class TestMultistartLifecycle:
             moderate_net,
             max_window=8,
             workers=2,
-            pool_mode="per-batch",
             extra_starts=[(5, 5)],
         )
         (plane,) = captured_planes

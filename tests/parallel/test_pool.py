@@ -209,12 +209,10 @@ def test_respawn_budget_exhaustion_raises_pool_failure(network):
 
 
 def test_objective_with_live_pool_pickles(network):
-    # Per-batch executors pickle the objective into spawn workers; a live
+    # Campaign tasks pickle the objective into spawn workers; a live
     # persistent pool (queues, processes, shared memory) must never ride
     # along.
-    objective = WindowObjective(
-        network, backend="vectorized", workers=2, pool_mode="persistent"
-    )
+    objective = WindowObjective(network, backend="vectorized", workers=2)
     try:
         objective.ensure_pool()
         baseline = objective((3, 3))

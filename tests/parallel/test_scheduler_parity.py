@@ -12,7 +12,6 @@ assert same-optimum rather than bitwise-equal values.
 import pytest
 
 from repro.core.multistart import windim_multistart
-from repro.core.objective import resolve_pool_mode
 from repro.core.windim import windim
 from repro.errors import ModelError
 from repro.netmodel.examples import arpanet_fragment, canadian_two_class
@@ -41,11 +40,7 @@ def _assert_identical_trajectory(serial, pooled):
 def test_golden_trajectory_identity(factory, max_window):
     serial = windim(factory(), max_window=max_window, backend="vectorized")
     pooled = windim(
-        factory(),
-        max_window=max_window,
-        backend="vectorized",
-        workers=2,
-        pool_mode="persistent",
+        factory(), max_window=max_window, backend="vectorized", workers=2
     )
     _assert_identical_trajectory(serial, pooled)
 
@@ -61,7 +56,6 @@ def test_golden_reuse_same_optimum_within_band(factory, max_window):
         backend="vectorized",
         reuse=True,
         workers=2,
-        pool_mode="persistent",
     )
     assert list(pooled.windows) == list(serial.windows)
     assert pooled.power == pytest.approx(serial.power, rel=1e-8)
@@ -71,11 +65,7 @@ def test_fuzz_trajectory_identity():
     for case in generate_cases(seed=2026, count=3):
         serial = windim(case.network, max_window=4, backend="vectorized")
         pooled = windim(
-            case.network,
-            max_window=4,
-            backend="vectorized",
-            workers=2,
-            pool_mode="persistent",
+            case.network, max_window=4, backend="vectorized", workers=2
         )
         assert list(pooled.windows) == list(serial.windows), case.label
         assert pooled.power == serial.power, case.label
@@ -84,27 +74,10 @@ def test_fuzz_trajectory_identity():
         ), case.label
 
 
-def test_per_batch_mode_still_matches_serial():
-    net = canadian_two_class(18.0, 18.0)
-    serial = windim(net, max_window=12, backend="vectorized")
-    batched = windim(
-        net,
-        max_window=12,
-        backend="vectorized",
-        workers=2,
-        pool_mode="per-batch",
-    )
-    assert list(batched.windows) == list(serial.windows)
-    assert batched.power == serial.power
-    assert batched.pool_health is None  # no persistent fleet was built
-
-
 def test_multistart_parity_under_persistent_pool():
     net = canadian_two_class(25.0, 25.0)
     serial = windim_multistart(net, max_window=8)
-    pooled = windim_multistart(
-        net, max_window=8, workers=2, pool_mode="persistent"
-    )
+    pooled = windim_multistart(net, max_window=8, workers=2)
     assert list(pooled.windows) == list(serial.windows)
     assert pooled.power == serial.power
     assert pooled.pool_health is not None
@@ -112,13 +85,7 @@ def test_multistart_parity_under_persistent_pool():
     assert pooled.pool_health.respawns == 0
 
 
-def test_resolve_pool_mode_precedence(monkeypatch):
-    monkeypatch.delenv("REPRO_POOL", raising=False)
-    assert resolve_pool_mode(None) == "persistent"
-    monkeypatch.setenv("REPRO_POOL", "per-batch")
-    assert resolve_pool_mode(None) == "per-batch"
-    # An explicit argument beats the environment.
-    assert resolve_pool_mode("persistent") == "persistent"
-    monkeypatch.setenv("REPRO_POOL", "bogus")
-    with pytest.raises(ModelError):
-        resolve_pool_mode(None)
+def test_per_batch_pool_mode_is_rejected():
+    net = canadian_two_class(18.0, 18.0)
+    with pytest.raises(ModelError, match="per-batch mode was removed"):
+        windim(net, max_window=8, workers=2, pool_mode="per-batch")

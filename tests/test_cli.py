@@ -128,7 +128,6 @@ class TestPersistentPoolE2E:
 
         combined = base + [
             "--workers", "2",
-            "--pool", "persistent",
             "--reuse",
             "--store", str(tmp_path / "run.store"),
             "--checkpoint", str(tmp_path / "run.ckpt"),
@@ -149,10 +148,10 @@ class TestPersistentPoolE2E:
             < self._fresh_evaluations(first_out)
         )
 
-    def test_pool_flag_rejects_unknown_mode(self):
+    def test_pool_flag_is_removed(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["solve", "--rates", "18", "18", "--pool", "sometimes"]
+                ["solve", "--rates", "18", "18", "--pool", "persistent"]
             )
 
 
