@@ -130,11 +130,11 @@ def power_curve(
 
     The load points are independent networks (the factory may change
     demands — or topology — with the rates), so when the named solver
-    has a batched SoA kernel the whole curve is solved as padded
-    heterogeneous packs (:func:`repro.mva.soa.solve_networks_batched`,
-    engagement decided by :func:`repro.mva.autobatch.assess`) instead of
-    a per-point Python loop; batched values agree with serial solves to
-    the 1e-8 parity band.  Declined batches are logged with the reason
+    has a batched SoA kernel the whole curve is solved as heterogeneous
+    packs (:func:`repro.mva.soa.solve_networks_batched`, engagement
+    decided by :func:`repro.mva.autobatch.assess`) instead of a
+    per-point Python loop; batched values are bit-identical to serial
+    solves.  Declined batches are logged with the reason
     and fall back to the serial loop.
     """
     networks = [

@@ -4,17 +4,21 @@ Every MVA-family solver in :mod:`repro.mva` and :mod:`repro.exact` ships
 interchangeable kernel implementations:
 
 ``"scalar"``
-    The reference implementation: per-chain Python loops mirroring the
-    thesis recurrences line by line.  Kept verbatim so the dense paths
-    always have an executable specification to be diffed against
-    (the parity test wall pins agreement to ≤ 1e-8 relative error).
+    The reference implementation: per-chain Python loops over dense
+    ``(R, L)`` state, mirroring the thesis recurrences line by line.
+    Kept verbatim so the fast paths always have an executable
+    specification to be diffed against (the parity test wall pins
+    agreement to ≤ 1e-8 relative error).
 ``"vectorized"``
-    Dense-array kernels that carry the whole per-(station, chain) state
-    as NumPy arrays and replace the per-chain loops with batched
-    elementwise operations.  Numerically it performs the same floating-
-    point operations in the same order, so results agree with the scalar
-    path to machine precision; it is simply much faster when the number
-    of chains or the window sizes grow.
+    Batched NumPy kernels that replace the per-chain loops with array
+    operations.  The heuristic and Schweitzer fixed points carry their
+    state route-compacted and slot-major — one column per chain, one row
+    per station on its route (:mod:`repro.mva.layout`) — so a sweep costs
+    the routes' total length rather than chains × stations, and the same
+    code solves one network or a pack of many bit-identically
+    (:mod:`repro.mva.soa`).  Route sums run slot by slot where the
+    scalar loops sum pairwise over all stations, so the two agree to
+    rounding rather than bit for bit.
 
 The process-wide default is ``"vectorized"``; it can be overridden per
 call (every solver takes a ``backend=`` keyword), per process via the

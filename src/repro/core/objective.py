@@ -396,7 +396,7 @@ class WindowObjective:
         with a batched fixed point, no reuse engine — warm starts are
         inherently per-key (each solve seeds from its nearest already-
         solved neighbour, which may be *in the same batch*), so the
-        reuse path keeps the serial loop — the dense kernel backend, and
+        reuse path keeps the serial loop — the vectorized backend, and
         a per-network tensor under the fixed crossover.  Returns
         ``(engage, reason)``; callers log declines so caps are never
         silent.
@@ -450,9 +450,9 @@ class WindowObjective:
         bypass the window-keyed solution cache and are returned directly
         as ``(1/power, solution)`` pairs in input order (``(inf, None)``
         where the solver failed).  When :func:`repro.mva.autobatch.
-        assess` engages, the whole batch runs as padded heterogeneous
-        SoA packs (:func:`repro.mva.soa.solve_networks_batched`), agreeing
-        with serial solves to the 1e-8 parity band; declined batches are
+        assess` engages, the whole batch runs as heterogeneous SoA packs
+        (:func:`repro.mva.soa.solve_networks_batched`), bit-identical to
+        serial solves; declined batches are
         logged with the reason and solved serially.  ``evaluations``
         grows by ``len(networks)`` either way.
         """
@@ -505,7 +505,7 @@ class WindowObjective:
         the solves run concurrently on the persistent worker fleet —
         created lazily on first use and reused across calls, with warm
         seeds shipped by arena slot.  In-process batches of a
-        batchable named solver on a dense backend run as *one*
+        batchable named solver on the vectorized backend run as *one*
         cross-network SoA tensor pass (see :mod:`repro.mva.soa`),
         bit-identical to the per-key loop; everything else runs serially
         in-process.  Either way the full solutions are retained, so

@@ -225,7 +225,7 @@ class EvaluationPlane:
         networks need not share the plane objective's topology, so the
         values bypass the window-keyed evaluation cache entirely — each
         result is always ``fresh`` and carries its solution directly.
-        The engagement decision (padded SoA packs vs a serial loop, with
+        The engagement decision (SoA packs vs a serial loop, with
         every declined batch logged) lives in
         :meth:`~repro.core.objective.WindowObjective.
         batch_solve_networks`; plain callables without that method are

@@ -1,14 +1,16 @@
 """Auto-engagement gate for cross-network SoA batching.
 
-Batching B networks into one ``(B, R, L)`` tensor pass wins while a
-single network's per-iteration tensors are small enough that NumPy
-dispatch overhead dominates; once one network's state is itself
-cache-sized, stacking B of them only evicts the cache (the 120-chain
-fixture ran at 0.5x batched).  :data:`CROSSOVER` is that boundary in
-per-network ``R*L`` elements.  It depends on the host's caches, but a
-timing probe for it answered 2048 or 8192 from run to run on one host,
-and no workload sits between those values, so the gate is fixed
-(EXPERIMENTS.md A13).
+Batching B networks into one pack wins while a single network's
+per-iteration arrays are small enough that NumPy dispatch overhead
+dominates; once one network's state is itself cache-sized, stacking B
+of them only evicts the cache (the 120-chain fixture ran at 0.5x
+batched, measured on dense state).  :data:`CROSSOVER` is that boundary
+in per-network dense ``R*L`` elements.  It depends on the host's
+caches, but a timing probe for it answered 2048 or 8192 from run to run
+on one host, and no workload sits between those values, so the gate is
+fixed (EXPERIMENTS.md A13).  Packs now hold route-compacted ``K*R``
+slots (:mod:`repro.mva.layout`); the gate has not been re-measured
+against that count, so it still takes ``R*L``.
 
 :func:`assess` is the single engagement decision every caller consults
 — ``WindowObjective``, the evaluation planes, and the campaign sweeps.

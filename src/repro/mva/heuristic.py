@@ -32,7 +32,9 @@ from repro.backend import resolve_backend
 from repro.errors import ModelError
 from repro.mva.accel import AitkenAccelerator, solve_extras
 from repro.mva.convergence import IterationControl
+from repro.mva.layout import route_sum
 from repro.mva.single_chain import solve_single_chain
+from repro.mva.soa import fixed_point, pack_networks
 from repro.mva.warmstart import validate_warm_start
 from repro.queueing.network import ClosedNetwork
 from repro.solution import NetworkSolution
@@ -78,24 +80,25 @@ def initial_queue_lengths(network: ClosedNetwork, strategy: str = "balanced") ->
 def plan_increments(
     alive: np.ndarray,
     populations: np.ndarray,
-    delay_mask: np.ndarray,
+    queueing: np.ndarray,
 ) -> tuple:
     """Precompute the loop-invariant state of :func:`batched_increments`.
 
-    ``alive`` marks chains with any positive demand (``alive[r]`` iff
-    chain ``r``'s ``scaled`` row has a positive entry); since scaling by
-    ``1 + others >= 1`` never changes positivity, callers can derive it
-    once from the raw demands and reuse the plan across every fixed-point
-    iteration of a solve.
+    ``alive`` marks columns (chains) with any positive demand; since
+    scaling by ``1 + others >= 1`` never changes positivity, callers
+    derive it once from the raw demands and reuse the plan across every
+    fixed-point iteration of a solve.  ``queueing`` is the ``(K, N)``
+    slot mask of :func:`batched_increments`.  ``plan[3]`` is the
+    recursion depth (the largest population).  One plan serves a serial
+    solve's ``(K, R)`` columns and a pack's ``(K, B·R)`` alike.
     """
     populations = np.asarray(populations)
-    queueing = (~np.asarray(delay_mask, dtype=bool))[None, :]
     # Zero-demand chains have zero total wait at every step; offsetting
     # their denominator by one keeps the division well-defined while
     # leaving alive chains' denominators bit-for-bit untouched (x + 0.0).
     dead_offset = np.where(alive, 0.0, 1.0)
     finish_at = {
-        d: (alive & (populations == d))[:, None]
+        d: alive & (populations == d)
         for d in {int(p) for p in populations}
         if d >= 1
     }
@@ -106,7 +109,7 @@ def plan_increments(
 def batched_increments(
     scaled: np.ndarray,
     populations: np.ndarray,
-    delay_mask: np.ndarray,
+    queueing: np.ndarray,
     plan: Optional[tuple] = None,
 ) -> np.ndarray:
     """Own-chain queue-length increments for *all* chains in one recursion.
@@ -114,61 +117,52 @@ def batched_increments(
     Vectorized equivalent of running :func:`~repro.mva.single_chain.
     solve_single_chain` once per chain and taking ``trace.increment()``:
     the single-chain population recursion is advanced for every chain
-    simultaneously on dense ``(R, L)`` state.  Per chain the floating-point
-    operations (and their order) are identical to the scalar recursion, so
-    the result matches ``solve_single_chain`` to the last bit.
+    simultaneously on route-compacted, slot-major ``(K, N)`` state (see
+    :mod:`repro.mva.layout`) — column ``c`` is one chain's route, so a
+    step costs ``O(sum_r E_r)``, not ``O(R·L)``.
 
-    Rows are independent, so no per-step masking is needed: a chain's
-    increment is captured on the step matching its own population and its
-    row simply keeps recursing (unread) until the longest chain finishes.
+    Columns are independent: each column's sum runs over its slots in
+    station order (:func:`~repro.mva.layout.route_sum`), and a chain's
+    increment is captured on the step matching its own population while
+    its column keeps recursing (unread) until the longest chain
+    finishes.  A column's result therefore does not depend on which
+    other columns share the array — a serial solve's ``(K, R)`` and a
+    pack's ``(K, B·R)`` give it bit for bit.  Against the dense scalar
+    reference (pairwise sums over all ``L`` stations) it agrees to
+    rounding.
 
     Parameters
     ----------
     scaled:
-        ``(R, L)`` inflated service demands, one row per chain.
+        ``(K, N)`` inflated service demands, one column per chain, zero
+        on padded slots.
     populations:
-        ``(R,)`` integer chain populations.
-    delay_mask:
-        ``(L,)`` bool mask of infinite-server stations.
+        ``(N,)`` integer chain populations.
+    queueing:
+        ``(K, N)`` bool mask of visited queueing (non-delay) slots.
     plan:
         Optional loop-invariant state from :func:`plan_increments`;
-        callers iterating on the same network should build it once.
+        callers iterating on the same columns should build it once.
 
     Returns
     -------
     numpy.ndarray
-        ``(R, L)`` increments ``sigma_ir = N_i(D_r) - N_i(D_r - 1)``.
+        ``(K, N)`` increments ``sigma = N(D_r) - N(D_r - 1)`` per slot.
     """
     if plan is None:
-        plan = plan_increments(scaled.sum(axis=1) > 0, populations, delay_mask)
+        plan = plan_increments(route_sum(scaled) > 0, populations, queueing)
     queueing, dead_offset, finish_at, max_population = plan
     queue = np.zeros_like(scaled)
     sigma = np.zeros_like(scaled)
     for d in range(1, max_population + 1):
         wait = np.where(queueing, scaled * (1.0 + queue), scaled)
-        total_wait = wait.sum(axis=1)
-        rate = d / (total_wait + dead_offset)
-        stepped = rate[:, None] * wait
+        rate = d / (route_sum(wait) + dead_offset)
+        stepped = rate * wait
         finishing = finish_at.get(d)
         if finishing is not None:
             sigma = np.where(finishing, stepped - queue, sigma)
         queue = stepped
     return sigma
-
-
-def _scalar_increments(
-    network: ClosedNetwork,
-    scaled_rows: np.ndarray,
-    active: "list[int]",
-    delay_mask: np.ndarray,
-    sigma: np.ndarray,
-) -> None:
-    """Reference per-chain increments via the single-chain recursion."""
-    for r in active:
-        trace = solve_single_chain(
-            scaled_rows[r], int(network.populations[r]), delay_station=delay_mask
-        )
-        sigma[r] = trace.increment()
 
 
 def solve_mva_heuristic(
@@ -192,9 +186,11 @@ def solve_mva_heuristic(
         Queue-length initialisation strategy (``"balanced"`` default, or
         ``"bottleneck"``; thesis §4.2 rules 1 and 2).
     backend:
-        Kernel implementation: ``"vectorized"`` (dense batched arrays,
-        the default) or ``"scalar"`` (the per-chain reference loops); see
-        :mod:`repro.backend`.  The two are bit-identical.
+        Kernel implementation: ``"vectorized"`` (the default: the
+        route-compacted fixed point of :func:`repro.mva.soa.fixed_point`,
+        solving the network as a pack of one) or ``"scalar"`` (the dense
+        per-chain reference loops); see :mod:`repro.backend`.  The two
+        agree to rounding.
     warm_start:
         Optional ``(R, L)`` queue-length seed replacing the
         ``initializer`` start — typically the converged ``queue_lengths``
@@ -210,22 +206,58 @@ def solve_mva_heuristic(
     """
     if control is None:
         control = IterationControl()
-    vectorized = resolve_backend(backend) == "vectorized"
+    if resolve_backend(backend) == "scalar":
+        solution = _solve_dense_reference(network, control, initializer, warm_start)
+    else:
+        layout = network.route_layout
+        accelerator = None
+        start = None
+        if warm_start is not None:
+            start = layout.gather(validate_warm_start(network, warm_start))
+            # A seed from a converged neighbour usually starts the
+            # iteration near its asymptotic linear regime, where Aitken
+            # extrapolation pays; the accelerator switches itself off when
+            # an extrapolation does not shorten the plain step.  Cold
+            # solves stay the plain thesis iteration (see repro.mva.accel).
+            # Damping changes the error dynamics the ratio estimate
+            # assumes, so it disables this.
+            if control.damping >= 1.0:
+                accelerator = AitkenAccelerator()
+        elif initializer != "balanced":
+            start = layout.gather(initial_queue_lengths(network, initializer))
+        (solution,) = fixed_point(
+            pack_networks([network]), "mva-heuristic", control, start, accelerator
+        )
+    if not solution.converged:
+        # Warned from here, so the warning points at the caller.
+        control.on_exhausted(
+            "mva-heuristic", solution.iterations, solution.extras["residual"]
+        )
+    return solution
 
+
+def _solve_dense_reference(
+    network: ClosedNetwork,
+    control: IterationControl,
+    initializer: str,
+    warm_start: Optional[np.ndarray],
+) -> NetworkSolution:
+    """The scalar reference: dense ``(R, L)`` state, per-chain recursions.
+
+    Each sweep isolates every chain in turn and runs the exact
+    single-chain recursion (:func:`~repro.mva.single_chain.
+    solve_single_chain`) over all ``L`` stations — the thesis recurrences
+    line by line, kept as the executable specification the vectorized
+    tier is diffed against.
+    """
     demands = network.demands
-    num_chains, num_stations = demands.shape
+    num_chains = demands.shape[0]
     populations = network.populations.astype(float)
-    delay_mask = np.asarray([s.is_delay for s in network.stations], dtype=bool)
-    visit_mask = network.visit_counts > 0
+    layout = network.route_layout
+    delay_mask = layout.delay_mask
 
     if warm_start is not None:
         queue_lengths = validate_warm_start(network, warm_start)
-        # A seed from a converged neighbour usually starts the iteration
-        # near its asymptotic linear regime, where Aitken extrapolation
-        # pays; the accelerator switches itself off when an extrapolation
-        # does not shorten the plain step.  Cold solves stay the plain
-        # thesis iteration (see repro.mva.accel).  Damping changes the
-        # error dynamics the ratio estimate assumes, so it disables this.
         accelerator = AitkenAccelerator() if control.damping >= 1.0 else None
     else:
         queue_lengths = initial_queue_lengths(network, initializer)
@@ -233,19 +265,10 @@ def solve_mva_heuristic(
     throughputs = np.zeros(num_chains)
     waiting = np.zeros_like(demands)
     sigma = np.zeros_like(demands)
-
     active = [r for r in range(num_chains) if populations[r] > 0]
     active_mask = populations > 0
-    # The batched recursion's masks depend only on demand positivity and
-    # the populations, both fixed for the whole solve.
-    plan = (
-        plan_increments(demands.sum(axis=1) > 0, network.populations, delay_mask)
-        if vectorized
-        else None
-    )
-    # Zero-demand detection is iteration-invariant (cycle times depend on
-    # the fixed demands' positivity), so it is checked once up front.
-    visited_demand = np.where(visit_mask, demands, 0.0).sum(axis=1)
+
+    visited_demand = np.where(layout.visit_mask, demands, 0.0).sum(axis=1)
     if np.any(active_mask & (visited_demand <= 0)):
         bad = int(np.flatnonzero(active_mask & (visited_demand <= 0))[0])
         raise ModelError(
@@ -253,7 +276,7 @@ def solve_mva_heuristic(
         )
 
     delay_row = delay_mask[None, :]
-    invisible = ~visit_mask
+    invisible = ~layout.visit_mask
 
     iterations = 0
     residual = float("inf")
@@ -263,13 +286,12 @@ def solve_mva_heuristic(
         total_by_station = queue_lengths.sum(axis=0)
         others = total_by_station[None, :] - queue_lengths
         scaled = np.where(delay_row, demands, demands * (1.0 + others))
-        if vectorized:
-            sigma = batched_increments(
-                scaled, network.populations, delay_mask, plan
+        sigma[:] = 0.0
+        for r in active:
+            trace = solve_single_chain(
+                scaled[r], int(network.populations[r]), delay_station=delay_mask
             )
-        else:
-            sigma[:] = 0.0
-            _scalar_increments(network, scaled, active, delay_mask, sigma)
+            sigma[r] = trace.increment()
 
         # STEP 3 — arrival theorem with N(D - u_r) ~= N(D) - sigma(r-).
         seen = np.maximum(total_by_station[None, :] - sigma, 0.0)
@@ -292,22 +314,11 @@ def solve_mva_heuristic(
         residual = control.residual(new_throughputs, throughputs)
         throughputs = new_throughputs
         if residual < control.tolerance:
-            return NetworkSolution(
-                network=network,
-                throughputs=throughputs,
-                queue_lengths=queue_lengths,
-                waiting_times=waiting,
-                method="mva-heuristic",
-                iterations=iterations,
-                converged=True,
-                extras=solve_extras(residual, accelerator),
-            )
+            break
         if accelerator is not None:
             accelerated = accelerator.push(queue_lengths)
             if accelerated is not None:
                 queue_lengths = accelerated
-
-    control.on_exhausted("mva-heuristic", iterations, residual)
     return NetworkSolution(
         network=network,
         throughputs=throughputs,
@@ -315,6 +326,6 @@ def solve_mva_heuristic(
         waiting_times=waiting,
         method="mva-heuristic",
         iterations=iterations,
-        converged=False,
+        converged=residual < control.tolerance,
         extras=solve_extras(residual, accelerator),
     )

@@ -27,6 +27,7 @@ from repro.backend import resolve_backend
 from repro.errors import ModelError
 from repro.mva.accel import AitkenAccelerator, solve_extras
 from repro.mva.convergence import IterationControl
+from repro.mva.soa import fixed_point, pack_networks
 from repro.mva.warmstart import validate_warm_start
 from repro.queueing.network import ClosedNetwork
 from repro.solution import NetworkSolution
@@ -44,30 +45,53 @@ def solve_schweitzer(
 
     Parameters and return value mirror
     :func:`repro.mva.heuristic.solve_mva_heuristic`; the returned solution
-    has ``method="schweitzer"``.  ``backend`` selects the batched dense
-    kernel (``"vectorized"``, default) or the per-chain reference loop
-    (``"scalar"``); both agree to machine precision.  ``warm_start``
-    replaces the balanced start with a caller-supplied ``(R, L)``
-    queue-length seed (see :mod:`repro.mva.warmstart`).
+    has ``method="schweitzer"``.  ``backend`` selects the route-compacted
+    fixed point (``"vectorized"``, default; :func:`repro.mva.soa.
+    fixed_point` on a pack of one) or the dense per-chain reference loop
+    (``"scalar"``); both agree to rounding.  ``warm_start`` replaces the
+    balanced start with a caller-supplied ``(R, L)`` queue-length seed
+    (see :mod:`repro.mva.warmstart`).
     """
     if control is None:
         control = IterationControl()
-    vectorized = resolve_backend(backend) == "vectorized"
-
-    demands = network.demands
-    num_chains, num_stations = demands.shape
-    populations = network.populations.astype(float)
-    delay_mask = np.asarray([s.is_delay for s in network.stations], dtype=bool)
-    visit_mask = network.visit_counts > 0
-
+    accelerator = None
+    seed = None
     if warm_start is not None:
-        queue_lengths = validate_warm_start(network, warm_start)
+        seed = validate_warm_start(network, warm_start)
         # Warm seeds get guarded Aitken extrapolation; cold solves stay
         # the plain iteration (see repro.mva.accel for the method, the
         # gating and the guard).
         accelerator = AitkenAccelerator() if control.damping >= 1.0 else None
+    if resolve_backend(backend) == "scalar":
+        solution = _solve_dense_reference(network, control, seed, accelerator)
     else:
-        accelerator = None
+        start = None if seed is None else network.route_layout.gather(seed)
+        (solution,) = fixed_point(
+            pack_networks([network]), "schweitzer", control, start, accelerator
+        )
+    if not solution.converged:
+        # Warned from here, so the warning points at the caller.
+        control.on_exhausted(
+            "schweitzer", solution.iterations, solution.extras["residual"]
+        )
+    return solution
+
+
+def _solve_dense_reference(
+    network: ClosedNetwork,
+    control: IterationControl,
+    seed: Optional[np.ndarray],
+    accelerator: Optional[AitkenAccelerator],
+) -> NetworkSolution:
+    """The scalar reference: dense ``(R, L)`` state, per-chain loops."""
+    demands = network.demands
+    num_chains = demands.shape[0]
+    populations = network.populations.astype(float)
+    layout = network.route_layout
+
+    if seed is not None:
+        queue_lengths = seed
+    else:
         # Balanced start, as in the thesis heuristic.
         queue_lengths = np.zeros_like(demands)
         for r in range(num_chains):
@@ -78,7 +102,6 @@ def solve_schweitzer(
     throughputs = np.zeros(num_chains)
     waiting = np.zeros_like(demands)
     active = [r for r in range(num_chains) if populations[r] > 0]
-    active_mask = populations > 0
 
     # Scaling factor (D_r - 1)/D_r of the own-chain term; zero-population
     # chains never enter the loops below.
@@ -86,21 +109,8 @@ def solve_schweitzer(
     for r in active:
         shrink[r] = (populations[r] - 1.0) / populations[r]
 
-    delay_row = delay_mask[None, :]
-    invisible = ~visit_mask
-    if vectorized:
-        # Zero-demand detection is iteration-invariant (cycle times depend
-        # only on the fixed demands' positivity), so check once up front;
-        # the loop below can then divide unguarded.  Inactive chains get a
-        # unit denominator offset (their numerator is zero anyway), active
-        # chains an exact + 0.0.
-        visited_demand = np.where(visit_mask, demands, 0.0).sum(axis=1)
-        if np.any(active_mask & (visited_demand <= 0)):
-            bad = int(np.flatnonzero(active_mask & (visited_demand <= 0))[0])
-            raise ModelError(
-                f"chain {network.chains[bad].name!r} has zero total demand"
-            )
-        inactive_offset = np.where(active_mask, 0.0, 1.0)
+    delay_row = layout.delay_mask[None, :]
+    invisible = ~layout.visit_mask
 
     iterations = 0
     residual = float("inf")
@@ -111,40 +121,25 @@ def solve_schweitzer(
         waiting = np.where(delay_row, demands, demands * (1.0 + seen))
         waiting[invisible] = 0.0
 
-        if vectorized:
-            cycle_times = waiting.sum(axis=1)
-            new_throughputs = populations / (cycle_times + inactive_offset)
-        else:
-            new_throughputs = np.zeros(num_chains)
-            for r in active:
-                cycle_time = waiting[r].sum()
-                if cycle_time <= 0:
-                    raise ModelError(
-                        f"chain {network.chains[r].name!r} has zero total demand"
-                    )
-                new_throughputs[r] = populations[r] / cycle_time
+        new_throughputs = np.zeros(num_chains)
+        for r in active:
+            cycle_time = waiting[r].sum()
+            if cycle_time <= 0:
+                raise ModelError(
+                    f"chain {network.chains[r].name!r} has zero total demand"
+                )
+            new_throughputs[r] = populations[r] / cycle_time
         new_throughputs = control.apply_damping(new_throughputs, throughputs)
         queue_lengths = new_throughputs[:, None] * waiting
 
         residual = control.residual(new_throughputs, throughputs)
         throughputs = new_throughputs
         if residual < control.tolerance:
-            return NetworkSolution(
-                network=network,
-                throughputs=throughputs,
-                queue_lengths=queue_lengths,
-                waiting_times=waiting,
-                method="schweitzer",
-                iterations=iterations,
-                converged=True,
-                extras=solve_extras(residual, accelerator),
-            )
+            break
         if accelerator is not None:
             accelerated = accelerator.push(queue_lengths)
             if accelerated is not None:
                 queue_lengths = accelerated
-
-    control.on_exhausted("schweitzer", iterations, residual)
     return NetworkSolution(
         network=network,
         throughputs=throughputs,
@@ -152,6 +147,6 @@ def solve_schweitzer(
         waiting_times=waiting,
         method="schweitzer",
         iterations=iterations,
-        converged=False,
+        converged=residual < control.tolerance,
         extras=solve_extras(residual, accelerator),
     )

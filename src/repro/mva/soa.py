@@ -1,41 +1,53 @@
-"""Cross-network SoA batching: solve B networks in one dense tensor pass.
+"""Cross-network SoA batching: solve B networks in one tensor pass.
 
 A window sweep (or a multistart campaign's batch of candidate windows)
 evaluates the *same topology* under B different population vectors, and
-today each evaluation is a separate fixed-point solve — B Python loops,
-B × iterations NumPy dispatches.  Every array in those solves has the
-same ``(R, L)`` shape, so the whole sweep packs into structure-of-arrays
-``(B, R, L)`` tensors and the heuristic/Schweitzer iteration advances
-all B networks simultaneously: one ``sum``/``where``/multiply per step
-instead of B, with per-network convergence masking (a network's solution
-is snapshotted the moment *its* residual crosses the tolerance and its
-rows are compacted out of the live tensors — networks never interact,
-so the batch only ever pays for unfinished work).
+each evaluation is otherwise a separate fixed-point solve — B Python
+loops, B × iterations NumPy dispatches.  Every solve carries its state in
+the route-compacted, slot-major layout of :mod:`repro.mva.layout`: one
+column per chain, one row per route slot.  Columns never interact except
+through the per-station totals, so B networks pack side by side into one
+``(K, N)`` array (``N`` = their chains together, ``K`` = their longest
+route) and the heuristic/Schweitzer iteration advances all of them at
+once: one dispatch per step instead of B, with per-network convergence
+masking (a network's solution is snapshotted the moment *its* residual
+crosses the tolerance and its columns are compacted out of the live
+arrays, so the batch only ever pays for unfinished work).
+
+:func:`fixed_point` is the one vectorized fixed point: the serial
+solvers (:func:`repro.mva.heuristic.solve_mva_heuristic`,
+:func:`repro.mva.schweitzer.solve_schweitzer`) run it on a pack of one
+network, with their warm start and Aitken accelerator.
 
 Parity contract
 ---------------
-For a **shared-topology pack** (:func:`pack_windows` — the sweep and
-``batch_solve`` case) the batched iteration performs the same
-floating-point operations in the same order as the serial dense solver:
+Every pack — shared-topology (:func:`pack_windows`, the sweep and
+``batch_solve`` case) or heterogeneous (:func:`pack_networks`) — is
+**bit-identical** to solving its networks one by one with the serial
+vectorized solver: throughputs, queue lengths, waiting times, iteration
+counts, convergence flags and residual extras.  Per network, the packed
+iteration performs the same floating-point operations in the same order:
 
-* elementwise steps broadcast verbatim;
-* reductions over stations are per-row pairwise sums of the same length;
-* reductions over chains have the same reduction length R per element;
-* the increments recursion is row-independent, so flattening to
-  ``(B·R, L)`` reuses :func:`repro.mva.heuristic.batched_increments`
-  bit-for-bit;
+* elementwise steps act on a network's own columns;
+* sums over a chain's route run slot by slot in station order
+  (:func:`~repro.mva.layout.route_sum`), so the slots a longer route in
+  the pack adds at the bottom of a column add exactly nothing;
+* per-station totals are one ``np.bincount`` whose bins are offset per
+  network, so a station's bin receives its own network's slots in the
+  same order as the serial solve;
+* the increments recursion is column-independent
+  (:func:`repro.mva.heuristic.batched_increments`);
 * each network's stopping decision uses ``control.residual`` on its own
   contiguous ``(R,)`` throughput slice.
 
-Results are therefore **bit-identical** to calling the serial solver per
-network (asserted by ``tests/mva/test_soa.py``).  For a **padded
-heterogeneous pack** (:func:`pack_networks`) the padding changes pairwise
-summation block boundaries, so agreement is to the 1e-8 parity band
-instead.
+Shared-topology packs tile the layout into ``(K, B·R)``; heterogeneous
+packs concatenate each network's own columns.  Neither pads chains or
+stations.  (Asserted by ``tests/mva/test_soa.py`` and
+``tests/mva/test_summation_order.py``.)
 
 :func:`solve_windows_batched` batches one topology under many windows;
-:func:`solve_networks_batched` batches *mixed* topologies through padded
-heterogeneous packs — the campaign-layer entry point used by
+:func:`solve_networks_batched` batches *mixed* topologies — the
+campaign-layer entry point used by
 :meth:`repro.core.objective.WindowObjective.batch_solve_networks` and
 :func:`repro.analysis.sweeps.power_curve`.  Automatic engagement of
 either path is decided by :mod:`repro.mva.autobatch`.
@@ -50,7 +62,9 @@ import numpy as np
 
 from repro.backend import resolve_backend
 from repro.errors import ModelError
+from repro.mva.accel import AitkenAccelerator, solve_extras
 from repro.mva.convergence import IterationControl
+from repro.mva.layout import route_sum
 from repro.queueing.network import ClosedNetwork
 from repro.solution import NetworkSolution
 
@@ -58,6 +72,7 @@ __all__ = [
     "WindowPack",
     "pack_windows",
     "pack_networks",
+    "fixed_point",
     "solve_packed",
     "solve_windows_batched",
     "solve_networks_batched",
@@ -68,12 +83,12 @@ __all__ = [
 #: per-chain subproblems and the exact solvers do not batch this way.)
 BATCHABLE_SOLVERS = ("mva-heuristic", "schweitzer")
 
-#: Soft cap on ``B x R x L`` elements per packed solve.  The iteration
-#: carries ~6 dense tensors of that shape, so 4M doubles keeps peak
-#: batch memory around 200 MB; larger window lists are solved in chunks
+#: Soft cap on the ``K x N`` slot elements of one packed solve.  The
+#: iteration carries ~6 arrays of that shape, so 4M doubles keeps peak
+#: batch memory around 200 MB; larger batches are solved in chunks
 #: (chunking is invisible: networks in a pack never interact, so a
 #: chunked solve is the same floating-point program).  On a tiny sweep
-#: network this still allows tens of thousands of windows per chunk.
+#: network this still allows hundreds of thousands of windows per chunk.
 SOA_ELEMENT_BUDGET = 4_000_000
 
 # Automatic engagement of the batched pass (which per-network sizes
@@ -83,23 +98,23 @@ SOA_ELEMENT_BUDGET = 4_000_000
 
 @dataclass(frozen=True)
 class WindowPack:
-    """B networks stacked into dense structure-of-arrays tensors.
+    """B networks' route columns side by side, ``(K, N)`` slot-major.
 
-    ``demands``/``visit_mask`` have shape ``(1, R, L)`` for shared-topology
-    packs (broadcast over the batch — no B× memory copy) or ``(B, R, L)``
-    for heterogeneous packs; ``delay_mask`` is ``(1, L)`` or ``(B, L)``
-    correspondingly.  ``populations`` is always dense ``(B, R)`` — it is
-    what varies across a sweep.  ``chain_counts``/``station_counts`` hold
-    each network's true (un-padded) dimensions.
+    Network ``b`` owns columns ``chain_offsets[b]:chain_offsets[b+1]``,
+    one per chain, each holding the chain's route layout
+    (:class:`~repro.mva.layout.RouteLayout`) padded at the bottom to the
+    pack's longest route ``K``.  ``bins`` are the layouts' station bins,
+    offset so every network has its own ``L_b + 1`` bins (its stations
+    and its spare bin for padded slots).
     """
 
     networks: Tuple[ClosedNetwork, ...]
     demands: np.ndarray
-    visit_mask: np.ndarray
+    queueing: np.ndarray
+    valid: np.ndarray
+    bins: np.ndarray
     populations: np.ndarray
-    delay_mask: np.ndarray
-    chain_counts: Tuple[int, ...]
-    station_counts: Tuple[int, ...]
+    chain_offsets: np.ndarray
     shared: bool
 
     @property
@@ -107,12 +122,14 @@ class WindowPack:
         return len(self.networks)
 
     @property
-    def chains(self) -> int:
-        return int(self.populations.shape[1])
+    def depth(self) -> int:
+        """``K``, the longest route in the pack."""
+        return int(self.demands.shape[0])
 
     @property
-    def stations(self) -> int:
-        return int(self.demands.shape[2])
+    def columns(self) -> int:
+        """``N``, the chains of every network together."""
+        return int(self.demands.shape[1])
 
 
 def pack_windows(
@@ -120,60 +137,62 @@ def pack_windows(
 ) -> WindowPack:
     """Pack one topology under B window (population) vectors.
 
-    This is the sweep/campaign case: demands, visit counts and station
-    kinds are shared (stored once, broadcast over the batch), only the
-    populations differ.  No padding is involved, so the batched solve is
-    bit-identical to the serial one.
+    This is the sweep/campaign case: the topology's layout is tiled into
+    ``(K, B·R)`` and only the populations differ.
     """
     if not windows:
         raise ModelError("pack_windows needs at least one window vector")
     candidates = tuple(network.with_populations(w) for w in windows)
-    populations = np.stack([c.populations for c in candidates]).astype(np.int64)
-    delay = np.asarray([s.is_delay for s in network.stations], dtype=bool)
+    layout = network.route_layout
+    batch, chains = len(candidates), layout.num_chains
+    shift = np.repeat(np.arange(batch) * (layout.num_stations + 1), chains)
     return WindowPack(
         networks=candidates,
-        demands=network.demands[None, :, :],
-        visit_mask=(network.visit_counts > 0)[None, :, :],
-        populations=populations,
-        delay_mask=delay[None, :],
-        chain_counts=(network.num_chains,) * len(candidates),
-        station_counts=(network.num_stations,) * len(candidates),
+        demands=np.tile(layout.demands, (1, batch)),
+        queueing=np.tile(layout.queueing, (1, batch)),
+        valid=np.tile(layout.valid, (1, batch)),
+        bins=np.tile(layout.bins, (1, batch)) + shift,
+        populations=np.concatenate([c.populations for c in candidates]),
+        chain_offsets=np.arange(batch + 1) * chains,
         shared=True,
     )
 
 
 def pack_networks(networks: Sequence[ClosedNetwork]) -> WindowPack:
-    """Pack B arbitrary networks, zero-padding to the largest (R, L).
+    """Pack B arbitrary networks by concatenating their route columns.
 
-    Padded chains carry zero population and zero demand (inert rows);
-    padded stations carry zero demand and are never visited.  Padding
-    changes pairwise-summation block boundaries, so batched results agree
-    with serial ones to the 1e-8 parity band rather than bit-for-bit.
+    Each network keeps its own columns and its own station bins; only
+    routes shorter than the pack's longest get zero slots at the bottom,
+    which add exactly nothing, so the pack is bit-identical to serial
+    solves.
     """
     if not networks:
         raise ModelError("pack_networks needs at least one network")
     networks = tuple(networks)
-    chains = max(n.num_chains for n in networks)
-    stations = max(n.num_stations for n in networks)
-    batch = len(networks)
-    demands = np.zeros((batch, chains, stations))
-    visit = np.zeros((batch, chains, stations), dtype=bool)
-    populations = np.zeros((batch, chains), dtype=np.int64)
-    delay = np.zeros((batch, stations), dtype=bool)
-    for b, net in enumerate(networks):
-        rb, lb = net.num_chains, net.num_stations
-        demands[b, :rb, :lb] = net.demands
-        visit[b, :rb, :lb] = net.visit_counts > 0
-        populations[b, :rb] = net.populations
-        delay[b, :lb] = [s.is_delay for s in net.stations]
+    layouts = [n.route_layout for n in networks]
+    depth = max(layout.depth for layout in layouts)
+    offsets = np.cumsum([0] + [layout.num_chains for layout in layouts])
+    demands = np.zeros((depth, offsets[-1]))
+    queueing = np.zeros((depth, offsets[-1]), dtype=bool)
+    valid = np.zeros((depth, offsets[-1]), dtype=bool)
+    bins = np.empty((depth, offsets[-1]), dtype=np.intp)
+    base = 0
+    for b, layout in enumerate(layouts):
+        rows, cols = slice(0, layout.depth), slice(offsets[b], offsets[b + 1])
+        demands[rows, cols] = layout.demands
+        queueing[rows, cols] = layout.queueing
+        valid[rows, cols] = layout.valid
+        bins[:, cols] = base + layout.num_stations
+        bins[rows, cols] = base + layout.bins
+        base += layout.num_stations + 1
     return WindowPack(
         networks=networks,
         demands=demands,
-        visit_mask=visit,
-        populations=populations,
-        delay_mask=delay,
-        chain_counts=tuple(n.num_chains for n in networks),
-        station_counts=tuple(n.num_stations for n in networks),
+        queueing=queueing,
+        valid=valid,
+        bins=bins,
+        populations=np.concatenate([n.populations for n in networks]),
+        chain_offsets=offsets,
         shared=False,
     )
 
@@ -188,21 +207,14 @@ def solve_windows_batched(
     """Solve one topology under B window vectors in a single tensor pass.
 
     Returns one :class:`NetworkSolution` per window, in input order,
-    bit-identical (for dense backends) to calling the named serial solver
-    once per window with cold starts.  Window lists whose packed size
-    would exceed :data:`SOA_ELEMENT_BUDGET` elements are solved in
-    chunks, which changes nothing but peak memory.
+    bit-identical to calling the named serial solver once per window
+    with cold starts.  Window lists whose pack would exceed
+    :data:`SOA_ELEMENT_BUDGET` slot elements are solved in chunks, which
+    changes nothing but peak memory.
     """
     windows = list(windows)
-    per_network = network.num_chains * network.num_stations
-    chunk = max(1, SOA_ELEMENT_BUDGET // max(1, per_network))
-    if len(windows) <= chunk:
-        return solve_packed(
-            pack_windows(network, windows),
-            solver=solver,
-            control=control,
-            backend=backend,
-        )
+    layout = network.route_layout
+    chunk = max(1, SOA_ELEMENT_BUDGET // (layout.depth * layout.num_chains))
     solutions: List[NetworkSolution] = []
     for start in range(0, len(windows), chunk):
         solutions.extend(
@@ -222,34 +234,35 @@ def solve_networks_batched(
     control: Optional[IterationControl] = None,
     backend: Optional[str] = None,
 ) -> List[NetworkSolution]:
-    """Solve B arbitrary (mixed-topology) networks in padded SoA chunks.
+    """Solve B arbitrary (mixed-topology) networks in heterogeneous packs.
 
-    The heterogeneous counterpart of :func:`solve_windows_batched`: the
-    networks are zero-padded to a common ``(R, L)`` (see
-    :func:`pack_networks`) and advanced together, agreeing with serial
-    per-network solves to the 1e-8 parity band.  Batches whose padded
-    size would exceed :data:`SOA_ELEMENT_BUDGET` elements are solved in
-    chunks — networks in a pack never interact, so chunking changes only
-    peak memory, never results.
+    The heterogeneous counterpart of :func:`solve_windows_batched` (see
+    :func:`pack_networks`), bit-identical to serial per-network solves.
+    Consecutive networks share a pack while its ``K x N`` slot elements
+    stay within :data:`SOA_ELEMENT_BUDGET` — networks in a pack never
+    interact, so chunking changes only peak memory, never results.
     """
-    networks = list(networks)
-    if not networks:
-        return []
-    per_network = max(1, max(n.num_chains for n in networks)) * max(
-        1, max(n.num_stations for n in networks)
-    )
-    chunk = max(1, SOA_ELEMENT_BUDGET // per_network)
     solutions: List[NetworkSolution] = []
-    for start in range(0, len(networks), chunk):
-        solutions.extend(
-            solve_packed(
-                pack_networks(networks[start : start + chunk]),
-                solver=solver,
-                control=control,
-                backend=backend,
-            )
-        )
+    chunk: List[ClosedNetwork] = []
+    depth = columns = 0
+    for network in networks:
+        layout = network.route_layout
+        grown = max(depth, layout.depth) * (columns + layout.num_chains)
+        if chunk and grown > SOA_ELEMENT_BUDGET:
+            solutions.extend(_solve_chunk(chunk, solver, control, backend))
+            chunk, depth, columns = [], 0, 0
+        chunk.append(network)
+        depth = max(depth, layout.depth)
+        columns += layout.num_chains
+    if chunk:
+        solutions.extend(_solve_chunk(chunk, solver, control, backend))
     return solutions
+
+
+def _solve_chunk(networks, solver, control, backend) -> List[NetworkSolution]:
+    return solve_packed(
+        pack_networks(networks), solver=solver, control=control, backend=backend
+    )
 
 
 def solve_packed(
@@ -258,7 +271,7 @@ def solve_packed(
     control: Optional[IterationControl] = None,
     backend: Optional[str] = None,
 ) -> List[NetworkSolution]:
-    """Run a batched fixed point over every network in ``pack``."""
+    """Run the batched fixed point, cold, over every network in ``pack``."""
     if solver not in BATCHABLE_SOLVERS:
         raise ModelError(
             f"solver {solver!r} has no batched SoA kernel; "
@@ -270,307 +283,171 @@ def solve_packed(
             "SoA batching requires the dense kernel backend "
             f"'vectorized', not {resolved!r}"
         )
-    if control is None:
-        control = IterationControl()
-    if solver == "mva-heuristic":
-        return _batched_heuristic(pack, control)
-    return _batched_schweitzer(pack, control)
+    control = control or IterationControl()
+    solutions = fixed_point(pack, solver, control)
+    for solution in solutions:
+        if not solution.converged:
+            control.on_exhausted(
+                solver, solution.iterations, solution.extras["residual"]
+            )
+    return solutions
 
 
 # ----------------------------------------------------------------------
-# shared machinery
+# the fixed point
 # ----------------------------------------------------------------------
 
 def _check_demands(pack: WindowPack, active: np.ndarray) -> None:
     """Reject active chains with zero visited demand (per network)."""
-    visited = np.where(pack.visit_mask, pack.demands, 0.0).sum(axis=2)
-    bad = active & np.broadcast_to(visited <= 0, active.shape)
-    if bad.any():
-        b, r = (int(v) for v in np.argwhere(bad)[0])
-        raise ModelError(
-            f"chain {pack.networks[b].chains[r].name!r} has zero total demand"
-        )
+    bad = np.flatnonzero(active & (route_sum(pack.demands) <= 0))
+    if bad.size:
+        column = int(bad[0])
+        b = int(np.searchsorted(pack.chain_offsets, column, side="right")) - 1
+        chain = pack.networks[b].chains[column - int(pack.chain_offsets[b])]
+        raise ModelError(f"chain {chain.name!r} has zero total demand")
 
 
 def _balanced_start(pack: WindowPack, active: np.ndarray) -> np.ndarray:
-    """Vectorized eq. (4.18) balanced start, bitwise equal to the serial one.
+    """Eq. (4.17): each active chain's population spread over its route.
 
-    ``population / stations.size`` is one IEEE double division either way,
-    so filling the visited entries elementwise matches
-    :func:`repro.mva.heuristic.initial_queue_lengths` to the last bit.
+    ``population / route length`` is one IEEE double division, the same
+    as :func:`repro.mva.heuristic.initial_queue_lengths` performs.
     """
-    counts = pack.visit_mask.sum(axis=2)  # (Bd, R)
-    safe = np.where(counts > 0, counts, 1)
-    value = pack.populations.astype(float) / safe  # (B, R)
-    fill = pack.visit_mask & active[:, :, None]  # (B, R, L)
-    return np.where(fill, value[:, :, None], 0.0)
+    lengths = pack.valid.sum(axis=0)
+    value = pack.populations / np.where(lengths > 0, lengths, 1)
+    return np.where(pack.valid & active, value, 0.0)
 
 
-def _flat_increments_plan(
-    demands: np.ndarray,
-    populations: np.ndarray,
-    delay_mask: np.ndarray,
-    batch: int,
-) -> "Tuple[tuple, np.ndarray]":
-    """The loop-invariant increments plan for the flattened (B·R, L) view.
-
-    Mirrors :func:`repro.mva.heuristic.plan_increments` exactly: ``alive``
-    from raw demand positivity, a unit denominator offset for dead rows,
-    capture masks per distinct population.  Returns ``(plan, flat_pops)``.
-    Rebuilt after every batch compaction — each row's increment is
-    captured on the recursion step matching its *own* population, so a
-    plan over any row subset yields bit-identical per-row results.
-    """
-    chains = populations.shape[1]
-    alive = np.broadcast_to(demands.sum(axis=2) > 0, (batch, chains)).ravel()
-    flat_pops = populations.ravel()
-    if delay_mask.shape[0] == 1:
-        queueing = ~delay_mask  # (1, L): broadcasts over all rows
-    else:
-        queueing = np.repeat(~delay_mask, chains, axis=0)
-    dead_offset = np.where(alive, 0.0, 1.0)
-    finish_at = {
-        d: (alive & (flat_pops == d))[:, None]
-        for d in {int(p) for p in flat_pops}
-        if d >= 1
-    }
-    max_population = int(flat_pops.max()) if flat_pops.size else 0
-    return (queueing, dead_offset, finish_at, max_population), flat_pops
-
-
-def _snapshot(
+def fixed_point(
     pack: WindowPack,
-    index: int,
-    row: int,
-    throughputs: np.ndarray,
-    queue_lengths: np.ndarray,
-    waiting: np.ndarray,
-    method: str,
-    iterations: int,
-    converged: bool,
-    residual: float,
-) -> NetworkSolution:
-    """Slice compact ``row`` out of the batch state for network ``index``.
-
-    ``index`` addresses the pack (network metadata, un-padded dims);
-    ``row`` addresses the — possibly compacted — live tensors.
-    """
-    rb = pack.chain_counts[index]
-    lb = pack.station_counts[index]
-    return NetworkSolution(
-        network=pack.networks[index],
-        throughputs=throughputs[row, :rb].copy(),
-        queue_lengths=queue_lengths[row, :rb, :lb].copy(),
-        waiting_times=waiting[row, :rb, :lb].copy(),
-        method=method,
-        iterations=iterations,
-        converged=converged,
-        extras={"residual": residual},
-    )
-
-
-# ----------------------------------------------------------------------
-# batched fixed points
-# ----------------------------------------------------------------------
-
-def _batched_heuristic(
-    pack: WindowPack, control: IterationControl
+    solver: str,
+    control: IterationControl,
+    start: Optional[np.ndarray] = None,
+    accelerator: Optional[AitkenAccelerator] = None,
 ) -> List[NetworkSolution]:
-    """Thesis §4.2 heuristic advanced for all B networks at once.
+    """The thesis heuristic or Schweitzer–Bard, on every network in ``pack``.
 
-    Converged networks are *compacted out* of the live tensors: every
-    operation here is network-row independent (reductions stay within a
-    network's own rows, the flattened increments recursion captures each
-    row at its own population), so dropping finished rows — and
-    rebuilding the flat plan for the survivors — leaves the remaining
-    networks' floating-point trajectories bit-for-bit unchanged while
-    the batch pays only for unfinished work (serial total work is
-    ``sum(iters_b)``, a non-compacting batch would pay
+    ``start`` is the ``(K, N)`` initial queue lengths (default: the
+    balanced start).  ``accelerator`` extrapolates the whole iterate, so
+    it is for a pack of one network — the serial solvers' warm starts.
+    Networks that run out of iterations come back with
+    ``converged=False``; warning about them (or raising) is left to the
+    caller, so :meth:`IterationControl.on_exhausted` reports the caller's
+    frame.
+
+    Converged networks are *compacted out* of the live columns: every
+    operation is column- or network-local (see the module's parity
+    contract), so dropping finished columns — and rebuilding the
+    increments plan for the survivors — leaves the remaining networks'
+    floating-point trajectories bit-for-bit unchanged, while the batch
+    pays only for unfinished work (serial total work is
+    ``sum(iters_b)``; a non-compacting batch would pay
     ``B * max(iters_b)``).
     """
-    from repro.mva.heuristic import batched_increments
+    from repro.mva.heuristic import batched_increments, plan_increments
 
-    batch, chains, stations = pack.batch, pack.chains, pack.stations
-    demands = pack.demands  # (Bd, R, L), Bd in {1, B}
-    delay = pack.delay_mask  # (Bd, L)
-    visit = pack.visit_mask  # (Bd, R, L)
-    int_pops = pack.populations  # (B, R) int64
+    if accelerator is not None and pack.batch != 1:
+        raise ModelError(
+            f"an accelerator needs a pack of one network, not {pack.batch}"
+        )
+    heuristic = solver == "mva-heuristic"
+    demands, queueing, bins = pack.demands, pack.queueing, pack.bins
+    int_pops = pack.populations
     populations = int_pops.astype(float)
-    active = np.broadcast_to(populations > 0, (batch, chains)).copy()
+    active = populations > 0
     _check_demands(pack, active)
+    queue_lengths = _balanced_start(pack, active) if start is None else start
+    # Inactive chains get a unit denominator offset (their numerator is
+    # zero), active ones an exact + 0.0.
+    inactive_offset = np.where(active, 0.0, 1.0)
+    if heuristic:
+        plan = plan_increments(route_sum(demands) > 0, int_pops, queueing)
+    else:
+        # Schweitzer's own-chain share (1 - (D_r - 1)/D_r) removed from
+        # the arrival-instant queue; inactive chains remove nothing.
+        removed = 1.0 - np.where(
+            active, (populations - 1.0) / np.where(active, populations, 1.0), 1.0
+        )
 
-    delay3 = delay[:, None, :]  # (Bd, 1, L)
-    invisible = ~np.broadcast_to(visit, (batch, chains, stations))
-    plan, flat_pops = _flat_increments_plan(demands, int_pops, delay, batch)
+    throughputs = np.zeros(populations.size)
+    bounds = pack.chain_offsets
+    indices = np.arange(pack.batch)  # live network -> pack index
+    residuals = np.full(pack.batch, float("inf"))
+    solutions: List[Optional[NetworkSolution]] = [None] * pack.batch
 
-    queue_lengths = _balanced_start(pack, active)
-    throughputs = np.zeros((batch, chains))
-    waiting = np.zeros((batch, chains, stations))
-    residuals = np.full(batch, float("inf"))
-    indices = np.arange(batch)  # live row -> pack index
-    solutions: List[Optional[NetworkSolution]] = [None] * batch
+    def snapshot(j: int, converged: bool) -> None:
+        columns = slice(bounds[j], bounds[j + 1])
+        network = pack.networks[int(indices[j])]
+        layout = network.route_layout
+        solutions[int(indices[j])] = NetworkSolution(
+            network=network,
+            throughputs=throughputs[columns].copy(),
+            queue_lengths=layout.scatter(queue_lengths[:, columns]),
+            waiting_times=layout.scatter(waiting[:, columns]),
+            method=solver,
+            iterations=iterations,
+            converged=converged,
+            extras=solve_extras(float(residuals[j]), accelerator),
+        )
 
     iterations = 0
     for iterations in range(1, control.max_iterations + 1):
-        live = indices.size
-        # STEP 2 — own-chain increments, live networks flattened to rows.
-        total_by_station = queue_lengths.sum(axis=1)  # (live, L)
-        others = total_by_station[:, None, :] - queue_lengths
-        scaled = np.where(delay3, demands, demands * (1.0 + others))
-        sigma = batched_increments(
-            scaled.reshape(live * chains, stations),
-            flat_pops,
-            delay[0],
-            plan,
-        ).reshape(live, chains, stations)
-
-        # STEP 3 — arrival theorem.
-        seen = np.maximum(total_by_station[:, None, :] - sigma, 0.0)
-        waiting = np.where(delay3, demands, demands * (1.0 + seen))
-        waiting = np.where(invisible, 0.0, waiting)
+        # Per-station totals: scatter every slot onto its station's bin,
+        # gather the totals back per slot.
+        at_station = np.bincount(bins.ravel(), weights=queue_lengths.ravel())[bins]
+        if heuristic:
+            # STEP 2 — own-chain increments from the isolated single-chain
+            # problems with inflated service times; STEP 3 — arrival
+            # theorem with N(D - u_r) ~= N(D) - sigma(r-).
+            others = at_station - queue_lengths
+            scaled = np.where(queueing, demands * (1.0 + others), demands)
+            sigma = batched_increments(scaled, int_pops, queueing, plan)
+            seen = np.maximum(at_station - sigma, 0.0)
+        else:
+            seen = at_station - queue_lengths * removed
+        waiting = np.where(queueing, demands * (1.0 + seen), demands)
 
         # STEP 4 — Little's law for chains.
-        cycle_times = waiting.sum(axis=2)
-        new_throughputs = np.where(
-            active,
-            populations / np.where(cycle_times > 0, cycle_times, 1.0),
-            0.0,
-        )
+        new_throughputs = populations / (route_sum(waiting) + inactive_offset)
         new_throughputs = control.apply_damping(new_throughputs, throughputs)
-
         # STEP 5 — Little's law for queues.
-        queue_lengths = new_throughputs[:, :, None] * waiting
+        queue_lengths = new_throughputs * waiting
 
-        # STEP 6 — per-network stopping decision on contiguous slices,
-        # snapshotting each network the moment it converges.
+        # STEP 6 — per-network stopping decision on contiguous slices.
         done = []
-        for row in range(live):
-            residuals[row] = control.residual(
-                new_throughputs[row], throughputs[row]
+        for j in range(indices.size):
+            columns = slice(bounds[j], bounds[j + 1])
+            residuals[j] = control.residual(
+                new_throughputs[columns], throughputs[columns]
             )
-            if residuals[row] < control.tolerance:
-                solutions[int(indices[row])] = _snapshot(
-                    pack, int(indices[row]), row,
-                    new_throughputs, queue_lengths, waiting,
-                    "mva-heuristic", iterations, True, residuals[row],
-                )
-                done.append(row)
+            if residuals[j] < control.tolerance:
+                done.append(j)
         throughputs = new_throughputs
-        if done:
-            keep = np.ones(live, dtype=bool)
-            keep[done] = False
-            indices = indices[keep]
-            if indices.size == 0:
-                break
-            populations = populations[keep]
-            int_pops = int_pops[keep]
-            active = active[keep]
-            queue_lengths = queue_lengths[keep]
-            throughputs = throughputs[keep]
-            residuals = residuals[keep]
-            if demands.shape[0] > 1:  # heterogeneous pack: per-net rows
-                demands = demands[keep]
-                delay = delay[keep]
-                visit = visit[keep]
-                delay3 = delay[:, None, :]
-            invisible = ~np.broadcast_to(
-                visit, (indices.size, chains, stations)
-            )
-            plan, flat_pops = _flat_increments_plan(
-                demands, int_pops, delay, indices.size
-            )
+        for j in done:
+            snapshot(j, True)
+        if not done:
+            if accelerator is not None:
+                accelerated = accelerator.push(queue_lengths)
+                if accelerated is not None:
+                    queue_lengths = accelerated
+            continue
 
-    for row in range(indices.size):
-        control.on_exhausted("mva-heuristic", iterations, residuals[row])
-        solutions[int(indices[row])] = _snapshot(
-            pack, int(indices[row]), row, throughputs, queue_lengths, waiting,
-            "mva-heuristic", iterations, False, residuals[row],
-        )
-    return solutions  # type: ignore[return-value]
+        keep = np.ones(indices.size, dtype=bool)
+        keep[done] = False
+        if not keep.any():
+            return solutions  # type: ignore[return-value]
+        live = np.repeat(keep, np.diff(bounds))
+        indices, residuals = indices[keep], residuals[keep]
+        bounds = np.concatenate(([0], np.cumsum(np.diff(bounds)[keep])))
+        demands, queueing, bins = demands[:, live], queueing[:, live], bins[:, live]
+        queue_lengths, waiting = queue_lengths[:, live], waiting[:, live]
+        int_pops, populations = int_pops[live], populations[live]
+        throughputs, inactive_offset = throughputs[live], inactive_offset[live]
+        if heuristic:
+            plan = plan_increments(route_sum(demands) > 0, int_pops, queueing)
+        else:
+            removed = removed[live]
 
-
-def _batched_schweitzer(
-    pack: WindowPack, control: IterationControl
-) -> List[NetworkSolution]:
-    """Schweitzer–Bard AMVA advanced for all B networks at once.
-
-    Same convergence compaction as :func:`_batched_heuristic` (see its
-    docstring for the bitwise-safety argument).
-    """
-    batch, chains, stations = pack.batch, pack.chains, pack.stations
-    demands = pack.demands
-    delay = pack.delay_mask
-    visit = pack.visit_mask
-    populations = pack.populations.astype(float)
-    active = np.broadcast_to(populations > 0, (batch, chains)).copy()
-    _check_demands(pack, active)
-
-    delay3 = delay[:, None, :]
-    invisible = ~np.broadcast_to(visit, (batch, chains, stations))
-    inactive_offset = np.where(active, 0.0, 1.0)
-    shrink = np.where(
-        active, (populations - 1.0) / np.where(active, populations, 1.0), 1.0
-    )
-
-    queue_lengths = _balanced_start(pack, active)
-    throughputs = np.zeros((batch, chains))
-    waiting = np.zeros((batch, chains, stations))
-    residuals = np.full(batch, float("inf"))
-    indices = np.arange(batch)
-    solutions: List[Optional[NetworkSolution]] = [None] * batch
-
-    iterations = 0
-    for iterations in range(1, control.max_iterations + 1):
-        live = indices.size
-        total_by_station = queue_lengths.sum(axis=1)
-        seen = total_by_station[:, None, :] - queue_lengths * (
-            1.0 - shrink[:, :, None]
-        )
-        waiting = np.where(delay3, demands, demands * (1.0 + seen))
-        waiting = np.where(invisible, 0.0, waiting)
-
-        cycle_times = waiting.sum(axis=2)
-        new_throughputs = populations / (cycle_times + inactive_offset)
-        new_throughputs = control.apply_damping(new_throughputs, throughputs)
-        queue_lengths = new_throughputs[:, :, None] * waiting
-
-        done = []
-        for row in range(live):
-            residuals[row] = control.residual(
-                new_throughputs[row], throughputs[row]
-            )
-            if residuals[row] < control.tolerance:
-                solutions[int(indices[row])] = _snapshot(
-                    pack, int(indices[row]), row,
-                    new_throughputs, queue_lengths, waiting,
-                    "schweitzer", iterations, True, residuals[row],
-                )
-                done.append(row)
-        throughputs = new_throughputs
-        if done:
-            keep = np.ones(live, dtype=bool)
-            keep[done] = False
-            indices = indices[keep]
-            if indices.size == 0:
-                break
-            populations = populations[keep]
-            active = active[keep]
-            inactive_offset = inactive_offset[keep]
-            shrink = shrink[keep]
-            queue_lengths = queue_lengths[keep]
-            throughputs = throughputs[keep]
-            residuals = residuals[keep]
-            if demands.shape[0] > 1:
-                demands = demands[keep]
-                delay = delay[keep]
-                visit = visit[keep]
-                delay3 = delay[:, None, :]
-            invisible = ~np.broadcast_to(visit, (indices.size, chains, stations))
-
-    for row in range(indices.size):
-        control.on_exhausted("schweitzer", iterations, residuals[row])
-        solutions[int(indices[row])] = _snapshot(
-            pack, int(indices[row]), row, throughputs, queue_lengths, waiting,
-            "schweitzer", iterations, False, residuals[row],
-        )
+    for j in range(indices.size):
+        snapshot(j, False)
     return solutions  # type: ignore[return-value]

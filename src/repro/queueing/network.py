@@ -13,14 +13,17 @@ never needs to touch Python-level structure in inner loops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ModelError
 from repro.queueing.chain import ClosedChain
 from repro.queueing.station import Discipline, Station, validate_unique_names
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.mva.layout import RouteLayout
 
 __all__ = ["ClosedNetwork"]
 
@@ -58,6 +61,10 @@ class ClosedNetwork:
     visit_counts: np.ndarray
     populations: np.ndarray
     source_index: np.ndarray
+    # The topology's route layout, built on first use (see route_layout).
+    _layout: Optional["RouteLayout"] = field(
+        default=None, compare=False, repr=False
+    )
 
     # ------------------------------------------------------------------
     # construction
@@ -200,6 +207,20 @@ class ClosedNetwork:
         """Indices of chains visiting ``station`` (thesis ``R(i)``)."""
         return np.flatnonzero(self.visit_counts[:, station] > 0)
 
+    @property
+    def route_layout(self) -> "RouteLayout":
+        """The route-compacted solver layout of this topology.
+
+        Built once, on first use, and shared by every
+        :meth:`with_populations` copy: it depends on the demands, visit
+        counts and stations, which those copies share.
+        """
+        if self._layout is None:
+            from repro.mva.layout import RouteLayout
+
+            object.__setattr__(self, "_layout", RouteLayout.build(self))
+        return self._layout
+
     def delay_mask(self) -> np.ndarray:
         """``(R, L)`` bool mask of visits counted in the power-metric delay.
 
@@ -244,6 +265,7 @@ class ClosedNetwork:
             visit_counts=self.visit_counts,
             populations=np.asarray([int(p) for p in populations], dtype=np.int64),
             source_index=self.source_index,
+            _layout=self.route_layout,
         )
 
     def subnetwork(self, chain: int) -> "ClosedNetwork":

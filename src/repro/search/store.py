@@ -95,9 +95,11 @@ def model_fingerprint(network: ClosedNetwork, solver_label: str) -> str:
     Included: the demand and visit-count matrices, each station's
     discipline/servers/rate multipliers, per-chain source queues, and the
     solving algorithm's label.  Excluded: chain populations (the store's
-    keys *are* window vectors) and the kernel backend (a ``"scalar"``
-    store is valid under ``"vectorized"`` and vice versa — the parity
-    wall guarantees bit-identical values across both).
+    keys *are* window vectors) and the kernel backend: a ``"scalar"``
+    store is valid under ``"vectorized"`` and vice versa, because the
+    two kernels agree to rounding (pinned at ``PARITY_RTOL``).  They do
+    not agree bit for bit, so resuming under the other kernel can break
+    a near-tie differently from a fresh run under that kernel.
     """
     digest = hashlib.sha256()
     digest.update(b"windim-store-v1")

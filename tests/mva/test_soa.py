@@ -1,19 +1,21 @@
 """Cross-network SoA batching: bitwise parity, chunking, gates.
 
 The batched tier's whole claim is "same floating-point program, one
-tensor pass": for shared-topology packs every solution must match the
-serial dense solver *bit for bit* (not just within tolerance), including
-iteration counts, convergence flags and residual extras.  Padded
-heterogeneous packs change pairwise-summation block boundaries, so they
-get the 1e-8 parity band instead.
+tensor pass": for shared-topology and heterogeneous packs alike every
+solution must match the serial vectorized solver *bit for bit* (not just
+within tolerance), including iteration counts, convergence flags and
+residual extras.
 """
 
 import numpy as np
 import pytest
 
 import repro.mva.soa as soa
+from repro.backend import BACKEND_ENV_VAR
 from repro.core.objective import WindowObjective
 from repro.errors import ModelError
+from repro.mva.accel import AitkenAccelerator
+from repro.mva.convergence import IterationControl
 from repro.mva.heuristic import solve_mva_heuristic
 from repro.mva.schweitzer import solve_schweitzer
 from repro.mva.soa import (
@@ -29,18 +31,30 @@ from repro.netmodel.generator import random_network
 SERIAL = {"mva-heuristic": solve_mva_heuristic, "schweitzer": solve_schweitzer}
 
 
+@pytest.fixture(autouse=True)
+def vectorized_kernel(monkeypatch):
+    """Packs exist only on the vectorized kernel: pin it, so this file
+    checks the same pack/serial contract whatever the process default.
+    """
+    monkeypatch.setenv(BACKEND_ENV_VAR, "vectorized")
+
+
+def _assert_same_solution(sol, ref):
+    assert np.array_equal(sol.throughputs, ref.throughputs)
+    assert np.array_equal(sol.queue_lengths, ref.queue_lengths)
+    assert np.array_equal(sol.waiting_times, ref.waiting_times)
+    assert sol.iterations == ref.iterations
+    assert sol.converged == ref.converged
+    assert sol.extras == ref.extras
+    assert sol.method == ref.method
+
+
 def _assert_bitwise(network, windows, solver):
     batched = solve_windows_batched(network, windows, solver, backend="vectorized")
     assert len(batched) == len(windows)
     for w, sol in zip(windows, batched):
         ref = SERIAL[solver](network.with_populations(w), backend="vectorized")
-        assert np.array_equal(sol.throughputs, ref.throughputs)
-        assert np.array_equal(sol.queue_lengths, ref.queue_lengths)
-        assert np.array_equal(sol.waiting_times, ref.waiting_times)
-        assert sol.iterations == ref.iterations
-        assert sol.converged == ref.converged
-        assert sol.extras == ref.extras
-        assert sol.method == ref.method
+        _assert_same_solution(sol, ref)
 
 
 class TestBitwiseParity:
@@ -73,26 +87,25 @@ class TestBitwiseParity:
 
 
 class TestHeterogeneousPack:
-    def test_padded_pack_within_parity_band(self):
+    def test_hetero_pack_matches_serial_bitwise(self):
         networks = [
             random_network(
                 num_nodes=6 + k, num_classes=2 + k % 3, extra_edges=3, seed=100 + k
             ).with_populations([2 + k % 4] * (2 + k % 3))
             for k in range(5)
         ]
-        solutions = solve_packed(pack_networks(networks), "mva-heuristic")
-        for network, sol in zip(networks, solutions):
-            ref = solve_mva_heuristic(network, backend="vectorized")
-            np.testing.assert_allclose(sol.throughputs, ref.throughputs, rtol=1e-8)
-            np.testing.assert_allclose(
-                sol.queue_lengths, ref.queue_lengths, rtol=1e-8, atol=1e-12
-            )
-            # Solution dims are the network's own, padding dropped.
-            assert sol.throughputs.shape == (network.num_chains,)
-            assert sol.queue_lengths.shape == (
-                network.num_chains,
-                network.num_stations,
-            )
+        pack = pack_networks(networks)
+        for solver in BATCHABLE_SOLVERS:
+            solutions = solve_packed(pack, solver)
+            for network, sol in zip(networks, solutions):
+                ref = SERIAL[solver](network, backend="vectorized")
+                _assert_same_solution(sol, ref)
+                # Solution dims are the network's own.
+                assert sol.throughputs.shape == (network.num_chains,)
+                assert sol.queue_lengths.shape == (
+                    network.num_chains,
+                    network.num_stations,
+                )
 
     def test_pack_shapes(self):
         networks = [
@@ -104,15 +117,24 @@ class TestHeterogeneousPack:
         pack = pack_networks(networks)
         assert not pack.shared
         assert pack.batch == 2
-        assert pack.chains == 3
-        assert pack.demands.shape[0] == 2
+        # One column per chain, no chain padding; K is the longest route.
+        assert pack.columns == 5
+        assert list(pack.chain_offsets) == [0, 2, 5]
+        depth = max(n.route_layout.depth for n in networks)
+        assert pack.depth == depth
+        assert pack.demands.shape == (depth, 5)
+        # Each network's bins are its own: stations plus one spare bin.
+        first, second = networks[0].num_stations, networks[1].num_stations
+        assert pack.bins[:, :2].max() <= first
+        assert pack.bins[:, 2:].min() >= first + 1
+        assert pack.bins[:, 2:].max() <= first + 1 + second
 
     @pytest.mark.parametrize("solver", BATCHABLE_SOLVERS)
     @pytest.mark.parametrize("seed", range(6))
     def test_fuzz_mixed_topologies_match_serial(self, solver, seed):
         # The hetero-pack fuzz wall: each batch mixes sizes, topologies
-        # and window vectors; every batched solution must agree with the
-        # corresponding serial dense solve to the 1e-8 parity band.
+        # and window vectors; every batched solution must equal the
+        # corresponding serial solve bit for bit.
         rng = np.random.default_rng(9000 + seed)
         networks = []
         for k in range(int(rng.integers(3, 7))):
@@ -128,22 +150,11 @@ class TestHeterogeneousPack:
         batched = soa.solve_networks_batched(networks, solver=solver)
         assert len(batched) == len(networks)
         for network, sol in zip(networks, batched):
-            ref = SERIAL[solver](network, backend="vectorized")
-            np.testing.assert_allclose(
-                sol.throughputs, ref.throughputs, rtol=1e-8, atol=1e-12
-            )
-            np.testing.assert_allclose(
-                sol.queue_lengths, ref.queue_lengths, rtol=1e-8, atol=1e-12
-            )
-            assert sol.converged == ref.converged
-            assert sol.method == ref.method
+            _assert_same_solution(sol, SERIAL[solver](network, backend="vectorized"))
 
-    def test_hetero_chunking_stays_in_band(self, monkeypatch):
-        # Networks in a pack never interact, so chunking only re-pads:
-        # a chunk's padding is its own members' max (R, L), which can
-        # shift pairwise-summation block boundaries — results must stay
-        # within the hetero parity band, and same-shape batches (where
-        # padding cannot change) must not move at all.
+    def test_hetero_chunking_is_bitwise(self, monkeypatch):
+        # Networks in a pack never interact, so chunking regroups columns
+        # and nothing else: results must not move at all.
         networks = [
             random_network(
                 num_nodes=5 + k % 3, num_classes=1 + k % 3, seed=500 + k
@@ -151,15 +162,24 @@ class TestHeterogeneousPack:
             for k in range(9)
         ]
         whole = soa.solve_networks_batched(networks)
-        per_network = max(n.num_chains for n in networks) * max(
-            n.num_stations for n in networks
+        packs = []
+
+        def recording_solve(pack, **kwargs):
+            packs.append(pack)
+            return solve_packed(pack, **kwargs)
+
+        monkeypatch.setattr(soa, "solve_packed", recording_solve)
+        largest = max(n.route_layout.depth for n in networks) * max(
+            n.num_chains for n in networks
         )
-        monkeypatch.setattr(soa, "SOA_ELEMENT_BUDGET", per_network * 2)
+        monkeypatch.setattr(soa, "SOA_ELEMENT_BUDGET", largest * 2)
         chunked = soa.solve_networks_batched(networks)
+        assert len(packs) > 1
+        assert all(
+            p.depth * p.columns <= largest * 2 or p.batch == 1 for p in packs
+        )
         for a, b in zip(whole, chunked):
-            np.testing.assert_allclose(
-                a.throughputs, b.throughputs, rtol=1e-8, atol=1e-12
-            )
+            _assert_same_solution(a, b)
 
     def test_same_shape_chunking_is_bitwise(self, monkeypatch):
         # All networks share (R, L): every chunk pads identically, so a
@@ -169,8 +189,10 @@ class TestHeterogeneousPack:
             for k in range(8)
         ]
         whole = soa.solve_networks_batched(networks)
-        per_network = networks[0].num_chains * networks[0].num_stations
-        monkeypatch.setattr(soa, "SOA_ELEMENT_BUDGET", per_network * 3)
+        layout = networks[0].route_layout
+        monkeypatch.setattr(
+            soa, "SOA_ELEMENT_BUDGET", layout.depth * layout.num_chains * 3
+        )
         chunked = soa.solve_networks_batched(networks)
         for a, b in zip(whole, chunked):
             assert np.array_equal(a.throughputs, b.throughputs)
@@ -186,8 +208,9 @@ class TestChunking:
         windows = [[a, b] for a in range(1, 7) for b in range(1, 7)]
         whole = solve_windows_batched(network, windows, "mva-heuristic")
         # Force a tiny element budget so the sweep splits into many chunks.
+        layout = network.route_layout
         monkeypatch.setattr(
-            soa, "SOA_ELEMENT_BUDGET", network.num_chains * network.num_stations * 4
+            soa, "SOA_ELEMENT_BUDGET", layout.depth * layout.num_chains * 4
         )
         chunked = solve_windows_batched(network, windows, "mva-heuristic")
         for a, b in zip(whole, chunked):
@@ -213,6 +236,15 @@ class TestGates:
     def test_empty_networks_rejected(self):
         with pytest.raises(ModelError):
             pack_networks([])
+
+    def test_accelerator_needs_a_pack_of_one(self):
+        # Aitken extrapolates the whole iterate; across networks it would
+        # couple them.
+        pack = pack_windows(canadian_two_class(4.0, 4.0), [[1, 1], [2, 2]])
+        with pytest.raises(ModelError, match="pack of one network"):
+            soa.fixed_point(
+                pack, "mva-heuristic", IterationControl(), None, AitkenAccelerator()
+            )
 
 
 class TestObjectiveIntegration:
@@ -251,7 +283,7 @@ class TestObjectiveIntegration:
         assert "crossover" in reason
 
     def test_batch_solve_networks_matches_serial(self):
-        from repro.core.power import power_report
+        from repro.core.power import inverse_power
         from repro.mva import autobatch
 
         autobatch.reset_stats()
@@ -272,13 +304,8 @@ class TestObjectiveIntegration:
         for network, (value, solution) in zip(networks, results):
             ref = solve_mva_heuristic(network, backend="vectorized")
             assert solution is not None
-            np.testing.assert_allclose(
-                solution.throughputs, ref.throughputs, rtol=1e-8, atol=1e-12
-            )
-            expected = power_report(ref).power
-            assert value == pytest.approx(
-                1.0 / expected if expected > 0 else float("inf"), rel=1e-8
-            )
+            _assert_same_solution(solution, ref)
+            assert value == inverse_power(ref)
         stats = autobatch.batch_stats()
         assert stats["engaged_batches"] == 1
         assert stats["engaged_networks"] == len(networks)
@@ -310,7 +337,8 @@ class TestObjectiveIntegration:
         curve = power_curve(factory, rates, windows=(3, 3))
         assert autobatch.batch_stats()["engaged_batches"] == 1
         # Pin the crossover to zero: the same sweep now declines and runs
-        # the serial loop — values must agree to the hetero parity band.
+        # the serial loop — values must not move (hetero packs are
+        # bit-identical to serial solves).
         monkeypatch.setattr(autobatch, "CROSSOVER", 0)
         autobatch.reset_stats()
         serial_curve = power_curve(factory, rates, windows=(3, 3))
@@ -318,7 +346,7 @@ class TestObjectiveIntegration:
         assert autobatch.batch_stats()["declined_batches"] == 1
         for (label, power), (s_label, s_power) in zip(curve, serial_curve):
             assert label == s_label
-            assert power == pytest.approx(s_power, rel=1e-8)
+            assert power == s_power
 
     def test_small_network_auto_batched_with_reason(self, monkeypatch):
         from repro.mva import autobatch
