@@ -10,22 +10,18 @@ Two jobs, one file:
   per-solve cost is NumPy-dispatch-bound, exactly the workload SoA
   batching exists for — and tiny mode asserts its batched speedup stays
   >= 5x.  The :func:`repro.netmodel.generator.scale_fixture` presets
-  chart how that advantage *shrinks* as per-network tensors grow and
-  both paths become compute-bound — thin at 25 chains, an outright loss
-  at 120 (which is why auto-engagement gates on the fixed crossover of
-  :mod:`repro.mva.autobatch`; this bench calls the batched kernel
-  directly to chart the whole ladder, and the ``soa_auto`` section
-  records — and the tiny test *asserts* — that the gate never
-  auto-engages a measurably losing cell).  The asymptotic
-  tier, not batching, is the large-network answer — see the
-  dimensioning cell.
+  chart how that advantage *shrinks* as per-network work grows and both
+  paths become compute-bound.  Route-compacted packs still win at 25
+  and 120 chains, so :mod:`repro.mva.autobatch` has no size gate: the
+  ``soa_auto`` section records its decision next to each cell, and the
+  tiny test *asserts* that no engaged cell measurably loses.
 * **Hetero cell** — a mixed-topology batch through
   :func:`repro.mva.soa.solve_networks_batched` (padded packs) against
   the serial per-network loop: the campaign-batching speedup.
 * **Dimensioning cell** (full mode only) — run WINDIM end to end on the
   1000-node / 500-chain ``full`` fixture under the resilient ladder
-  (which auto-selects the CLT/asymptotic solver at this chain count) and
-  record wall time, evaluations, evaluations/second and the solver mix.
+  (which stays on the thesis heuristic at this chain count) and record
+  wall time, evaluations, evaluations/second and the solver mix.
   The acceptance bar is completion under the **default** evaluation
   budget — ``status == "completed"``, not ``"budget_exhausted"``.
 
@@ -42,6 +38,7 @@ import time
 
 import numpy as np
 
+from repro.core.objective import WindowObjective
 from repro.core.windim import windim
 from repro.mva import autobatch
 from repro.mva.heuristic import solve_mva_heuristic
@@ -186,25 +183,18 @@ def _hetero_cell(repeats: int) -> dict:
     return cell
 
 
-def _autobatch_section(cells: dict) -> dict:
-    """The auto-engagement model's verdict next to each measured cell."""
+def _autobatch_section(networks: dict, cells: dict) -> dict:
+    """The auto-engagement decision next to each measured cell."""
     decisions = {}
     for name, cell in cells.items():
-        elements = cell["chains"] * cell["stations"]
-        engage, reason = autobatch.assess(
-            "mva-heuristic", False, "vectorized", elements, SWEEP_WINDOWS
-        )
+        objective = WindowObjective(networks[name], backend="vectorized")
+        engage, reason = objective.soa_assessment(SWEEP_WINDOWS)
         decisions[name] = {
-            "elements_per_network": elements,
             "auto_engaged": engage,
             "reason": reason,
             "measured_batched_speedup": cell["batched_speedup"],
         }
-    return {
-        "crossover": autobatch.CROSSOVER,
-        "batch_stats": autobatch.batch_stats(),
-        "decisions": decisions,
-    }
+    return {"batch_stats": autobatch.batch_stats(), "decisions": decisions}
 
 
 def _dimensioning_cell() -> dict:
@@ -261,7 +251,7 @@ def run_scale_bench(tiny: bool = False) -> dict:
         "sweep_windows": SWEEP_WINDOWS,
         "cells": cells,
         "hetero": _hetero_cell(repeats),
-        "soa_auto": _autobatch_section(cells),
+        "soa_auto": _autobatch_section(networks, cells),
         # ev/s and ms/solve across the scale ladder, batched vs serial.
         "trajectory": [
             {
@@ -296,9 +286,8 @@ def test_scale_batched_speedup():
     # only guard against a *collapse* — a tensor-path regression shows
     # up as << 1, host noise as a few percent.
     assert payload["cells"]["small"]["batched_speedup"] >= 0.75
-    # The auto-engagement regression guard (the old hardcoded limit
-    # engaged the 120-chain fixture at 0.5x): the gate must never
-    # auto-engage a cell that measurably loses.
+    # The auto-engagement regression guard: batching has no size gate,
+    # so every cell engages, and none may measurably lose.
     for name, decision in payload["soa_auto"]["decisions"].items():
         if decision["auto_engaged"]:
             assert decision["measured_batched_speedup"] >= 0.75, (
@@ -319,4 +308,5 @@ def test_scale_dimensioning_full():
     payload = run_scale_bench(tiny=False)
     dim = payload["dimensioning"]
     assert dim["status"] == "completed", dim
-    assert dim["solver_mix"].get("asymptotic", 0) > 0, dim["solver_mix"]
+    # The ladder never swaps in the asymptotic solver by size.
+    assert set(dim["solver_mix"]) == {"mva-heuristic"}, dim["solver_mix"]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple, Union
 
-from repro.core.objective import Solver, WindowObjective, resolve_solver
+from repro.core.objective import Solver, WindowObjective
 from repro.core.power import network_power
 from repro.core.windim import WindimResult, windim
 from repro.queueing.network import ClosedNetwork
@@ -129,43 +129,28 @@ def power_curve(
     """Power at each load point for one fixed window vector (Fig. 4.9).
 
     The load points are independent networks (the factory may change
-    demands — or topology — with the rates), so when the named solver
-    has a batched SoA kernel the whole curve is solved as heterogeneous
-    packs (:func:`repro.mva.soa.solve_networks_batched`, engagement
-    decided by :func:`repro.mva.autobatch.assess`) instead of a
-    per-point Python loop; batched values are bit-identical to serial
-    solves.  Declined batches are logged with the reason
-    and fall back to the serial loop.
+    demands — or topology — with the rates), so the curve is evaluated
+    as one batch through
+    :meth:`~repro.core.objective.WindowObjective.batch_solve_networks`:
+    SoA packs when the solver has a batched kernel, bit-identical to
+    serial solves, and otherwise a serial loop whose decline is logged
+    with its reason.  A load point whose solve fails has power 0.
     """
     networks = [
         factory(*rates).with_populations([int(w) for w in windows])
         for rates in rate_vectors
     ]
-    labels = [tuple(float(r) for r in rates) for rates in rate_vectors]
-    solutions = None
-    if isinstance(solver, str) and len(networks) >= 2:
-        from repro.mva import autobatch
-
-        per_network = max(n.num_chains * n.num_stations for n in networks)
-        engage, reason = autobatch.assess(
-            solver, False, backend, per_network, len(networks)
-        )
-        if engage:
-            from repro.mva.soa import solve_networks_batched
-
-            autobatch.record_engaged(len(networks))
-            solutions = solve_networks_batched(
-                networks, solver=solver, backend=backend
-            )
-        else:
-            autobatch.record_declined(reason, len(networks))
-    if solutions is None:
-        solve = resolve_solver(solver)
-        kwargs = {"backend": backend} if isinstance(solver, str) else {}
-        solutions = [solve(network, **kwargs) for network in networks]
+    if not networks:
+        return []
+    objective = WindowObjective(networks[0], solver, backend=backend)
     return [
-        (label, network_power(solution))
-        for label, solution in zip(labels, solutions)
+        (
+            tuple(float(r) for r in rates),
+            network_power(solution) if solution is not None else 0.0,
+        )
+        for rates, (_value, solution) in zip(
+            rate_vectors, objective.batch_solve_networks(networks)
+        )
     ]
 
 

@@ -396,19 +396,14 @@ class WindowObjective:
         with a batched fixed point, no reuse engine — warm starts are
         inherently per-key (each solve seeds from its nearest already-
         solved neighbour, which may be *in the same batch*), so the
-        reuse path keeps the serial loop — the vectorized backend, and
-        a per-network tensor under the fixed crossover.  Returns
-        ``(engage, reason)``; callers log declines so caps are never
-        silent.
+        reuse path keeps the serial loop — the vectorized backend and at
+        least two networks.  Returns ``(engage, reason)``; callers log
+        declines so caps are never silent.
         """
         from repro.mva import autobatch
 
         return autobatch.assess(
-            self._solver_name,
-            self._engine is not None,
-            self._backend,
-            self._network.num_chains * self._network.num_stations,
-            batch_size,
+            self._solver_name, self._engine is not None, self._backend, batch_size
         )
 
     @property
@@ -422,23 +417,27 @@ class WindowObjective:
         """
         return self.soa_assessment()[0]
 
-    def _batch_solve_soa(self, keys: List[Point]) -> List[float]:
-        """Serial-mode fast path: one packed tensor pass for the batch."""
-        from repro.mva.soa import solve_windows_batched
+    def _solve_packed(
+        self, networks: List[ClosedNetwork]
+    ) -> Optional[List[NetworkSolution]]:
+        """``networks`` solved as SoA packs, or None when batching declines.
 
-        unique = list(dict.fromkeys(keys))
-        solutions = solve_windows_batched(
-            self._network,
-            unique,
-            solver=self._solver_name,
-            backend=self._backend,
+        The one assess → record → pack step of every in-process batch;
+        a declined batch is logged with its reason and left to the
+        caller's serial loop.
+        """
+        from repro.mva import autobatch
+
+        engage, reason = self.soa_assessment(len(networks))
+        if not engage:
+            autobatch.record_declined(reason, len(networks))
+            return None
+        from repro.mva.soa import solve_networks_batched
+
+        autobatch.record_engaged(len(networks))
+        return solve_networks_batched(
+            networks, solver=self._solver_name, backend=self._backend
         )
-        values: Dict[Point, float] = {}
-        for key, solution in zip(unique, solutions):
-            self.evaluations += 1
-            self._retain(key, solution)
-            values[key] = inverse_power(solution)
-        return [values[k] for k in keys]
 
     def batch_solve_networks(
         self, networks: Sequence[ClosedNetwork]
@@ -449,38 +448,18 @@ class WindowObjective:
         networks need not share this objective's topology, so results
         bypass the window-keyed solution cache and are returned directly
         as ``(1/power, solution)`` pairs in input order (``(inf, None)``
-        where the solver failed).  When :func:`repro.mva.autobatch.
-        assess` engages, the whole batch runs as heterogeneous SoA packs
+        where the solver failed).  When :meth:`soa_assessment` engages,
+        the whole batch runs as SoA packs
         (:func:`repro.mva.soa.solve_networks_batched`), bit-identical to
-        serial solves; declined batches are
-        logged with the reason and solved serially.  ``evaluations``
-        grows by ``len(networks)`` either way.
+        serial solves; declined batches are logged with the reason and
+        solved serially.  ``evaluations`` grows by ``len(networks)``
+        either way.
         """
-        from repro.mva import autobatch
-
         networks = list(networks)
         if not networks:
             return []
-        per_network = max(n.num_chains * n.num_stations for n in networks)
-        engage, reason = autobatch.assess(
-            self._solver_name,
-            self._engine is not None,
-            self._backend,
-            per_network,
-            len(networks),
-        )
-        solutions: List[Optional[NetworkSolution]]
-        if engage:
-            from repro.mva.soa import solve_networks_batched
-
-            autobatch.record_engaged(len(networks))
-            solutions = list(
-                solve_networks_batched(
-                    networks, solver=self._solver_name, backend=self._backend
-                )
-            )
-        else:
-            autobatch.record_declined(reason, len(networks))
+        solutions = self._solve_packed(networks)
+        if solutions is None:
             kwargs: Dict[str, object] = {}
             if self._solver_name is not None:
                 kwargs["backend"] = self._backend
@@ -504,32 +483,36 @@ class WindowObjective:
         multistart seed list.  With ``workers > 1`` (and a named solver)
         the solves run concurrently on the persistent worker fleet —
         created lazily on first use and reused across calls, with warm
-        seeds shipped by arena slot.  In-process batches of a
-        batchable named solver on the vectorized backend run as *one*
-        cross-network SoA tensor pass (see :mod:`repro.mva.soa`),
-        bit-identical to the per-key loop; everything else runs serially
-        in-process.  Either way the full solutions are retained, so
-        :meth:`solution` is free afterwards, and ``evaluations`` grows by
-        ``len(batch)``.
+        seeds shipped by arena slot.  In-process batches that
+        :meth:`soa_assessment` engages run as SoA packs (see
+        :mod:`repro.mva.soa`), bit-identical to the per-key loop;
+        everything else runs serially in-process.  Either way the full
+        solutions are retained, so :meth:`solution` is free afterwards,
+        and ``evaluations`` grows by one per solve.
 
         Returns the objective values in batch order (``inf`` where the
-        solver failed).  Duplicate vectors in one batch are solved once.
+        solver failed).  Duplicate vectors in a packed or pooled batch
+        are solved once.
         """
         keys = [self._key(w) for w in batch]
         if not keys:
             return []
-        if not self.parallel:
-            if len(keys) >= 2:
-                from repro.mva import autobatch
-
-                engage, reason = self.soa_assessment(len(keys))
-                if engage:
-                    autobatch.record_engaged(len(keys))
-                    return self._batch_solve_soa(keys)
-                autobatch.record_declined(reason, len(keys))
-            return [self(k) for k in keys]
-
         unique = list(dict.fromkeys(keys))
+        if not self.parallel:
+            solutions = None
+            if len(unique) >= 2:
+                solutions = self._solve_packed(
+                    [self._network.with_populations(k) for k in unique]
+                )
+            if solutions is None:
+                return [self(k) for k in keys]
+            values: Dict[Point, float] = {}
+            for key, solution in zip(unique, solutions):
+                self.evaluations += 1
+                self._retain(key, solution)
+                values[key] = inverse_power(solution)
+            return [values[k] for k in keys]
+
         pool = self.ensure_pool()
         seeds = {}
         for key in unique:

@@ -8,11 +8,13 @@ plain-function interface.
 
 ``submit_many`` has a cross-network SoA fast path: when the wrapped
 objective is a :class:`~repro.core.objective.WindowObjective` whose
-solver/backend pair is batchable (see
-:attr:`~repro.core.objective.WindowObjective.soa_batchable`), the fresh
-slice of a seed list is solved as *one* packed tensor pass instead of a
-per-point loop.  The pass is bit-identical to the per-point solves, so
-the plane's reference semantics are unchanged — only the dispatch count
+solver, reuse and backend settings allow packing (see
+:attr:`~repro.core.objective.WindowObjective.soa_batchable`; network
+size plays no part), the fresh slice of a seed list goes to
+:meth:`~repro.core.objective.WindowObjective.batch_solve` and is solved
+in packs (:func:`repro.mva.soa.solve_networks_batched`) instead of a
+per-point loop.  Packs are bit-identical to the per-point solves, so the
+plane's reference semantics are unchanged — only the dispatch count
 drops.
 """
 

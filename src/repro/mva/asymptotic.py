@@ -18,22 +18,24 @@ p. 89).  Dropping ``sigma`` entirely yields the mean-field fixed point
     t_ir      = G_ir * (1 + sum_j N_ij)        (queueing stations)
     lambda_r  = E_r / sum_i t_ir,   N_ir = lambda_r t_ir,
 
-whose per-iteration cost is ``O(R x L)`` — no per-population recursion —
-so a 500-chain network costs per sweep what a 2-chain one does per
-population step.  This is the ``"asymptotic"`` solver tier: exact in the
-many-chain limit, a documented approximation elsewhere.
+with no per-population recursion.  This is the ``"asymptotic"`` solver:
+exact in the many-chain limit, a documented approximation elsewhere.
+It carries dense ``(R, L)`` state, while the heuristic's fixed point is
+route-compacted (:mod:`repro.mva.layout`); at 500 chains a cold
+asymptotic solve costs about 13x a cold heuristic one and lands up to
+43% away from it in throughput (EXPERIMENTS.md A17).  So it is an
+explicit solver and a verify oracle, never a substitute WINDIM picks on
+its own.
 
 Validity regime
 ---------------
 :func:`asymptotic_applicability` gates where the solver is trusted
 *unsupervised*: at least :data:`ASYMPTOTIC_MIN_CHAINS` chains, where the
 verify oracle's calibrated bands hold (see
-:mod:`repro.verify.differential`).  The resilience ladder auto-selects
-it only beyond :data:`ASYMPTOTIC_AUTO_CHAINS` chains — far into the
-regime — and records the substitution in its attempt log; it is never
-silently substituted outside the regime.  Explicit calls
-(``solver="asymptotic"``) are honoured at any size, since callers asking
-for the mean-field answer by name know what they are getting.
+:mod:`repro.verify.differential`).  Explicit calls
+(``solver="asymptotic"``, or a resilience ladder naming it) are honoured
+at any size, since callers asking for the mean-field answer by name know
+what they are getting.
 """
 
 from __future__ import annotations
@@ -54,18 +56,12 @@ __all__ = [
     "solve_asymptotic",
     "asymptotic_applicability",
     "ASYMPTOTIC_MIN_CHAINS",
-    "ASYMPTOTIC_AUTO_CHAINS",
 ]
 
 #: Oracle validity floor: with at least this many chains the CLT
 #: concentration argument holds well enough that the calibrated bands in
 #: :class:`repro.verify.differential.TolerancePolicy` apply.
 ASYMPTOTIC_MIN_CHAINS = 12
-
-#: Resilience-ladder auto-selection floor: only beyond this many chains
-#: does the ladder swap the asymptotic solver in on its own (the exact
-#: and heuristic tiers are preferred wherever they are affordable).
-ASYMPTOTIC_AUTO_CHAINS = 200
 
 
 def asymptotic_applicability(network: ClosedNetwork) -> bool:

@@ -1,23 +1,21 @@
-"""Auto-engagement gate for cross-network SoA batching.
+"""Engagement decision for cross-network SoA batching.
 
-Batching B networks into one pack wins while a single network's
-per-iteration arrays are small enough that NumPy dispatch overhead
-dominates; once one network's state is itself cache-sized, stacking B
-of them only evicts the cache (the 120-chain fixture ran at 0.5x
-batched, measured on dense state).  :data:`CROSSOVER` is that boundary
-in per-network dense ``R*L`` elements.  It depends on the host's
-caches, but a timing probe for it answered 2048 or 8192 from run to run
-on one host, and no workload sits between those values, so the gate is
-fixed (EXPERIMENTS.md A13).  Packs now hold route-compacted ``K*R``
-slots (:mod:`repro.mva.layout`); the gate has not been re-measured
-against that count, so it still takes ``R*L``.
+Packs are route-compacted (:mod:`repro.mva.layout`), so a pack of B
+networks costs about what their B serial solves cost in arithmetic and
+saves B - 1 dispatch loops.  From thesis networks to the 500-chain
+fixture no pack measurably lost to serial solves; the smallest margin,
+two small-window networks at 500 chains, broke even (EXPERIMENTS.md
+A17).  The decision is therefore structural only: a solver with a
+batched fixed point, no reuse engine, the vectorized backend and at
+least two networks.
 
-:func:`assess` is the single engagement decision every caller consults
-— ``WindowObjective``, the evaluation planes, and the campaign sweeps.
-It returns ``(engage, reason)`` so a declined batch is never silent:
-callers log the reason through :func:`record_declined`, and
-:func:`batch_stats` exposes the running engaged/declined counters for
-solver-mix reporting.
+:func:`assess` is that decision; its one caller is
+:meth:`repro.core.objective.WindowObjective.soa_assessment`, which every
+batching path consults (``batch_solve``, ``batch_solve_networks``, the
+serial plane, the campaign sweeps).  It returns ``(engage, reason)`` so
+a declined batch is never silent: callers log the reason through
+:func:`record_declined`, and :func:`batch_stats` exposes the running
+engaged/declined counters for solver-mix reporting.
 """
 
 from __future__ import annotations
@@ -32,13 +30,9 @@ __all__ = [
     "record_declined",
     "batch_stats",
     "reset_stats",
-    "CROSSOVER",
 ]
 
 logger = logging.getLogger("repro.mva.autobatch")
-
-#: Per-network ``R*L`` elements up to which batching auto-engages.
-CROSSOVER = 8_192
 
 #: Running engagement counters (reset with :func:`reset_stats`).
 _STATS: Dict[str, object] = {
@@ -54,7 +48,6 @@ def assess(
     solver_name: Optional[str],
     has_reuse: bool,
     backend: Optional[str],
-    per_network_elements: int,
     batch_size: int,
 ) -> Tuple[bool, str]:
     """The single SoA engagement decision: ``(engage, reason)``.
@@ -81,16 +74,7 @@ def assess(
         return False, f"backend {resolved!r} runs the scalar reference loops"
     if batch_size < 2:
         return False, "batch of one network: nothing to batch"
-    if per_network_elements <= CROSSOVER:
-        return True, (
-            f"{per_network_elements} elements/network <= crossover "
-            f"{CROSSOVER}"
-        )
-    return False, (
-        f"{per_network_elements} elements/network > crossover "
-        f"{CROSSOVER}: per-network tensors are compute-bound and stacking "
-        "them would evict the cache"
-    )
+    return True, f"{batch_size} networks packed on the vectorized kernel"
 
 
 def record_engaged(networks: int) -> None:
@@ -116,7 +100,6 @@ def batch_stats() -> Dict[str, object]:
         "declined_batches": _STATS["declined_batches"],
         "declined_networks": _STATS["declined_networks"],
         "declined_reasons": dict(_STATS["declined_reasons"]),
-        "crossover": CROSSOVER,
     }
 
 

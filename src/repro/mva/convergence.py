@@ -9,6 +9,7 @@ so every iterative solver in :mod:`repro.mva` behaves consistently.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
@@ -75,7 +76,9 @@ class IterationControl:
         When not raising, a :class:`~repro.errors.ConvergenceWarning` is
         emitted so the non-converged iterate is never returned silently;
         the ``converged=False`` flag on the solution carries the same fact
-        programmatically.
+        programmatically.  The warning points at the first frame outside
+        :mod:`repro.mva` — the code that called the solver — however many
+        solver frames (pack entry points, chunking) lie in between.
         """
         if self.raise_on_failure:
             raise ConvergenceError(
@@ -88,9 +91,23 @@ class IterationControl:
             f"{solver} did not converge within its {self.max_iterations}-"
             "iteration budget; returning the last (non-converged) iterate",
             ConvergenceWarning,
-            stacklevel=3,
+            stacklevel=_caller_level(),
         )
 
     def damped(self, damping: float) -> "IterationControl":
         """A copy of this policy with a different damping factor."""
         return replace(self, damping=damping)
+
+
+def _caller_level() -> int:
+    """``warnings.warn`` stacklevel of the first frame outside repro.mva.
+
+    Called from :meth:`IterationControl.on_exhausted`, whose own frame is
+    stacklevel 1.
+    """
+    frame, level = sys._getframe(2), 2
+    while frame.f_back is not None and frame.f_globals.get(
+        "__name__", ""
+    ).startswith("repro.mva."):
+        frame, level = frame.f_back, level + 1
+    return level

@@ -21,12 +21,11 @@ network, with their warm start and Aitken accelerator.
 
 Parity contract
 ---------------
-Every pack — shared-topology (:func:`pack_windows`, the sweep and
-``batch_solve`` case) or heterogeneous (:func:`pack_networks`) — is
-**bit-identical** to solving its networks one by one with the serial
-vectorized solver: throughputs, queue lengths, waiting times, iteration
-counts, convergence flags and residual extras.  Per network, the packed
-iteration performs the same floating-point operations in the same order:
+Every pack (:func:`pack_networks`) is **bit-identical** to solving its
+networks one by one with the serial vectorized solver: throughputs,
+queue lengths, waiting times, iteration counts, convergence flags and
+residual extras.  Per network, the packed iteration performs the same
+floating-point operations in the same order:
 
 * elementwise steps act on a network's own columns;
 * sums over a chain's route run slot by slot in station order
@@ -40,17 +39,20 @@ iteration performs the same floating-point operations in the same order:
 * each network's stopping decision uses ``control.residual`` on its own
   contiguous ``(R,)`` throughput slice.
 
-Shared-topology packs tile the layout into ``(K, B·R)``; heterogeneous
-packs concatenate each network's own columns.  Neither pads chains or
-stations.  (Asserted by ``tests/mva/test_soa.py`` and
+A pack concatenates each network's own columns and pads neither chains
+nor stations.  (Asserted by ``tests/mva/test_soa.py`` and
 ``tests/mva/test_summation_order.py``.)
 
-:func:`solve_windows_batched` batches one topology under many windows;
-:func:`solve_networks_batched` batches *mixed* topologies — the
-campaign-layer entry point used by
-:meth:`repro.core.objective.WindowObjective.batch_solve_networks` and
-:func:`repro.analysis.sweeps.power_curve`.  Automatic engagement of
-either path is decided by :mod:`repro.mva.autobatch`.
+:func:`solve_networks_batched` batches any mix of topologies and is the
+entry point every caller packs through —
+:meth:`repro.core.objective.WindowObjective.batch_solve` and
+:meth:`~repro.core.objective.WindowObjective.batch_solve_networks` (and
+through it :func:`repro.analysis.sweeps.power_curve`);
+:func:`solve_windows_batched` is its one-topology, many-windows form.
+Whether a batch is packed automatically is decided by
+:mod:`repro.mva.autobatch`; calling these functions directly is always
+honoured.  A network that runs out of iterations warns at the caller of
+whichever of them was called.
 """
 
 from __future__ import annotations
@@ -70,7 +72,6 @@ from repro.solution import NetworkSolution
 
 __all__ = [
     "WindowPack",
-    "pack_windows",
     "pack_networks",
     "fixed_point",
     "solve_packed",
@@ -90,10 +91,6 @@ BATCHABLE_SOLVERS = ("mva-heuristic", "schweitzer")
 #: chunked solve is the same floating-point program).  On a tiny sweep
 #: network this still allows hundreds of thousands of windows per chunk.
 SOA_ELEMENT_BUDGET = 4_000_000
-
-# Automatic engagement of the batched pass (which per-network sizes
-# win) is decided by repro.mva.autobatch.  Calling the solve functions
-# below directly is always honoured regardless of that decision.
 
 
 @dataclass(frozen=True)
@@ -115,7 +112,6 @@ class WindowPack:
     bins: np.ndarray
     populations: np.ndarray
     chain_offsets: np.ndarray
-    shared: bool
 
     @property
     def batch(self) -> int:
@@ -132,59 +128,39 @@ class WindowPack:
         return int(self.demands.shape[1])
 
 
-def pack_windows(
-    network: ClosedNetwork, windows: Sequence[Sequence[int]]
-) -> WindowPack:
-    """Pack one topology under B window (population) vectors.
-
-    This is the sweep/campaign case: the topology's layout is tiled into
-    ``(K, B·R)`` and only the populations differ.
-    """
-    if not windows:
-        raise ModelError("pack_windows needs at least one window vector")
-    candidates = tuple(network.with_populations(w) for w in windows)
-    layout = network.route_layout
-    batch, chains = len(candidates), layout.num_chains
-    shift = np.repeat(np.arange(batch) * (layout.num_stations + 1), chains)
-    return WindowPack(
-        networks=candidates,
-        demands=np.tile(layout.demands, (1, batch)),
-        queueing=np.tile(layout.queueing, (1, batch)),
-        valid=np.tile(layout.valid, (1, batch)),
-        bins=np.tile(layout.bins, (1, batch)) + shift,
-        populations=np.concatenate([c.populations for c in candidates]),
-        chain_offsets=np.arange(batch + 1) * chains,
-        shared=True,
-    )
-
-
 def pack_networks(networks: Sequence[ClosedNetwork]) -> WindowPack:
     """Pack B arbitrary networks by concatenating their route columns.
 
     Each network keeps its own columns and its own station bins; only
     routes shorter than the pack's longest get zero slots at the bottom,
     which add exactly nothing, so the pack is bit-identical to serial
-    solves.
+    solves.  Each distinct layout is padded once, so packing B
+    :meth:`~repro.queueing.network.ClosedNetwork.with_populations`
+    copies of one topology costs one concatenation, not B copies.
     """
     if not networks:
         raise ModelError("pack_networks needs at least one network")
     networks = tuple(networks)
     layouts = [n.route_layout for n in networks]
     depth = max(layout.depth for layout in layouts)
-    offsets = np.cumsum([0] + [layout.num_chains for layout in layouts])
-    demands = np.zeros((depth, offsets[-1]))
-    queueing = np.zeros((depth, offsets[-1]), dtype=bool)
-    valid = np.zeros((depth, offsets[-1]), dtype=bool)
-    bins = np.empty((depth, offsets[-1]), dtype=np.intp)
-    base = 0
-    for b, layout in enumerate(layouts):
-        rows, cols = slice(0, layout.depth), slice(offsets[b], offsets[b + 1])
-        demands[rows, cols] = layout.demands
-        queueing[rows, cols] = layout.queueing
-        valid[rows, cols] = layout.valid
-        bins[:, cols] = base + layout.num_stations
-        bins[rows, cols] = base + layout.bins
-        base += layout.num_stations + 1
+    padded = {}
+    for layout in layouts:
+        if id(layout) not in padded:
+            padded[id(layout)] = (
+                _pad(layout.demands, depth, 0.0),
+                _pad(layout.queueing, depth, False),
+                _pad(layout.valid, depth, False),
+                _pad(layout.bins, depth, layout.num_stations),
+            )
+    demands, queueing, valid, bins = (
+        np.concatenate(parts, axis=1)
+        for parts in zip(*(padded[id(layout)] for layout in layouts))
+    )
+    chains = [layout.num_chains for layout in layouts]
+    # Offset every network's bins past the previous networks' stations
+    # and spare bins.
+    bases = np.cumsum([0] + [layout.num_stations + 1 for layout in layouts[:-1]])
+    bins += np.repeat(bases, chains)
     return WindowPack(
         networks=networks,
         demands=demands,
@@ -192,9 +168,17 @@ def pack_networks(networks: Sequence[ClosedNetwork]) -> WindowPack:
         valid=valid,
         bins=bins,
         populations=np.concatenate([n.populations for n in networks]),
-        chain_offsets=offsets,
-        shared=False,
+        chain_offsets=np.cumsum([0] + chains),
     )
+
+
+def _pad(slots: np.ndarray, depth: int, fill) -> np.ndarray:
+    """``slots`` with ``fill`` rows appended up to ``depth`` rows."""
+    if slots.shape[0] == depth:
+        return slots
+    out = np.full((depth, slots.shape[1]), fill, dtype=slots.dtype)
+    out[: slots.shape[0]] = slots
+    return out
 
 
 def solve_windows_batched(
@@ -204,28 +188,17 @@ def solve_windows_batched(
     control: Optional[IterationControl] = None,
     backend: Optional[str] = None,
 ) -> List[NetworkSolution]:
-    """Solve one topology under B window vectors in a single tensor pass.
+    """Solve one topology under B window vectors in packed tensor passes.
 
     Returns one :class:`NetworkSolution` per window, in input order,
     bit-identical to calling the named serial solver once per window
-    with cold starts.  Window lists whose pack would exceed
-    :data:`SOA_ELEMENT_BUDGET` slot elements are solved in chunks, which
-    changes nothing but peak memory.
+    with cold starts (:func:`solve_networks_batched` over
+    :meth:`~repro.queueing.network.ClosedNetwork.with_populations`
+    copies, which share the topology's layout).
     """
-    windows = list(windows)
-    layout = network.route_layout
-    chunk = max(1, SOA_ELEMENT_BUDGET // (layout.depth * layout.num_chains))
-    solutions: List[NetworkSolution] = []
-    for start in range(0, len(windows), chunk):
-        solutions.extend(
-            solve_packed(
-                pack_windows(network, windows[start : start + chunk]),
-                solver=solver,
-                control=control,
-                backend=backend,
-            )
-        )
-    return solutions
+    return solve_networks_batched(
+        [network.with_populations(w) for w in windows], solver, control, backend
+    )
 
 
 def solve_networks_batched(
@@ -234,35 +207,32 @@ def solve_networks_batched(
     control: Optional[IterationControl] = None,
     backend: Optional[str] = None,
 ) -> List[NetworkSolution]:
-    """Solve B arbitrary (mixed-topology) networks in heterogeneous packs.
+    """Solve B arbitrary (mixed-topology) networks in packs.
 
-    The heterogeneous counterpart of :func:`solve_windows_batched` (see
-    :func:`pack_networks`), bit-identical to serial per-network solves.
-    Consecutive networks share a pack while its ``K x N`` slot elements
-    stay within :data:`SOA_ELEMENT_BUDGET` — networks in a pack never
-    interact, so chunking changes only peak memory, never results.
+    Bit-identical to serial per-network solves (see
+    :func:`pack_networks`).  Consecutive networks share a pack while its
+    ``K x N`` slot elements stay within :data:`SOA_ELEMENT_BUDGET` —
+    networks in a pack never interact, so chunking changes only peak
+    memory, never results.
     """
-    solutions: List[NetworkSolution] = []
-    chunk: List[ClosedNetwork] = []
+    chunks: List[List[ClosedNetwork]] = []
     depth = columns = 0
     for network in networks:
         layout = network.route_layout
-        grown = max(depth, layout.depth) * (columns + layout.num_chains)
-        if chunk and grown > SOA_ELEMENT_BUDGET:
-            solutions.extend(_solve_chunk(chunk, solver, control, backend))
-            chunk, depth, columns = [], 0, 0
-        chunk.append(network)
         depth = max(depth, layout.depth)
         columns += layout.num_chains
-    if chunk:
-        solutions.extend(_solve_chunk(chunk, solver, control, backend))
+        if not chunks or depth * columns > SOA_ELEMENT_BUDGET:
+            chunks.append([])
+            depth, columns = layout.depth, layout.num_chains
+        chunks[-1].append(network)
+    solutions: List[NetworkSolution] = []
+    for chunk in chunks:
+        solutions.extend(
+            solve_packed(
+                pack_networks(chunk), solver=solver, control=control, backend=backend
+            )
+        )
     return solutions
-
-
-def _solve_chunk(networks, solver, control, backend) -> List[NetworkSolution]:
-    return solve_packed(
-        pack_networks(networks), solver=solver, control=control, backend=backend
-    )
 
 
 def solve_packed(
@@ -332,8 +302,7 @@ def fixed_point(
     it is for a pack of one network — the serial solvers' warm starts.
     Networks that run out of iterations come back with
     ``converged=False``; warning about them (or raising) is left to the
-    caller, so :meth:`IterationControl.on_exhausted` reports the caller's
-    frame.
+    caller, once every network of the pack is done.
 
     Converged networks are *compacted out* of the live columns: every
     operation is column- or network-local (see the module's parity

@@ -18,6 +18,13 @@ interface and contains such failures:
    logged in a :class:`~repro.resilience.health.SolveHealth`, retrievable
    via :attr:`ResilientSolver.last_health` / :attr:`health_log`.
 
+The ladder never switches algorithm by network size: every solve starts
+on the primary backend, at 2 chains or at 500.  (At 500 chains a cold
+heuristic solve takes about a fourteenth of the CLT/asymptotic solver's
+time, and their throughputs differ by up to 43%, EXPERIMENTS.md A17.)
+``"asymptotic"`` runs only when named, as the primary or in
+``escalation``.
+
 A rung *fails* when it raises ``SolverError`` (including convergence and
 stability errors), returns ``converged=False``, or returns non-finite
 throughputs/queue lengths.  ``ModelError`` — a broken model, not a broken
@@ -178,7 +185,7 @@ class ResilientSolver:
     solver:
         Primary backend: a ladder backend name (``"mva-heuristic"``,
         ``"schweitzer"``, ``"linearizer"``, ``"mva-exact"``,
-        ``"convolution"``) or any solver callable.  Callables accepting a
+        ``"convolution"``, ``"asymptotic"``) or any solver callable.  Callables accepting a
         ``control`` keyword get the damping schedule; others are simply
         retried once per rung (useful for transiently flaky backends).
     damping_schedule:
@@ -200,16 +207,6 @@ class ResilientSolver:
     max_health_records:
         Cap on :attr:`health_log` (oldest dropped first) so a very long
         pattern search cannot grow memory without bound.
-    asymptotic_chain_threshold:
-        Chain-count floor for the scale rung: networks with at least this
-        many chains are first handed to the CLT/asymptotic solver
-        (:mod:`repro.mva.asymptotic`), whose cost has no per-population
-        recursion.  Defaults to
-        :data:`repro.mva.asymptotic.ASYMPTOTIC_AUTO_CHAINS` — far inside
-        the solver's validity regime, so the substitution is never made
-        where its calibrated bands do not hold, and every substitution is
-        recorded in the health log (never silent).  Pass a smaller value
-        to pull the rung in, or ``0``/``False`` to disable it entirely.
 
     Notes
     -----
@@ -227,7 +224,6 @@ class ResilientSolver:
         exact_lattice_limit: int = EXACT_LATTICE_LIMIT,
         backend: Optional[str] = None,
         max_health_records: int = 10_000,
-        asymptotic_chain_threshold: Optional[int] = None,
     ):
         if not damping_schedule:
             raise ModelError("damping_schedule must not be empty")
@@ -261,11 +257,6 @@ class ResilientSolver:
         self._control = base
         self.exact_lattice_limit = exact_lattice_limit
         self.max_health_records = max_health_records
-        if asymptotic_chain_threshold is None:
-            from repro.mva.asymptotic import ASYMPTOTIC_AUTO_CHAINS
-
-            asymptotic_chain_threshold = ASYMPTOTIC_AUTO_CHAINS
-        self.asymptotic_chain_threshold = int(asymptotic_chain_threshold or 0)
         self.health_log: List[SolveHealth] = []
 
     # ------------------------------------------------------------------
@@ -403,36 +394,9 @@ class ResilientSolver:
         )
         self._record(health)
 
-        # Rung 0 — scale auto-selection.  Far inside the CLT regime
-        # (chains >= threshold >> the validity floor) the mean-field
-        # solver is both covered by its calibrated bands and free of the
-        # per-population recursion, so internet-scale networks go to it
-        # first.  The substitution is recorded as an explicit
-        # "asymptotic" attempt in the health log — it is never silent —
-        # and a failure simply falls through to the normal ladder.
-        if (
-            self.asymptotic_chain_threshold > 0
-            and network.num_chains >= self.asymptotic_chain_threshold
-            and self.primary_name != "asymptotic"
-        ):
-            from repro.mva.asymptotic import solve_asymptotic
-
-            solution = self._attempt(
-                health,
-                "asymptotic",
-                solve_asymptotic,
-                network,
-                self.damping_schedule[0],
-                True,
-                True,
-                reuse_kwargs(True, False),
-            )
-            if solution is not None:
-                return solution
-
-        # Rungs 1..k — the primary backend under the damping schedule.  A
-        # backend that cannot be damped gets exactly one retry (transient
-        # faults), not the whole schedule.
+        # The primary backend under the damping schedule.  A backend that
+        # cannot be damped gets exactly one retry (transient faults), not
+        # the whole schedule.
         if self._primary_iterative:
             primary_dampings: Tuple[float, ...] = self.damping_schedule
         else:

@@ -1,4 +1,4 @@
-"""CLT/asymptotic solver: fixed point, regime gates, ladder auto-select.
+"""CLT/asymptotic solver: fixed point, regime gates, ladder selection.
 
 The asymptotic tier is exact only in the many-chain limit, so the tests
 pin three separate contracts: (1) the mean-field fixed point itself
@@ -6,9 +6,8 @@ converges and behaves like a window solver (more window -> more
 throughput, power peaks at an interior window); (2) the verify oracle
 only trusts it inside its calibrated regime (>= ASYMPTOTIC_MIN_CHAINS
 chains) and judges it there under the dedicated "asymptotic-exact"
-bands; (3) the resilience ladder auto-selects it only above its own
-(higher) chain threshold and always *records* the substitution — never
-silently.
+bands; (3) the resilience ladder runs it only when named — a heuristic
+ladder stays on the heuristic at every scale.
 """
 
 import numpy as np
@@ -17,7 +16,6 @@ import pytest
 from repro.core.objective import SOLVERS
 from repro.errors import ModelError
 from repro.mva.asymptotic import (
-    ASYMPTOTIC_AUTO_CHAINS,
     ASYMPTOTIC_MIN_CHAINS,
     asymptotic_applicability,
     solve_asymptotic,
@@ -120,34 +118,15 @@ class TestOracleRegime:
 
 
 class TestLadderAutoSelection:
-    def test_auto_selects_above_threshold_and_records(self):
-        network = canadian_two_class(18.0, 18.0, windows=(4, 4))
-        ladder = ResilientSolver("mva-heuristic", asymptotic_chain_threshold=2)
-        solution = ladder(network)
-        assert solution.method == "asymptotic"
-        health = ladder.health_log[-1]
-        # The substitution is on the record, first attempt, by name.
-        assert health.attempts[0].solver == "asymptotic"
-        assert health.final_solver == "asymptotic"
+    def test_heuristic_ladder_stays_on_the_heuristic_at_full_scale(self):
+        from repro.netmodel.generator import scale_fixture
 
-    def test_not_selected_below_threshold(self):
-        network = canadian_two_class(18.0, 18.0, windows=(4, 4))
         ladder = ResilientSolver("mva-heuristic")
-        assert ladder.asymptotic_chain_threshold == ASYMPTOTIC_AUTO_CHAINS
-        solution = ladder(network)
+        solution = ladder(scale_fixture("full"))
         assert solution.method == "mva-heuristic"
-        assert all(
-            attempt.solver != "asymptotic"
-            for attempt in ladder.health_log[-1].attempts
-        )
-
-    def test_zero_threshold_disables(self):
-        network = canadian_two_class(18.0, 18.0, windows=(4, 4))
-        ladder = ResilientSolver(
-            "mva-heuristic", asymptotic_chain_threshold=0
-        )
-        solution = ladder(network)
-        assert solution.method == "mva-heuristic"
+        health = ladder.last_health
+        assert health.final_solver == "mva-heuristic"
+        assert all(a.solver != "asymptotic" for a in health.attempts)
 
     def test_explicit_asymptotic_primary_honoured_at_any_size(self):
         network = canadian_two_class(18.0, 18.0, windows=(4, 4))

@@ -1,4 +1,4 @@
-"""SoA auto-engagement: assess paths, the fixed crossover, counters."""
+"""SoA auto-engagement: the structural assess paths and the counters."""
 
 from __future__ import annotations
 
@@ -7,57 +7,33 @@ from repro.mva import autobatch
 
 class TestAssess:
     def test_unbatchable_solver_declines(self):
-        engage, reason = autobatch.assess("linearizer", False, None, 8, 4)
+        engage, reason = autobatch.assess("linearizer", False, None, 4)
         assert not engage
         assert "no batched SoA kernel" in reason
 
     def test_reuse_engine_declines(self):
-        engage, reason = autobatch.assess("mva-heuristic", True, None, 8, 4)
+        engage, reason = autobatch.assess("mva-heuristic", True, None, 4)
         assert not engage
         assert "reuse" in reason
 
     def test_scalar_backend_declines(self):
-        engage, reason = autobatch.assess(
-            "mva-heuristic", False, "scalar", 8, 4
-        )
+        engage, reason = autobatch.assess("mva-heuristic", False, "scalar", 4)
         assert not engage
         assert "scalar" in reason
 
     def test_batch_of_one_declines(self):
-        engage, reason = autobatch.assess("mva-heuristic", False, None, 8, 1)
+        engage, reason = autobatch.assess("mva-heuristic", False, None, 1)
         assert not engage
         assert "nothing to batch" in reason
 
     def test_small_network_engages(self):
-        engage, reason = autobatch.assess("mva-heuristic", False, None, 8, 4)
-        assert engage
-        assert "crossover" in reason
-
-    def test_large_network_declines_with_explanation(self, monkeypatch):
-        monkeypatch.setattr(autobatch, "CROSSOVER", 100)
+        # Network size is no reason either way: any batch of two or more
+        # on the vectorized kernel engages.
         engage, reason = autobatch.assess(
-            "mva-heuristic", False, None, 101, 4
+            "mva-heuristic", False, "vectorized", 4
         )
-        assert not engage
-        assert "evict the cache" in reason
-
-    def test_boundary_is_inclusive(self, monkeypatch):
-        monkeypatch.setattr(autobatch, "CROSSOVER", 100)
-        engage, _ = autobatch.assess("mva-heuristic", False, None, 100, 4)
         assert engage
-
-    def test_fixed_gate_brackets_the_workload_sizes(self, monkeypatch):
-        # With no environment set, the 25-chain pool fixture (1725
-        # elements per network) batches and the 120-chain fixture (48960)
-        # stays serial.
-        monkeypatch.delenv("REPRO_SOLVER_BACKEND", raising=False)
-        engage, _ = autobatch.assess("mva-heuristic", False, None, 1725, 4)
-        assert engage
-        engage, reason = autobatch.assess(
-            "mva-heuristic", False, None, 48960, 4
-        )
-        assert not engage
-        assert "evict the cache" in reason
+        assert "4 networks packed" in reason
 
 
 class TestCounters:

@@ -8,7 +8,12 @@ from repro.errors import ConvergenceError, ConvergenceWarning, ModelError
 from repro.mva.convergence import IterationControl
 from repro.mva.heuristic import solve_mva_heuristic
 from repro.mva.schweitzer import solve_schweitzer
-from repro.mva.soa import solve_windows_batched
+from repro.mva.soa import (
+    pack_networks,
+    solve_networks_batched,
+    solve_packed,
+    solve_windows_batched,
+)
 from repro.queueing.chain import ClosedChain
 from repro.queueing.network import ClosedNetwork
 from repro.queueing.station import Station
@@ -102,11 +107,25 @@ class TestWarningLocation:
         assert excinfo.value.iterations == 1
 
     def test_cut_pack_warns_once_per_network(self):
+        # Every batch entry point warns at its caller, however many pack
+        # frames (wrappers, chunking) it runs through.
         network = _two_chain_network()
+        windows = [[3, 2], [1, 1]]
+        networks = [network.with_populations(w) for w in windows]
         control = IterationControl(max_iterations=1)
-        with pytest.warns(ConvergenceWarning) as record:
-            solutions = solve_windows_batched(
-                network, [[3, 2], [1, 1]], control=control, backend="vectorized"
-            )
-        assert [s.converged for s in solutions] == [False, False]
-        assert len(record) == 2
+        for solve in (
+            lambda: solve_windows_batched(
+                network, windows, control=control, backend="vectorized"
+            ),
+            lambda: solve_networks_batched(
+                networks, control=control, backend="vectorized"
+            ),
+            lambda: solve_packed(
+                pack_networks(networks), control=control, backend="vectorized"
+            ),
+        ):
+            with pytest.warns(ConvergenceWarning) as record:
+                solutions = solve()
+            assert [s.converged for s in solutions] == [False, False]
+            assert len(record) == 2
+            assert [w.filename for w in record] == [__file__] * 2

@@ -1,8 +1,8 @@
 """Cross-network SoA batching: bitwise parity, chunking, gates.
 
 The batched tier's whole claim is "same floating-point program, one
-tensor pass": for shared-topology and heterogeneous packs alike every
-solution must match the serial vectorized solver *bit for bit* (not just
+tensor pass": for one topology under many windows and for mixed
+topologies alike every solution must match the serial vectorized solver *bit for bit* (not just
 within tolerance), including iteration counts, convergence flags and
 residual extras.
 """
@@ -21,7 +21,6 @@ from repro.mva.schweitzer import solve_schweitzer
 from repro.mva.soa import (
     BATCHABLE_SOLVERS,
     pack_networks,
-    pack_windows,
     solve_packed,
     solve_windows_batched,
 )
@@ -115,7 +114,6 @@ class TestHeterogeneousPack:
             ),
         ]
         pack = pack_networks(networks)
-        assert not pack.shared
         assert pack.batch == 2
         # One column per chain, no chain padding; K is the longest route.
         assert pack.columns == 5
@@ -220,18 +218,14 @@ class TestChunking:
 
 class TestGates:
     def test_unbatchable_solver_rejected(self):
-        pack = pack_windows(canadian_two_class(4.0, 4.0), [[1, 1]])
+        pack = pack_networks([canadian_two_class(4.0, 4.0, windows=(1, 1))])
         with pytest.raises(ModelError, match="no batched SoA kernel"):
             solve_packed(pack, solver="linearizer")
 
     def test_scalar_backend_rejected(self):
-        pack = pack_windows(canadian_two_class(4.0, 4.0), [[1, 1]])
+        pack = pack_networks([canadian_two_class(4.0, 4.0, windows=(1, 1))])
         with pytest.raises(ModelError, match="dense kernel backend"):
             solve_packed(pack, backend="scalar")
-
-    def test_empty_windows_rejected(self):
-        with pytest.raises(ModelError):
-            pack_windows(canadian_two_class(4.0, 4.0), [])
 
     def test_empty_networks_rejected(self):
         with pytest.raises(ModelError):
@@ -240,7 +234,10 @@ class TestGates:
     def test_accelerator_needs_a_pack_of_one(self):
         # Aitken extrapolates the whole iterate; across networks it would
         # couple them.
-        pack = pack_windows(canadian_two_class(4.0, 4.0), [[1, 1], [2, 2]])
+        network = canadian_two_class(4.0, 4.0)
+        pack = pack_networks(
+            [network.with_populations(w) for w in ([1, 1], [2, 2])]
+        )
         with pytest.raises(ModelError, match="pack of one network"):
             soa.fixed_point(
                 pack, "mva-heuristic", IterationControl(), None, AitkenAccelerator()
@@ -267,20 +264,32 @@ class TestObjectiveIntegration:
         values = objective.batch_solve([(1, 1), (2, 2)])
         assert len(values) == 2
 
-    def test_large_network_not_auto_batched(self):
-        # Past the crossover, stacking B copies evicts the cache and
-        # loses to the per-network loop (measured 0.5x on the 120-chain
-        # fixture) — the automatic path must keep the serial loop.
-        # Direct solve_windows_batched calls are still honoured at any
-        # size.
+    def test_scale_fixture_batch_engages_and_matches_serial(self):
+        # Route-compacted packs win at every size, so a 120-chain batch
+        # packs like a thesis-scale one and stays bitwise serial.
+        from repro.core.power import inverse_power
+        from repro.mva import autobatch
         from repro.netmodel.generator import scale_fixture
 
         network = scale_fixture("medium")
         objective = WindowObjective(network, "mva-heuristic")
-        assert not objective.soa_batchable
-        engage, reason = objective.soa_assessment(batch_size=4)
-        assert not engage
-        assert "crossover" in reason
+        rng = np.random.default_rng(7)
+        keys = [
+            tuple(int(w) for w in rng.integers(1, 5, size=network.num_chains))
+            for _ in range(4)
+        ]
+        autobatch.reset_stats()
+        values = objective.batch_solve(keys)
+        stats = autobatch.batch_stats()
+        assert stats["engaged_batches"] == 1
+        assert stats["engaged_networks"] == 4
+        assert stats["declined_batches"] == 0
+        for key, value in zip(keys, values):
+            ref = solve_mva_heuristic(
+                network.with_populations(key), backend="vectorized"
+            )
+            assert value == inverse_power(ref)
+            _assert_same_solution(objective.cached_solution(key), ref)
 
     def test_batch_solve_networks_matches_serial(self):
         from repro.core.power import inverse_power
@@ -310,15 +319,15 @@ class TestObjectiveIntegration:
         assert stats["engaged_batches"] == 1
         assert stats["engaged_networks"] == len(networks)
 
-    def test_batch_solve_networks_decline_is_counted(self, monkeypatch):
+    def test_batch_solve_networks_decline_is_counted(self):
         from repro.mva import autobatch
 
-        monkeypatch.setattr(autobatch, "CROSSOVER", 0)
         networks = [
             canadian_two_class(4.0 + k, 6.0, windows=(2, 2)) for k in range(3)
         ]
+        # The scalar reference loops have no pack: the batch declines.
         objective = WindowObjective(
-            canadian_two_class(4.0, 4.0), "mva-heuristic"
+            canadian_two_class(4.0, 4.0), "mva-heuristic", backend="scalar"
         )
         results = objective.batch_solve_networks(networks)
         assert all(sol is not None for _, sol in results)
@@ -327,7 +336,7 @@ class TestObjectiveIntegration:
         assert stats["declined_networks"] == 3
         assert stats["engaged_batches"] == 0
 
-    def test_power_curve_engages_hetero_batching(self, monkeypatch):
+    def test_power_curve_engages_hetero_batching(self):
         from repro.analysis.sweeps import power_curve
         from repro.mva import autobatch
         from repro.netmodel.examples import canadian_two_class as factory
@@ -336,26 +345,29 @@ class TestObjectiveIntegration:
         rates = [(4.0, 4.0), (8.0, 8.0), (12.0, 12.0), (16.0, 16.0)]
         curve = power_curve(factory, rates, windows=(3, 3))
         assert autobatch.batch_stats()["engaged_batches"] == 1
-        # Pin the crossover to zero: the same sweep now declines and runs
-        # the serial loop — values must not move (hetero packs are
-        # bit-identical to serial solves).
-        monkeypatch.setattr(autobatch, "CROSSOVER", 0)
+        # The same solver as a plain callable has no batched kernel: the
+        # sweep declines and runs the serial loop — values must not move
+        # (hetero packs are bit-identical to serial solves).
         autobatch.reset_stats()
-        serial_curve = power_curve(factory, rates, windows=(3, 3))
+        serial_curve = power_curve(
+            factory, rates, windows=(3, 3), solver=solve_mva_heuristic
+        )
         assert autobatch.batch_stats()["engaged_batches"] == 0
         assert autobatch.batch_stats()["declined_batches"] == 1
         for (label, power), (s_label, s_power) in zip(curve, serial_curve):
             assert label == s_label
             assert power == s_power
 
-    def test_small_network_auto_batched_with_reason(self, monkeypatch):
-        from repro.mva import autobatch
-
+    def test_small_network_auto_batched_with_reason(self):
         network = canadian_two_class(4.0, 4.0)
         objective = WindowObjective(network, "mva-heuristic")
         engage, reason = objective.soa_assessment(batch_size=4)
         assert engage
-        assert "crossover" in reason
-        # A pinned crossover of zero declines even the tiny network.
-        monkeypatch.setattr(autobatch, "CROSSOVER", 0)
-        assert not objective.soa_batchable
+        assert "4 networks packed" in reason
+        # A reuse engine declines the same network: warm starts are
+        # per-key.
+        reused = WindowObjective(network, "mva-heuristic", reuse=True)
+        engage, reason = reused.soa_assessment(batch_size=4)
+        assert not engage
+        assert "reuse" in reason
+        assert not reused.soa_batchable
