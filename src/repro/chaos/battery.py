@@ -174,37 +174,6 @@ def builtin_plans() -> Dict[str, FaultPlan]:
             ),
         ),
         FaultPlan(
-            name="corrupt-checkpoint-resume",
-            description="all checkpoint writes torn; resume must quarantine",
-            checkpoint=True,
-            runs=2,
-            rules=(
-                FaultRule(
-                    "checkpoint.write", "corrupt", occurrence=1, count=99
-                ),
-            ),
-        ),
-        FaultPlan(
-            name="flaky-checkpoint-io",
-            description="transient checkpoint write failures (retried)",
-            checkpoint=True,
-            rules=(
-                FaultRule("checkpoint.write", "error", occurrence=1, count=2),
-            ),
-        ),
-        FaultPlan(
-            name="corrupt-checkpoint-persistent",
-            description="checkpoint bit-rot under the persistent fleet",
-            pool="persistent",
-            checkpoint=True,
-            runs=2,
-            rules=(
-                FaultRule(
-                    "checkpoint.write", "corrupt", occurrence=1, count=99
-                ),
-            ),
-        ),
-        FaultPlan(
             name="clock-skew-deadline",
             description="the budget clock jumps forward mid-search",
             expect="degraded",
@@ -339,7 +308,7 @@ def run_plan(
     """Execute one fault plan (all its runs) and grade the final result.
 
     ``runs > 1`` re-invokes :func:`~repro.core.windim.windim` against the
-    same store/checkpoint files under the *same* armed plan, so faults
+    same store file under the *same* armed plan, so faults
     injected in run 1 are what run 2 must recover from.
     """
     from repro.core.windim import windim
@@ -353,9 +322,6 @@ def run_plan(
         kwargs["workers"] = plan.workers
     if plan.store:
         kwargs["store_path"] = os.path.join(work_dir, "evals.store")
-    if plan.checkpoint:
-        kwargs["checkpoint_path"] = os.path.join(work_dir, "run.ckpt")
-        kwargs["resume"] = True
     if plan.max_seconds is not None:
         kwargs["max_seconds"] = plan.max_seconds
 

@@ -2,7 +2,7 @@
 
 A :class:`FaultPlan` names a set of :class:`FaultRule` triggers — *which*
 instrumented site misbehaves, on *which* occurrence, *how* — plus the
-runtime configuration (pool mode, workers, store/checkpoint usage) the
+runtime configuration (pool mode, workers, store usage) the
 scenario should run under.  Plans serialise to JSON so they cross the
 ``multiprocessing`` spawn boundary through an environment variable and so
 the chaos battery is a table of data, not a pile of monkeypatches.
@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
-from repro.errors import SearchError
+from repro.errors import ModelError, SearchError
 
 __all__ = [
     "ACTIONS",
@@ -30,7 +30,6 @@ SITES = (
     "pool.worker.task",  # persistent pool worker, before solving a task
     "store.record",  # evaluation-store append of one record line
     "store.load",  # evaluation-store read of the on-disk lines
-    "checkpoint.write",  # atomic checkpoint save
     "clock",  # monotonic clock consulted by SearchBudget
 )
 
@@ -43,7 +42,6 @@ _SITE_ACTIONS = {
     "pool.worker.task": ("crash", "hang", "delay"),
     "store.record": ("error", "delay", "corrupt"),
     "store.load": ("error", "delay"),
-    "checkpoint.write": ("error", "delay", "corrupt"),
     "clock": ("skew",),
 }
 
@@ -124,11 +122,11 @@ class FaultRule:
 class FaultPlan:
     """A named, seeded failure scenario plus the runtime it targets.
 
-    ``pool`` / ``workers`` / ``store`` / ``checkpoint`` describe the run
+    ``pool`` / ``workers`` / ``store`` describe the run
     configuration the battery should drive; ``env`` carries extra
     environment overrides (e.g. ``REPRO_TASK_DEADLINE``) as a tuple of
     pairs so the plan stays hashable.  ``runs`` > 1 makes the battery
-    re-run the same scenario (resuming from the store/checkpoint) to
+    re-run the same scenario (resuming from the store) to
     exercise recovery-on-reload paths.  ``expect`` is the survival
     criterion: ``"optimal"`` demands the fault-free optimum, ``"degraded"``
     accepts a structured degraded result.
@@ -141,7 +139,6 @@ class FaultPlan:
     pool: Optional[str] = None  # None = serial, else persistent
     workers: int = 2
     store: bool = False
-    checkpoint: bool = False
     runs: int = 1
     env: Tuple[Tuple[str, str], ...] = field(default=())
     expect: str = "optimal"
@@ -171,7 +168,6 @@ class FaultPlan:
                 "pool": self.pool,
                 "workers": self.workers,
                 "store": self.store,
-                "checkpoint": self.checkpoint,
                 "runs": self.runs,
                 "env": list(list(pair) for pair in self.env),
                 "expect": self.expect,
@@ -191,6 +187,14 @@ class FaultPlan:
         rules = payload.get("rules", [])
         if not isinstance(rules, list):
             raise SearchError("fault plan rules must be a list")
+        if "checkpoint" in payload:
+            # Dropping the key would run a different scenario than the
+            # plan describes, so a plan written for it fails loudly.
+            raise ModelError(
+                "fault plan field 'checkpoint' is no longer supported: "
+                "the evaluation store is the one persistence path; "
+                "use \"store\": true instead"
+            )
         env = payload.get("env", [])
         try:
             return cls(
@@ -205,7 +209,6 @@ class FaultPlan:
                 ),
                 workers=int(payload.get("workers", 2)),
                 store=bool(payload.get("store", False)),
-                checkpoint=bool(payload.get("checkpoint", False)),
                 runs=int(payload.get("runs", 1)),
                 env=tuple(
                     (str(k), str(v)) for k, v in env

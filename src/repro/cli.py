@@ -6,11 +6,11 @@ Subcommands
     Run the WINDIM dimensioning algorithm on a named example network.
     Supports the resilience runtime: ``--resilient`` (retry/escalation
     ladder), ``--deadline`` (graceful best-so-far on expiry) and
-    ``--checkpoint PATH`` / ``--resume`` (crash-safe checkpointing; a
-    SIGINT/SIGTERM flushes a final checkpoint before exiting 130), and
-    the reuse engine: ``--reuse`` (warm-started fixed points, shared
-    exact lattices) and ``--store PATH`` (persistent
-    cross-run evaluation store, fingerprinted to the model).  With
+    ``--store PATH`` (persistent evaluation store, fingerprinted to the
+    model: every fresh evaluation is appended as it completes, so a run
+    cut off by Ctrl-C, a deadline or ``kill -9`` resumes by passing the
+    same path again), and the reuse engine: ``--reuse`` (warm-started
+    fixed points, shared exact lattices).  With
     ``--workers N`` evaluations run on a persistent shared-memory
     worker fleet driven by the speculative scheduler.
 ``evaluate``
@@ -34,7 +34,7 @@ Subcommands
     the bitwise-identical search trajectory as the serial reference.
 ``chaos``
     Run the named fault-injection battery (worker crashes/hangs, store
-    and checkpoint corruption, slow IO, clock skew — see
+    corruption, slow IO, clock skew — see
     :mod:`repro.chaos.battery`) against a small WINDIM instance and
     print a survival report.  ``--list`` shows the plans; ``--plans``
     selects a subset.
@@ -55,7 +55,7 @@ code  meaning
 4     budget exhausted: best-so-far windows under a deadline or
       evaluation cap
 5     resilient ladder exhausted: no solver rung converged
-130   interrupted (checkpointed state flushed when configured)
+130   interrupted (Ctrl-C; a ``--store`` run resumes from its store)
 ====  ==========================================================
 
 Examples
@@ -64,7 +64,7 @@ Examples
 
     windim solve --network canadian2 --rates 18 18
     windim run --network canadian2 --rates 18 18 --resilient \
-        --checkpoint run.ckpt --resume --deadline 300
+        --store run.store --deadline 300
     windim run --network arpanet --rates 8 8 6 6 --reuse --store run.store
     windim evaluate --network canadian4 --rates 6 6 6 12 --windows 1 1 1 4
     windim sweep --network canadian2 --rates "12.5,12.5;25,25;50,50"
@@ -156,10 +156,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         reuse=args.reuse,
         store_path=args.store,
         max_seconds=args.deadline,
-        checkpoint_path=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
-        resume=args.resume,
-        handle_signals=args.checkpoint is not None,
     )
     print(result.summary())
     return _exit_code_for(result)
@@ -480,7 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="persistent evaluation store: preload previous runs' "
-        "evaluations and warm-start seeds, append this run's "
+        "evaluations, append this run's as they complete; passing the "
+        "same path again resumes an interrupted run "
         "(fingerprinted to the network+solver)",
     )
     solve.add_argument(
@@ -490,25 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="wall-clock budget; on expiry the best-so-far windows are "
         "reported instead of hanging",
-    )
-    solve.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="PATH",
-        help="write atomic JSON checkpoints of the search state here "
-        "(also flushed on SIGINT/SIGTERM)",
-    )
-    solve.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=25,
-        metavar="N",
-        help="fresh evaluations between periodic checkpoints",
-    )
-    solve.add_argument(
-        "--resume",
-        action="store_true",
-        help="seed the evaluation cache from --checkpoint before searching",
     )
     solve.set_defaults(handler=_cmd_solve)
 
@@ -695,14 +673,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except KeyboardInterrupt as exc:
-        # A checkpointed solve flushes its state before unwinding here;
-        # tell the operator where to pick the run back up.
+        # A store-backed solve has already appended every completed
+        # evaluation; tell the operator where to pick the run back up.
         detail = str(exc)
         message = "interrupted"
         if detail:
             message += f": {detail}"
-        if getattr(args, "checkpoint", None):
-            message += f" (resume with --checkpoint {args.checkpoint} --resume)"
+        if getattr(args, "store", None):
+            message += f" (resume with --store {args.store})"
         print(message, file=sys.stderr)
         return EXIT_INTERRUPTED
 

@@ -417,21 +417,30 @@ class WindowObjective:
         """
         return self.soa_assessment()[0]
 
+    def engages_packs(self, batch_size: int) -> bool:
+        """The one SoA decision for an in-process batch of ``batch_size``.
+
+        :meth:`soa_assessment`, with a decline logged (reason and size)
+        so that no caller falls back to a serial loop silently.
+        """
+        from repro.mva import autobatch
+
+        engage, reason = self.soa_assessment(batch_size)
+        if not engage:
+            autobatch.record_declined(reason, batch_size)
+        return engage
+
     def _solve_packed(
         self, networks: List[ClosedNetwork]
     ) -> Optional[List[NetworkSolution]]:
         """``networks`` solved as SoA packs, or None when batching declines.
 
-        The one assess → record → pack step of every in-process batch;
-        a declined batch is logged with its reason and left to the
-        caller's serial loop.
+        The decide → pack step of every in-process batch; a declined
+        batch is left to the caller's serial loop.
         """
-        from repro.mva import autobatch
-
-        engage, reason = self.soa_assessment(len(networks))
-        if not engage:
-            autobatch.record_declined(reason, len(networks))
+        if not self.engages_packs(len(networks)):
             return None
+        from repro.mva import autobatch
         from repro.mva.soa import solve_networks_batched
 
         autobatch.record_engaged(len(networks))

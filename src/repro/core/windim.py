@@ -14,14 +14,14 @@ long-running jobs it carries the resilience runtime end to end: the
 ``resilient`` flag wraps the solver in the
 :class:`~repro.resilience.ladder.ResilientSolver` escalation ladder,
 ``budget``/``max_seconds`` bound the search (graceful best-so-far instead
-of a hang), and ``checkpoint_path``/``resume`` give crash-safe
-checkpoint/resume of the evaluation cache.
+of a hang), and ``store_path`` persists every fresh evaluation to an
+:class:`~repro.search.store.EvaluationStore`, so a run that is cut off —
+by Ctrl-C, a budget or ``kill -9`` — resumes from the same path and
+pays only for the work the store does not hold.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple, Union
 
@@ -35,12 +35,6 @@ from repro.errors import ModelError, SearchError
 from repro.evalplane import build_plane
 from repro.queueing.network import ClosedNetwork
 from repro.resilience.budget import SearchBudget
-from repro.resilience.checkpoint import (
-    CheckpointCorruptError,
-    CheckpointManager,
-    load_checkpoint,
-    signal_checkpoint_guard,
-)
 from repro.resilience.health import DegradationEvent, PoolHealth, SolveHealth
 from repro.resilience.ladder import ResilientSolver
 from repro.search.cache import EvaluationCache
@@ -81,13 +75,10 @@ class WindimResult:
     health_log:
         Per-evaluation :class:`~repro.resilience.health.SolveHealth`
         records when the run used the resilient ladder (empty otherwise).
-    seeded_evaluations:
-        Cache entries loaded from a resume checkpoint (0 for fresh runs);
-        ``search.evaluations`` counts only fresh solves on top of these.
     store_seeded:
-        Cache entries preloaded from a persistent evaluation store
-        (``store_path=``); like checkpoint seeds, these cost no fresh
-        solves.
+        Cache entries preloaded from the persistent evaluation store
+        (``store_path=``; 0 for fresh runs).  They cost no fresh solves:
+        ``search.evaluations`` counts only the work done on top of them.
     reuse_stats:
         :class:`~repro.core.reuse.ReuseEngine` counters (warm/cold solve
         and iteration totals, solves whose Aitken accelerator switched
@@ -117,7 +108,6 @@ class WindimResult:
     converged: bool = True
     status: str = "completed"
     health_log: Tuple[SolveHealth, ...] = ()
-    seeded_evaluations: int = 0
     store_seeded: int = 0
     reuse_stats: Optional[Dict[str, float]] = None
     pool_health: Optional[PoolHealth] = None
@@ -160,11 +150,6 @@ class WindimResult:
             lines.append(
                 f"  reuse engine          = {warm} warm / {cold} cold solves, "
                 f"Aitken switched off in {off}"
-            )
-        if self.seeded_evaluations:
-            lines.append(
-                f"  resumed from checkpoint: {self.seeded_evaluations} "
-                "evaluations reused"
             )
         if self.pool_health is not None:
             lines.append(f"  evaluation pool       = {self.pool_health.summary()}")
@@ -217,10 +202,6 @@ def windim(
     store_path: Optional[str] = None,
     budget: Optional[SearchBudget] = None,
     max_seconds: Optional[float] = None,
-    checkpoint_path: Optional[str] = None,
-    checkpoint_every: int = 25,
-    resume: bool = False,
-    handle_signals: bool = False,
 ) -> WindimResult:
     """Dimension the end-to-end windows of ``network`` for maximum power.
 
@@ -236,9 +217,9 @@ def windim(
     backend:
         Solver kernel backend (``"scalar"``/``"vectorized"``;
         ``None`` = process default, see :mod:`repro.backend`).  A
-        kernel choice, not an algorithm choice: checkpoints written
-        under one backend resume cleanly under the other (the parity
-        wall pins them to ≤ 1e-8).
+        kernel choice, not an algorithm choice: a store written under
+        one backend resumes cleanly under the other (the parity wall
+        pins them to ≤ 1e-8).
     workers:
         When > 1 (named solvers only), objective evaluations run on a
         persistent pool of this size: the workers are created once,
@@ -281,34 +262,21 @@ def windim(
         share a lattice cache.  Warm starts keep the solvers' stopping
         criteria, so values stay within the 1e-8 parity band.
     store_path:
-        Persistent :class:`~repro.search.store.EvaluationStore` file.
-        Previously stored evaluations (values and warm-start seeds) are
-        preloaded before searching — counted in ``store_seeded``, paid
-        for by no fresh solves — and every fresh evaluation of this run
-        is appended for the next one.  The store is fingerprinted to
+        Persistent :class:`~repro.search.store.EvaluationStore` file,
+        the one way a run persists and resumes.  Previously stored
+        evaluations are preloaded before searching — counted in
+        ``store_seeded``, paid for by no fresh solves — and every fresh
+        evaluation of this run is appended as it completes, so an
+        interrupted or killed run resumes from the same path.  Under
+        ``reuse=True`` each record also carries the converged queue
+        lengths as a warm-start seed.  The store is fingerprinted to
         the network + solver; reusing it on a different instance raises
-        :class:`~repro.errors.SearchError`.  Independent of
-        ``checkpoint_path`` (either, both, or neither may be given).
+        :class:`~repro.errors.SearchError`.
     budget / max_seconds:
         Search budget.  ``max_seconds`` is shorthand for
         ``SearchBudget(max_seconds=...)``; passing both is an error.  When
         the budget runs out the result is the best-so-far vector with
         ``status="budget_exhausted"`` — the run never hangs.
-    checkpoint_path:
-        When given, the evaluation cache is checkpointed to this file
-        (atomically) every ``checkpoint_every`` fresh evaluations, on
-        completion, and on ``KeyboardInterrupt``.
-    checkpoint_every:
-        Fresh evaluations between periodic checkpoint writes.
-    resume:
-        Load ``checkpoint_path`` (if it exists) before searching; cached
-        evaluations are reused so only new work is paid for.  A missing
-        file starts a fresh run, so crash-loop supervisors can always pass
-        ``resume=True``.
-    handle_signals:
-        Install SIGINT/SIGTERM handlers for the duration of the search
-        that flush a final checkpoint before interrupting (main thread
-        only; requires ``checkpoint_path``).
 
     Returns
     -------
@@ -364,68 +332,14 @@ def windim(
         solver, "primary_name", getattr(solver, "__name__", "custom")
     )
 
-    manager: Optional[CheckpointManager] = None
-    seeded = 0
-    if checkpoint_path is not None:
-        manager = CheckpointManager(
-            checkpoint_path,
-            every=checkpoint_every,
-            meta={
-                "algorithm": "windim/pattern-search",
-                "num_chains": network.num_chains,
-                "max_window": max_window,
-                "solver": str(solver_label),
-                # Informational only: cache entries are backend-agnostic
-                # (kernels agree to <= 1e-8), so resume never checks this.
-                "backend": backend if backend is not None else "default",
-                "initial_step": initial_step,
-                "max_halvings": max_halvings,
-                "start": list(start_point),
-            },
-        )
-        if resume and os.path.exists(checkpoint_path):
-            try:
-                checkpoint = load_checkpoint(checkpoint_path)
-            except CheckpointCorruptError as error:
-                # Self-healing resume: a torn or bit-rotted checkpoint
-                # must not brick a crash-loop supervisor that always
-                # passes resume=True.  Quarantine the damaged file and
-                # start fresh; the next periodic flush replaces it.
-                quarantine = checkpoint_path + ".corrupt"
-                os.replace(checkpoint_path, quarantine)
-                warnings.warn(
-                    f"checkpoint {checkpoint_path} is corrupt ({error}); "
-                    f"moved to {quarantine} and starting a fresh run",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                checkpoint = None
-            if checkpoint is not None:
-                saved_chains = checkpoint.meta.get("num_chains")
-                if (
-                    saved_chains is not None
-                    and int(saved_chains) != network.num_chains
-                ):
-                    raise SearchError(
-                        f"checkpoint {checkpoint_path} is for a "
-                        f"{saved_chains}-chain problem; this network has "
-                        f"{network.num_chains} chains"
-                    )
-                seeded = checkpoint.seed_cache(cache)
-        manager.attach(cache)
-    elif resume:
-        raise SearchError("resume=True requires checkpoint_path")
-    elif handle_signals:
-        raise SearchError("handle_signals=True requires checkpoint_path")
-
     store: Optional[EvaluationStore] = None
     if store_path is not None:
         store = EvaluationStore.open(
             store_path, model_fingerprint(network, str(solver_label))
         )
-        # Stored values enter cache.values directly (like checkpoint
-        # seeds): neither hits nor misses, so the run's evaluation count
-        # keeps measuring fresh work only.
+        # Stored values enter cache.values directly: neither hits nor
+        # misses, so the run's evaluation count keeps measuring fresh
+        # work only.
         for point, value in store.values.items():
             cache.values.setdefault(point, value)
         for point, seed in store.seeds.items():
@@ -434,28 +348,26 @@ def windim(
     recorded_history = 0
 
     def note_evaluation(live_cache: EvaluationCache) -> None:
-        """Per-fresh-evaluation hook: persist to the store, then checkpoint."""
-        nonlocal recorded_history
-        if store is not None:
-            history = live_cache.history
-            while recorded_history < len(history):
-                point, value = history[recorded_history]
-                recorded_history += 1
-                if point in store.values:
-                    continue
-                solution = objective.cached_solution(point)
-                seed = (
-                    solution.queue_lengths
-                    if solution is not None and solution.converged
-                    else None
-                )
-                store.record(point, value, seed)
-        if manager is not None:
-            manager.note_evaluation(live_cache)
+        """Per-fresh-evaluation hook: append the new points to the store.
 
-    on_evaluation = (
-        note_evaluation if (store is not None or manager is not None) else None
-    )
+        Warm-start seeds are harvested only under ``reuse=True``, the
+        one configuration that reads them back (``prime_seed``).
+        """
+        nonlocal recorded_history
+        history = live_cache.history
+        while recorded_history < len(history):
+            point, value = history[recorded_history]
+            recorded_history += 1
+            if point in store.values:
+                continue
+            seed = None
+            if reuse:
+                solution = objective.cached_solution(point)
+                if solution is not None and solution.converged:
+                    seed = solution.queue_lengths
+            store.record(point, value, seed)
+
+    on_evaluation = note_evaluation if store is not None else None
 
     # One plane per run: build_plane picks the execution path (persistent
     # fleet or serial) from the objective's configuration, and the
@@ -472,38 +384,25 @@ def windim(
         seed_for=objective.seed_for if reuse else None,
     )
 
-    def run_search() -> SearchResult:
-        return pattern_search(
-            objective,
-            start_point,
-            space,
-            initial_step=initial_step,
-            max_halvings=max_halvings,
-            plane=plane,
-        )
-
+    # The store appends each fresh evaluation as it completes, so an
+    # interrupted run (KeyboardInterrupt included) has nothing left to
+    # flush: close() only compacts, syncs and releases the file.
     try:
         with plane:
-            if manager is not None and handle_signals:
-                with signal_checkpoint_guard(manager):
-                    search = run_search()
-            else:
-                search = run_search()
-    except KeyboardInterrupt:
-        # Interrupted by a signal (whose handler already flushed) or by a
-        # KeyboardInterrupt raised inside the objective — flush either way
-        # so no completed evaluation is lost, then let the caller see it.
-        if manager is not None:
-            manager.flush()
-        raise
+            search = pattern_search(
+                objective,
+                start_point,
+                space,
+                initial_step=initial_step,
+                max_halvings=max_halvings,
+                plane=plane,
+            )
     finally:
         if store is not None:
             store.close()
     # PoolHealth is plain data; the plane snapshots it before close()
     # drops the pool so the result can still report fleet statistics.
     pool_health = plane.pool_health
-    if manager is not None:
-        manager.flush()
 
     best = search.best_point
     solution = objective.solution(best)
@@ -520,7 +419,6 @@ def windim(
         health_log=tuple(resilient_solver.health_log)
         if resilient_solver is not None
         else (),
-        seeded_evaluations=seeded,
         store_seeded=store.loaded if store is not None else 0,
         reuse_stats=objective.reuse_stats,
         pool_health=pool_health,

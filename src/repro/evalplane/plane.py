@@ -7,7 +7,7 @@ shared-memory pool with its speculative scheduler — sits behind
 
 * :meth:`~EvaluationPlane.submit` — blocking ``windows -> EvalResult``
   through the shared evaluation cache, with budget/cap enforcement and
-  the checkpoint hook fired exactly once per fresh evaluation;
+  the ``on_evaluation`` hook fired exactly once per fresh evaluation;
 * :meth:`~EvaluationPlane.submit_many` — best-effort batch evaluation
   (multistart seed lists), trimmed to the remaining budget room;
 * speculation *hints* (:meth:`hint_sweep` / :meth:`hint_accept` /
@@ -21,7 +21,7 @@ shared-memory pool with its speculative scheduler — sits behind
 The contract certified by the conformance suite (``tests/evalplane/``):
 a pattern search driven through any plane walks the bitwise-identical
 accepted-move trajectory and returns the identical optimum as the serial
-plane, budgets and checkpoints count the same fresh evaluations, and
+plane, budgets and stores count the same fresh evaluations, and
 warm seeds propagate equivalently.  A new backend is added by
 subclassing this class and registering a factory in
 :mod:`repro.evalplane.registry` — the battery then certifies it with no
@@ -70,8 +70,8 @@ class EvaluationPlane:
         Fired with the cache after every fresh evaluation — exactly once
         each, whether the value was computed in-process, prefetched in a
         batch, or merged from a speculative pool completion.  This is
-        where checkpointing and the persistent store plug in; callers no
-        longer wire them per execution path.
+        where the persistent store plugs in; callers do not wire it per
+        execution path.
     seed_for:
         Optional ``point -> queue-length matrix or None`` warm-start
         oracle, shipped to pool workers by the persistent plane.
@@ -321,8 +321,7 @@ class EvaluationPlane:
         the remaining room) is solved in one call and primed into the
         cache.  Each primed value counts as one fresh evaluation and
         fires ``on_evaluation`` once — identical bookkeeping to an
-        in-process solve, which is what keeps checkpoints and stores
-        path-agnostic.
+        in-process solve, which is what keeps stores path-agnostic.
         """
         keys = [self._key(w) for w in batch]
         seen = set()
@@ -370,7 +369,7 @@ class EvaluationPlane:
         """Bank every in-flight result into the cache.  Idempotent.
 
         After this returns no paid-for evaluation is lost: best-so-far
-        selection, checkpoints and the persistent store all see it.
+        selection and the persistent store both see it.
         Serial planes have nothing in flight; pooled planes override.
         """
 

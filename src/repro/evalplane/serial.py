@@ -8,8 +8,8 @@ plain-function interface.
 
 ``submit_many`` has a cross-network SoA fast path: when the wrapped
 objective is a :class:`~repro.core.objective.WindowObjective` whose
-solver, reuse and backend settings allow packing (see
-:attr:`~repro.core.objective.WindowObjective.soa_batchable`; network
+solver, reuse and backend settings allow packing (the one decision is
+:meth:`~repro.core.objective.WindowObjective.engages_packs`; network
 size plays no part), the fresh slice of a seed list goes to
 :meth:`~repro.core.objective.WindowObjective.batch_solve` and is solved
 in packs (:func:`repro.mva.soa.solve_networks_batched`) instead of a
@@ -40,19 +40,9 @@ class SerialPlane(EvaluationPlane):
         non-batchable solver/backend configurations.  Caps are honoured
         quietly either way (trim to room, never raise).
         """
-        objective = self._objective
-        if not (
-            hasattr(objective, "batch_solve")
-            and getattr(objective, "soa_batchable", False)
+        engages_packs = getattr(self._objective, "engages_packs", None)
+        if engages_packs is not None and len(batch) >= 2 and engages_packs(
+            len(batch)
         ):
-            # A declined batch must never be silent: log the engagement
-            # reason before falling back to the per-point loop.
-            assess = getattr(objective, "soa_assessment", None)
-            if assess is not None and len(batch) >= 2:
-                from repro.mva import autobatch
-
-                engaged, reason = assess(len(batch))
-                if not engaged:
-                    autobatch.record_declined(reason, len(batch))
-            return super().submit_many(batch)
-        return self._submit_batched(batch)
+            return self._submit_batched(batch)
+        return super().submit_many(batch)

@@ -10,12 +10,14 @@ batched fixed point, no reuse engine, the vectorized backend and at
 least two networks.
 
 :func:`assess` is that decision; its one caller is
-:meth:`repro.core.objective.WindowObjective.soa_assessment`, which every
-batching path consults (``batch_solve``, ``batch_solve_networks``, the
-serial plane, the campaign sweeps).  It returns ``(engage, reason)`` so
-a declined batch is never silent: callers log the reason through
-:func:`record_declined`, and :func:`batch_stats` exposes the running
-engaged/declined counters for solver-mix reporting.
+:meth:`repro.core.objective.WindowObjective.soa_assessment`.  Every
+batching path (``batch_solve``, ``batch_solve_networks``, the serial
+plane, the campaign sweeps) asks
+:meth:`~repro.core.objective.WindowObjective.engages_packs`, which logs
+each decline with its reason through :func:`record_declined`, so a
+declined batch is never silent and never counted twice;
+:func:`batch_stats` exposes the running engaged/declined counters for
+solver-mix reporting.
 """
 
 from __future__ import annotations

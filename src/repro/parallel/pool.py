@@ -164,7 +164,7 @@ def _worker_main(
 
     Module-level (hence importable under ``spawn``) and self-contained.
     SIGINT is ignored so an operator Ctrl-C interrupts only the parent,
-    which then checkpoints and shuts the fleet down in order.
+    which then closes its store and shuts the fleet down in order.
 
     ``heartbeats`` is the parent's shared progress array: the worker
     stamps its slot with ``time.monotonic()`` at every dequeue and after

@@ -32,7 +32,7 @@ whether it was speculated, demanded, or computed in-process.  Accepted
 moves, the chosen optimum, and its value therefore match the sequential
 search exactly; only *how many* speculative neighbours got evaluated may
 differ (as with ``prefetch`` before it), and every one of them is
-counted against budgets and fires the checkpoint hook.
+counted against budgets and fires the ``on_evaluation`` hook.
 
 Cancellation
 ------------
@@ -84,7 +84,7 @@ class SpeculativeScheduler:
         payload — ``WindowObjective.absorb_remote`` plugs in here to
         retain solutions and feed the reuse engine / persistent store.
     on_evaluation:
-        The search's checkpoint hook; fired (with the cache) after every
+        The search's per-evaluation hook; fired (with the cache) after every
         merged fresh evaluation, speculative or demanded.
     budget / max_evaluations:
         Speculation stops (quietly) once either is exhausted; *demanded*
@@ -215,7 +215,7 @@ class SpeculativeScheduler:
 
         Called when the search ends (normally or on budget exhaustion):
         speculation already paid for is banked into the cache so
-        best-so-far, checkpoints, and the persistent store see it.
+        best-so-far and the persistent store see it.
         """
         self._speculation_open = False
         self._cancel_frontier()
@@ -323,7 +323,7 @@ class SpeculativeScheduler:
 
         ``_room()`` stops speculation from being *started* past the
         budget, but a task already on a worker when the cap is reached
-        still completes; banking it would hand checkpoints/best-so-far
+        still completes; banking it would hand the store/best-so-far
         more evaluations than the budget allows (and than the sequential
         search could ever have performed).  Room is reserved for demanded
         in-flight points: the search asked for those while within budget,
@@ -349,7 +349,7 @@ class SpeculativeScheduler:
         ):
             # Paid for but unbankable: the budget ran out while this was
             # on a worker.  Dropping it keeps the evaluation count (and
-            # every checkpoint) within the cap the search promised.
+            # the store) within the cap the search promised.
             self.dropped += 1
             return
         if done.status == "fatal":

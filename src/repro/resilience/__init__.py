@@ -1,4 +1,4 @@
-"""Resilient solver runtime (retry ladder, budgets, checkpoint/resume).
+"""Resilient solver runtime (retry ladder, budgets).
 
 Long-running WINDIM jobs must survive three failure modes the bare
 algorithms do not handle:
@@ -10,25 +10,17 @@ algorithms do not handle:
 * an *unbounded run* — contained by
   :class:`~repro.resilience.budget.SearchBudget` deadlines and evaluation
   budgets that degrade a search to best-so-far instead of hanging;
-* a *crash or kill signal* — contained by atomic JSON checkpoints and
-  resume (:mod:`repro.resilience.checkpoint`), wired into
-  ``windim run --checkpoint PATH --resume``.
+* a *crash or kill signal* — contained by the persistent evaluation
+  store (:class:`~repro.search.store.EvaluationStore`), which appends
+  every fresh evaluation as it completes; ``windim run --store PATH``
+  resumes from it.
 
 Every bounded-retry decision across these layers (ladder rungs, pool
-respawns, store IO, checkpoint writes) shares one
+respawns, store IO) shares one
 :class:`~repro.resilience.retry.RetryPolicy`.
 """
 
 from repro.resilience.budget import BudgetExhausted, SearchBudget
-from repro.resilience.checkpoint import (
-    CHECKPOINT_VERSION,
-    CheckpointCorruptError,
-    CheckpointManager,
-    SearchCheckpoint,
-    load_checkpoint,
-    save_checkpoint,
-    signal_checkpoint_guard,
-)
 from repro.resilience.health import (
     AttemptOutcome,
     DegradationEvent,
@@ -59,11 +51,4 @@ __all__ = [
     "DEFAULT_ESCALATION",
     "SearchBudget",
     "BudgetExhausted",
-    "CHECKPOINT_VERSION",
-    "CheckpointCorruptError",
-    "SearchCheckpoint",
-    "CheckpointManager",
-    "save_checkpoint",
-    "load_checkpoint",
-    "signal_checkpoint_guard",
 ]

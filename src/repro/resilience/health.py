@@ -161,7 +161,7 @@ class SolveHealth:
         return "\n".join(lines)
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-friendly representation (used by reports and checkpoints)."""
+        """JSON-friendly representation (used by reports)."""
         return {
             "windows": list(self.windows),
             "succeeded": self.succeeded,

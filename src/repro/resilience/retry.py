@@ -1,10 +1,10 @@
 """Unified retry policy for every bounded-retry decision in the runtime.
 
-Ladder rungs, pool respawns, store IO, and checkpoint writes all used to
-carry their own ad-hoc retry counters.  :class:`RetryPolicy` centralises
-the decision: bounded attempts, exponential backoff, and *deterministic*
-jitter derived from a caller-supplied salt so two processes retrying the
-same resource desynchronise without any randomness entering the search
+Ladder rungs, pool respawns and store IO all used to carry their own
+ad-hoc retry counters.  :class:`RetryPolicy` centralises the decision:
+bounded attempts, exponential backoff, and *deterministic* jitter
+derived from a caller-supplied salt so two processes retrying the same
+resource desynchronise without any randomness entering the search
 trajectory.
 """
 

@@ -8,8 +8,8 @@ dictionary, plus bookkeeping of hit/miss counts used by the benchmarks to
 report how much work memoisation saves the pattern search.
 
 Cache keys are *only* the integer window vectors — deliberately agnostic
-of which solver kernel backend produced the value, so a cache (or resumed
-checkpoint) populated by a ``"scalar"`` run is reused verbatim under
+of which solver kernel backend produced the value, so a cache (or
+evaluation store) populated by a ``"scalar"`` run is reused verbatim under
 ``"vectorized"`` and vice versa.  The parity test wall pins the two
 backends to ≤ 1e-8 relative error, far inside the tolerance of any
 search decision, which is what makes the sharing sound.
@@ -129,14 +129,11 @@ class EvaluationCache:
     def snapshot(self) -> Tuple[List[Tuple[Point, float]], Optional[Point], float, int]:
         """Atomic ``(entries, best_point, best_value, evaluations)`` copy.
 
-        Checkpointing reads several fields that must be mutually
-        consistent; taking them in one locked step keeps a flush that
-        races concurrent batch inserts from seeing a half-updated cache
-        (or dying on a dict mutated mid-iteration).  The entries are a
-        **deep copy**: a ``prime()`` racing the flush that serialises
-        this snapshot (e.g. a scheduler merge during a checkpoint write)
-        must not be able to mutate payloads the checkpoint already
-        claims to have captured.
+        The fields are taken in one locked step, so a reader that races
+        concurrent batch inserts never sees a half-updated cache (or
+        dies on a dict mutated mid-iteration).  The entries are a
+        **deep copy**: a ``prime()`` racing the reader (e.g. a scheduler
+        merge) cannot mutate payloads the snapshot already captured.
         """
         with self._lock:
             entries = copy.deepcopy(list(self.values.items()))

@@ -28,7 +28,7 @@ the loop.  Which execution backend sits behind those calls — in-process
 serial or the persistent shared-memory fleet — is entirely the plane's
 business; the conformance suite (``tests/evalplane/``) certifies that
 both walk the same trajectory.  Budget/cap enforcement and the
-``on_evaluation`` checkpoint hook live in the plane, at the single choke
+``on_evaluation`` store hook live in the plane, at the single choke
 point every fresh evaluation passes through.
 """
 
@@ -113,12 +113,12 @@ def pattern_search(
     cache:
         Optional pre-populated evaluation cache to share across runs (e.g.
         across sweep points that revisit the same windows, or seeded from
-        a resumed checkpoint).
+        an evaluation store).
     budget:
         Optional wall-clock/evaluation budget; when it runs out the search
         returns its best-so-far flagged ``status="budget_exhausted"``.
     on_evaluation:
-        Called with the cache after every fresh evaluation (checkpointing
+        Called with the cache after every fresh evaluation (the store
         hook); cache hits do not fire it.
     plane:
         The :class:`~repro.evalplane.plane.EvaluationPlane` to evaluate

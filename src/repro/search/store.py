@@ -1,13 +1,18 @@
-"""Persistent cross-run evaluation store (``windim run --store``).
+"""Persistent evaluation store: WINDIM's checkpoint (``windim run --store``).
 
-A WINDIM campaign usually dimensions the *same* network many times —
-parameter sweeps, restarted jobs, multistart batches.  Each run's
-:class:`~repro.search.cache.EvaluationCache` dies with the process, so
-identical window vectors get re-solved from scratch.  The
-:class:`EvaluationStore` spills that cache to disk: objective values *and*
-the converged queue-length vectors that warm-start future solves (see
-:class:`~repro.core.reuse.ReuseEngine`), so a later run on the same model
-starts with every previously solved point for free.
+The only state a WINDIM pattern search accumulates is its
+:class:`~repro.search.cache.EvaluationCache` — every window vector solved
+so far and its objective value (the APL ``XCMP``/``FXCMP`` arrays).  The
+search is deterministic, so that table *is* a complete checkpoint: a run
+restarted on the same store replays the trajectory, pays nothing for
+what is stored, and solves fresh only past the interruption point.  The
+same file serves campaigns that dimension one network many times —
+sweeps, restarted jobs, multistart batches.
+
+The :class:`EvaluationStore` spills the cache to disk as it grows:
+objective values and, under ``reuse=True``, the converged queue-length
+vectors that warm-start future solves (see
+:class:`~repro.core.reuse.ReuseEngine`).
 
 Format — JSON Lines, append-only:
 
@@ -20,8 +25,11 @@ Format — JSON Lines, append-only:
 
 Appending a line per fresh evaluation keeps writes O(1) and crash-safe in
 the useful sense: a crash can tear at most the final line, which
-:func:`load` silently drops (every earlier record is intact).  A torn or
-foreign *header* is a hard :class:`~repro.errors.SearchError` instead.
+:func:`load` silently drops (every earlier record is intact).  Appends
+are flushed to the OS at once, so a killed process loses nothing; they
+are fsynced every :data:`FSYNC_EVERY` records and at :meth:`close`, so a
+machine crash loses fewer than that many.  A torn or foreign *header* is a
+hard :class:`~repro.errors.SearchError` instead.
 
 The store *self-heals* on load: by default (``strict=False``) a record
 line that fails to parse or whose CRC does not match is moved to a
@@ -33,10 +41,9 @@ retried under a :class:`~repro.resilience.retry.RetryPolicy`; a store
 whose disk persistently refuses writes degrades to memory-only (with a
 warning) rather than failing the search.
 
-:meth:`EvaluationStore.compact` rewrites the file deduplicated through the
-same-directory-temp + fsync + ``os.replace`` idiom used by
-:mod:`repro.resilience.checkpoint`, so the file on disk is always either
-the old store or the complete new one.
+:meth:`EvaluationStore.compact` rewrites the file deduplicated through a
+same-directory temp file, fsync and ``os.replace``, so the file on disk
+is always either the old store or the complete new one.
 
 The header fingerprint (:func:`model_fingerprint`) hashes everything that
 determines an objective value *except* the chain populations (those are
@@ -64,9 +71,13 @@ from repro.errors import SearchError
 from repro.queueing.network import ClosedNetwork
 from repro.resilience.retry import RetryPolicy
 
-__all__ = ["STORE_VERSION", "EvaluationStore", "model_fingerprint"]
+__all__ = ["FSYNC_EVERY", "STORE_VERSION", "EvaluationStore", "model_fingerprint"]
 
 STORE_VERSION = 1
+
+#: Appended records between fsyncs: a machine crash (not just a killed
+#: process) loses fewer than this many evaluations.
+FSYNC_EVERY = 25
 
 Point = Tuple[int, ...]
 
@@ -171,6 +182,7 @@ class EvaluationStore:
         self._io_policy = io_policy or DEFAULT_STORE_RETRY
         self._broken = False  # disk gave up; keep serving from memory
         self._disk_lines = appended_lines  # eval records currently on disk
+        self._unsynced = 0  # appends since the last fsync
         self._handle = open(self.path, "a")
 
     # ------------------------------------------------------------------
@@ -416,13 +428,21 @@ class EvaluationStore:
         self._handle.write(line)
         self._handle.write("\n")
         self._handle.flush()
+        self._unsynced += 1
+        if self._unsynced >= FSYNC_EVERY:
+            self._sync()
+
+    def _sync(self) -> None:
+        """fsync the appends made since the last sync."""
+        os.fsync(self._handle.fileno())
+        self._unsynced = 0
 
     def compact(self) -> str:
         """Atomically rewrite the store with one record per point.
 
-        Uses the checkpoint idiom — same-directory temp file, fsync, then
-        ``os.replace`` — so a crash mid-compaction leaves the previous
-        store intact.  Returns the path.
+        Writes a same-directory temp file, fsyncs it, then
+        ``os.replace``-s it over the store, so a crash mid-compaction
+        leaves the previous store intact.  Returns the path.
         """
         directory = os.path.dirname(os.path.abspath(self.path)) or "."
         fd, tmp_path = tempfile.mkstemp(
@@ -462,6 +482,7 @@ class EvaluationStore:
             if self._handle.closed:
                 self._handle = open(self.path, "a")
         self._disk_lines = len(self.values)
+        self._unsynced = 0
         return self.path
 
     def stats(self) -> Dict[str, object]:
@@ -475,11 +496,13 @@ class EvaluationStore:
         }
 
     def close(self) -> None:
-        """Compact if the file holds duplicate records, then release it."""
+        """Compact if the file holds duplicate records, sync, release it."""
         if self._handle.closed:
             return
         if self._disk_lines > len(self.values) and not self._broken:
             self.compact()
+        if self._unsynced and not self._broken:
+            self._sync()
         self._handle.close()
 
     def __enter__(self) -> "EvaluationStore":

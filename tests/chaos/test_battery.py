@@ -47,17 +47,9 @@ class TestRegistry:
         # worker crash and hang on the pool runtime
         assert covered("crash", "pool.worker.task", "persistent")
         assert covered("hang", "pool.worker.task", "persistent")
-        # corrupted store bytes, corrupted checkpoint bytes, slow IO, skew
-        assert any(
-            any(r.site == "store.record" and r.action == "corrupt"
-                for r in p.rules)
-            for p in plans
-        )
-        assert any(
-            any(r.site == "checkpoint.write" and r.action == "corrupt"
-                for r in p.rules)
-            for p in plans
-        )
+        # corrupted store bytes (serial and under the fleet), slow IO, skew
+        assert covered("corrupt", "store.record", None)
+        assert covered("corrupt", "store.record", "persistent")
         assert any(
             any(r.action == "delay" for r in p.rules) for p in plans
         )
@@ -72,7 +64,7 @@ class TestRegistry:
     def test_reload_plans_exercise_multiple_runs(self):
         plans = builtin_plans()
         assert plans["corrupt-store-reload"].runs >= 2
-        assert plans["corrupt-checkpoint-resume"].runs >= 2
+        assert plans["corrupt-store-persistent"].runs >= 2
 
     def test_unknown_plan_name_rejected(self, network):
         with pytest.raises(SearchError, match="unknown chaos plan"):

@@ -83,9 +83,9 @@ class TestPerform:
         assert action is not None and action.action == "delay"
 
     def test_corrupt_action_returned_to_caller(self):
-        plan = _plan(FaultRule("checkpoint.write", "corrupt"))
+        plan = _plan(FaultRule("store.record", "corrupt"))
         with inject(plan):
-            action = perform("checkpoint.write")
+            action = perform("store.record")
         assert action is not None and action.action == "corrupt"
 
 

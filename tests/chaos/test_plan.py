@@ -1,9 +1,11 @@
 """Fault-plan DSL: validation, matching, serialisation, seeding."""
 
+import json
+
 import pytest
 
 from repro.chaos import ACTIONS, FaultPlan, FaultRule, SITES, seeded_occurrence
-from repro.errors import SearchError
+from repro.errors import ModelError, SearchError
 
 
 class TestFaultRule:
@@ -52,13 +54,21 @@ class TestFaultPlan:
             pool="persistent",
             workers=3,
             store=True,
-            checkpoint=True,
             runs=2,
             env=(("REPRO_TASK_DEADLINE", "0.5"),),
             expect="degraded",
             max_seconds=30.0,
         )
         assert FaultPlan.from_json(plan.to_json()) == plan
+
+    def test_stale_checkpoint_field_rejected(self):
+        plan = json.loads(FaultPlan(name="old", store=True).to_json())
+        plan["checkpoint"] = True
+        with pytest.raises(ModelError, match="checkpoint.*store"):
+            FaultPlan.from_json(json.dumps(plan))
+        # A stale rule on the removed site fails as an unknown site.
+        with pytest.raises(SearchError, match="unknown fault site"):
+            FaultRule.from_json({"site": "checkpoint.write", "action": "error"})
 
     def test_invalid_expectation_rejected(self):
         with pytest.raises(SearchError, match="expect"):

@@ -1,9 +1,9 @@
 """Self-healing behaviour at the windim level, driven by injected faults.
 
-Covers the seams the unit suites cannot reach alone: a corrupt
-checkpoint quarantined on resume, store damage surfacing in the result,
-the full degradation ladder preserving the fault-free optimum, and the
-``windim chaos`` CLI entry point.
+Covers the seams the unit suites cannot reach alone: store damage
+quarantined on reload and surfacing in the result, the full degradation
+ladder preserving the fault-free optimum, and the ``windim chaos`` CLI
+entry point.
 """
 
 import os
@@ -25,63 +25,6 @@ def network():
 @pytest.fixture(scope="module")
 def reference(network):
     return windim(network, max_window=MAX_WINDOW)
-
-
-class TestCheckpointSelfHealing:
-    def test_corrupt_checkpoint_quarantined_on_resume(
-        self, network, reference, tmp_path
-    ):
-        path = str(tmp_path / "run.ckpt")
-        with open(path, "w") as handle:
-            handle.write('{"version": 1, "cache"')  # torn mid-write
-        with pytest.warns(RuntimeWarning, match="corrupt"):
-            result = windim(
-                network,
-                max_window=MAX_WINDOW,
-                checkpoint_path=path,
-                resume=True,
-            )
-        assert result.status == "completed"
-        assert tuple(result.windows) == tuple(reference.windows)
-        assert result.seeded_evaluations == 0  # fresh start, not a crash
-        assert os.path.exists(path + ".corrupt")
-        # the fresh run re-wrote a healthy checkpoint: resuming again works
-        resumed = windim(
-            network,
-            max_window=MAX_WINDOW,
-            checkpoint_path=path,
-            resume=True,
-        )
-        assert resumed.seeded_evaluations > 0
-        assert tuple(resumed.windows) == tuple(reference.windows)
-
-    def test_injected_corruption_heals_across_legs(
-        self, network, reference, tmp_path
-    ):
-        path = str(tmp_path / "run.ckpt")
-        plan = FaultPlan(
-            name="ckpt-rot",
-            rules=(
-                FaultRule("checkpoint.write", "corrupt", occurrence=1,
-                          count=99),
-            ),
-        )
-        with inject(plan):
-            first = windim(
-                network,
-                max_window=MAX_WINDOW,
-                checkpoint_path=path,
-                resume=True,
-            )
-            with pytest.warns(RuntimeWarning, match="corrupt"):
-                second = windim(
-                    network,
-                    max_window=MAX_WINDOW,
-                    checkpoint_path=path,
-                    resume=True,
-                )
-        assert tuple(first.windows) == tuple(reference.windows)
-        assert tuple(second.windows) == tuple(reference.windows)
 
 
 class TestStoreSelfHealing:

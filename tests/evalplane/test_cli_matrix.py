@@ -1,9 +1,9 @@
 """End-to-end CLI matrix over the evaluation-plane backends.
 
 Drives ``repro.cli.main`` in-process across the ``--workers`` ×
-``--reuse`` × ``--resume`` matrix and asserts that every
+``--reuse`` × ``--store`` matrix and asserts that every
 combination reports the *identical* optimum, and that resuming from a
-checkpoint performs strictly fewer fresh evaluations than the run that
+store performs strictly fewer fresh evaluations than the run that
 wrote it.  This is the user-facing face of the conformance wall: the
 backends are interchangeable not just at the library layer but through
 the shell entry point.
@@ -74,16 +74,11 @@ class TestSolveMatrix:
             pytest.param(["--workers", "2"], id="persistent"),
         ],
     )
-    def test_resume_reuses_the_checkpoint(self, pool_args, capsys, tmp_path):
-        """--resume seeds the cache: same optimum, fewer fresh evals."""
-        checkpoint = str(tmp_path / "solve.ckpt.json")
-        cold = _run(
-            BASE + pool_args + ["--checkpoint", checkpoint], capsys
-        )
-        resumed = _run(
-            BASE + pool_args + ["--checkpoint", checkpoint, "--resume"],
-            capsys,
-        )
+    def test_resume_reuses_the_store(self, pool_args, capsys, tmp_path):
+        """--store seeds the cache: same optimum, fewer fresh evals."""
+        argv = BASE + pool_args + ["--store", str(tmp_path / "solve.store")]
+        cold = _run(argv, capsys)
+        resumed = _run(argv, capsys)
         assert resumed[0] == cold[0]
         assert resumed[1] == cold[1]
         # The whole trajectory is already cached, so the resumed run must
@@ -95,12 +90,11 @@ class TestSolveMatrix:
 
     def test_resume_chain_is_monotone(self, capsys, tmp_path):
         """Each resume leg evaluates no more than the previous leg."""
-        checkpoint = str(tmp_path / "chain.ckpt.json")
-        argv = BASE + ["--checkpoint", checkpoint]
+        argv = BASE + ["--store", str(tmp_path / "chain.store")]
         first = _run(argv, capsys)
         legs = [first]
         for _ in range(2):
-            legs.append(_run(argv + ["--resume"], capsys))
+            legs.append(_run(argv, capsys))
         assert {leg[0] for leg in legs} == {first[0]}
         evals = [leg[2] for leg in legs]
         assert evals == sorted(evals, reverse=True) or evals[1] == evals[2]

@@ -4,7 +4,7 @@ One battery, every registered backend: a pattern search driven through
 any evaluation plane must walk the bitwise-identical accepted-move
 trajectory and return the identical optimum as the serial reference —
 on the golden thesis fixtures and on 25 seeded fuzz networks — while
-budgets, caps, checkpoint-style cache seeding and warm seeds behave
+budgets, caps, store-style cache seeding and warm seeds behave
 equivalently, and faults (a SIGKILLed worker,
 mid-search budget exhaustion, racing cache primes) degrade to the same
 answer.  A new backend registered in :mod:`repro.evalplane.registry`
@@ -260,12 +260,12 @@ class TestBudgetSemantics:
 
 
 class TestSeededResume:
-    """Checkpoint-style cache seeding: a resumed run pays nothing."""
+    """Store-style cache seeding: a resumed run pays nothing."""
 
     def test_seeded_rerun_is_free_and_identical(self, plane_name, moderate_net):
         first, first_plane = _run_search(plane_name, moderate_net, 12)
         # Re-seed a fresh harness with the first run's cache entries —
-        # exactly what CheckpointManager/EvaluationStore replay does.
+        # exactly what an EvaluationStore replay does.
         entries, _point, _value, _evals = first_plane.cache.snapshot()
         objective, plane = build_harness(plane_name, moderate_net)
         hook_calls = []

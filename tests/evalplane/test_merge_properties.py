@@ -6,11 +6,11 @@ invariants the conformance wall's determinism rests on:
 
 * **prime-winner stability** — the first value written for a key is the
   value every later submit observes, regardless of how many racers lose;
-* **snapshot isolation** — a checkpoint snapshot never mutates when the
+* **snapshot isolation** — a cache snapshot never mutates when the
   live cache keeps merging behind it;
 * **backend-agnostic cache keys** — numpy integers, Python ints and
   integer-valued floats all normalise to the identical key, so a cache
-  (or resumed checkpoint) written by one backend is reused verbatim by
+  (or evaluation store) written by one backend is reused verbatim by
   another.
 
 Pooled planes are expensive to build, so each registered backend gets

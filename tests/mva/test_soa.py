@@ -336,6 +336,33 @@ class TestObjectiveIntegration:
         assert stats["declined_networks"] == 3
         assert stats["engaged_batches"] == 0
 
+    def test_serial_plane_decline_is_counted_once(self):
+        from repro.evalplane.serial import SerialPlane
+        from repro.mva import autobatch
+
+        batch = [(1, 1), (2, 2), (3, 3)]
+        # A reuse engine declines packs: the plane falls back to its
+        # per-point loop and the decline is logged exactly once.
+        reused = WindowObjective(
+            canadian_two_class(4.0, 4.0), "mva-heuristic", reuse=True
+        )
+        autobatch.reset_stats()
+        with SerialPlane(reused) as plane:
+            assert len(plane.submit_many(batch)) == len(batch)
+        stats = autobatch.batch_stats()
+        assert stats["declined_batches"] == 1
+        assert stats["declined_networks"] == len(batch)
+        assert sum(stats["declined_reasons"].values()) == 1
+        assert stats["engaged_batches"] == 0
+        # An engaging objective packs the same batch once, no decline.
+        packed = WindowObjective(canadian_two_class(4.0, 4.0), "mva-heuristic")
+        autobatch.reset_stats()
+        with SerialPlane(packed) as plane:
+            assert len(plane.submit_many(batch)) == len(batch)
+        stats = autobatch.batch_stats()
+        assert stats["engaged_batches"] == 1
+        assert stats["declined_batches"] == 0
+
     def test_power_curve_engages_hetero_batching(self):
         from repro.analysis.sweeps import power_curve
         from repro.mva import autobatch

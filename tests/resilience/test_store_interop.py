@@ -1,14 +1,15 @@
-"""Interop of checkpoint/resume with the persistent evaluation store.
+"""Resume and reuse through the persistent evaluation store.
 
-The two persistence mechanisms are independent: a checkpoint written by a
-store-enabled run must resume cleanly with the store disabled, and vice
-versa — and preloading a store must only ever *save* fresh evaluations.
+Preloading a store must only ever *save* fresh evaluations, a run
+without the store must not notice it exists, and warm-start seeds are
+stored exactly when a run can read them back (``reuse=True``).
 """
 
 import pytest
 
 from repro.core.windim import windim
 from repro.netmodel.examples import arpanet_fragment
+from repro.search.store import EvaluationStore, model_fingerprint
 
 MAX_WINDOW = 12
 
@@ -16,34 +17,6 @@ MAX_WINDOW = 12
 @pytest.fixture
 def network():
     return arpanet_fragment()
-
-
-def test_checkpoint_from_store_run_resumes_without_store(tmp_path, network):
-    ckpt = str(tmp_path / "run.ckpt")
-    store = str(tmp_path / "run.store")
-    first = windim(
-        network, max_window=MAX_WINDOW, checkpoint_path=ckpt,
-        store_path=store, reuse=True,
-    )
-    resumed = windim(
-        network, max_window=MAX_WINDOW, checkpoint_path=ckpt, resume=True,
-    )
-    assert resumed.windows == first.windows
-    assert resumed.seeded_evaluations > 0
-    assert resumed.store_seeded == 0
-    assert resumed.search.evaluations == 0  # everything came from the checkpoint
-
-
-def test_checkpoint_from_plain_run_resumes_with_store(tmp_path, network):
-    ckpt = str(tmp_path / "run.ckpt")
-    store = str(tmp_path / "run.store")
-    first = windim(network, max_window=MAX_WINDOW, checkpoint_path=ckpt)
-    resumed = windim(
-        network, max_window=MAX_WINDOW, checkpoint_path=ckpt, resume=True,
-        store_path=store, reuse=True,
-    )
-    assert resumed.windows == first.windows
-    assert resumed.search.evaluations == 0
 
 
 def test_store_enabled_resume_needs_strictly_fewer_fresh_evals(tmp_path, network):
@@ -99,3 +72,17 @@ def test_store_seeds_warm_start_the_resumed_run(tmp_path, network):
     # warm-start from.
     assert stats is not None
     assert stats["cold_solves"] == 0
+
+
+@pytest.mark.parametrize("reuse", [False, True])
+def test_store_holds_seeds_only_under_reuse(tmp_path, network, reuse):
+    store = str(tmp_path / "run.store")
+    windim(network, max_window=MAX_WINDOW, store_path=store, reuse=reuse)
+    with EvaluationStore.open(
+        store, model_fingerprint(network, "mva-heuristic")
+    ) as reloaded:
+        assert len(reloaded) > 0
+        if reuse:
+            assert len(reloaded.seeds) == len(reloaded)
+        else:
+            assert reloaded.seeds == {}

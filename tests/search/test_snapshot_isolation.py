@@ -1,8 +1,8 @@
 """`EvaluationCache.snapshot` isolation under concurrent mutation.
 
-Checkpoint flushes serialise a snapshot while pool-scheduler merges keep
-priming the live cache; the snapshot must be a deep copy so nothing the
-checkpoint already claims to have captured can change under it.
+A snapshot may be read while pool-scheduler merges keep priming the live
+cache; it must be a deep copy so nothing it already captured can change
+under it.
 """
 
 import threading

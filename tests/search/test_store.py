@@ -9,7 +9,12 @@ import pytest
 
 from repro.errors import SearchError
 from repro.netmodel.examples import arpanet_fragment, canadian_two_class
-from repro.search.store import STORE_VERSION, EvaluationStore, model_fingerprint
+from repro.search.store import (
+    FSYNC_EVERY,
+    STORE_VERSION,
+    EvaluationStore,
+    model_fingerprint,
+)
 
 
 @pytest.fixture
@@ -203,6 +208,28 @@ class TestCompaction:
         reloaded = EvaluationStore.open(path, fingerprint)
         assert reloaded.loaded == 2
         reloaded.close()
+
+
+class TestDurability:
+    def test_fsync_every_interval_and_at_close(
+        self, tmp_path, fingerprint, monkeypatch
+    ):
+        path = str(tmp_path / "s")
+        store = EvaluationStore.open(path, fingerprint)
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: synced.append(fd) or real_fsync(fd)
+        )
+        for k in range(1, FSYNC_EVERY):
+            store.record((k, 1), float(k))
+        assert synced == []  # flushed, not yet synced
+        store.record((FSYNC_EVERY, 1), 1.0)
+        assert len(synced) == 1
+        store.record((1, 2), 1.0)
+        assert len(synced) == 1
+        store.close()
+        assert len(synced) == 2  # the tail since the last sync
 
 
 class TestHeaderCreation:

@@ -55,33 +55,29 @@ class TestResilienceFlags:
             ["run", "--rates", "18", "18", "--deadline", "30"]
         )
         assert args.deadline == 30.0
-        assert args.checkpoint is None
-        assert not args.resume
+        assert args.store is None
 
-    def test_checkpoint_and_resume_via_cli(self, tmp_path, capsys):
-        path = str(tmp_path / "cli.ckpt")
-        code = main(
-            [
-                "run",
-                "--network", "canadian2",
-                "--rates", "25", "25",
-                "--checkpoint", path,
-            ]
-        )
-        assert code == 0
+    def test_store_resumes_via_cli(self, tmp_path, capsys):
+        argv = [
+            "run",
+            "--network", "canadian2",
+            "--rates", "25", "25",
+            "--store", str(tmp_path / "cli.store"),
+        ]
+        assert main(argv) == 0
         capsys.readouterr()
-        code = main(
-            [
-                "run",
-                "--network", "canadian2",
-                "--rates", "25", "25",
-                "--checkpoint", path,
-                "--resume",
-            ]
-        )
-        assert code == 0
+        assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "resumed from checkpoint" in out
+        assert "persistent store" in out and "preloaded" in out
+        assert "objective evaluations = 0 " in out
+
+    @pytest.mark.parametrize(
+        "flag", [["--checkpoint", "run.ckpt"], ["--checkpoint-every", "5"],
+                 ["--resume"]]
+    )
+    def test_checkpoint_flags_are_removed(self, flag):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--rates", "18", "18", *flag])
 
     def test_max_evaluations_budget_reported(self, capsys):
         code = main(
@@ -101,8 +97,8 @@ class TestResilienceFlags:
 
 
 class TestPersistentPoolE2E:
-    """The full parallel stack through the CLI: pool + reuse + store +
-    checkpoint/resume in one run, checked against the serial answer."""
+    """The full parallel stack through the CLI: pool + reuse + store
+    resume in one run, checked against the serial answer."""
 
     @staticmethod
     def _windows(out):
@@ -116,7 +112,7 @@ class TestPersistentPoolE2E:
 
         return int(re.search(r"objective evaluations\s*=\s*(\d+)", out).group(1))
 
-    def test_pool_reuse_store_checkpoint_resume(self, tmp_path, capsys):
+    def test_pool_reuse_store_resume(self, tmp_path, capsys):
         base = [
             "solve",
             "--network", "canadian2",
@@ -130,19 +126,18 @@ class TestPersistentPoolE2E:
             "--workers", "2",
             "--reuse",
             "--store", str(tmp_path / "run.store"),
-            "--checkpoint", str(tmp_path / "run.ckpt"),
         ]
         assert main(combined) == 0
         first_out = capsys.readouterr().out
         assert self._windows(first_out) == self._windows(serial_out)
         assert "evaluation pool" in first_out
 
-        assert main(combined + ["--resume"]) == 0
+        assert main(combined) == 0
         resumed_out = capsys.readouterr().out
-        assert "resumed from checkpoint" in resumed_out
+        assert "evaluations preloaded" in resumed_out
         assert self._windows(resumed_out) == self._windows(serial_out)
-        # Everything the first run solved rides in via the checkpoint, so
-        # the resumed run pays strictly fewer fresh evaluations.
+        # Everything the first run solved rides in via the store, so the
+        # resumed run pays strictly fewer fresh evaluations.
         assert (
             self._fresh_evaluations(resumed_out)
             < self._fresh_evaluations(first_out)

@@ -1,20 +1,18 @@
 """Concurrency safety of the shared search state.
 
 Parallel batch evaluation (``WindowObjective.batch_solve`` on a process
-pool) funnels results back into one :class:`EvaluationCache` and, when
-checkpointing, one :class:`CheckpointManager` — both may be hit from the
-search thread and callback contexts concurrently.  These tests hammer the
-two from many threads and require the invariants the search relies on:
+pool) funnels results back into one :class:`EvaluationCache`, which may
+be hit from the search thread and callback contexts concurrently.  These
+tests hammer it from many threads and require the invariants the search
+relies on:
 
 * cache values/history/counters stay mutually consistent, each distinct
   point is evaluated exactly once, racing ``prime`` calls elect a single
-  winner;
-* a checkpoint flush racing concurrent inserts always writes a loadable,
-  internally consistent file;
-* a parallel run interrupted mid-batch resumes from its checkpoint to
-  the same optimum as an uninterrupted serial run;
-* checkpoints are backend-agnostic: a scalar-populated cache is replayed
-  for free under ``--solver-backend vectorized``.
+  winner, and a snapshot is mutually consistent;
+* a parallel run interrupted mid-batch resumes from its evaluation store
+  to the same optimum as an uninterrupted serial run;
+* stores are backend-agnostic: a scalar-populated store is replayed for
+  free under ``--solver-backend vectorized``.
 """
 
 from __future__ import annotations
@@ -24,10 +22,9 @@ import threading
 import pytest
 
 from repro.core.windim import windim
-from repro.errors import SearchError
 from repro.netmodel.examples import canadian_two_class
-from repro.resilience.checkpoint import CheckpointManager, load_checkpoint
 from repro.search.cache import EvaluationCache
+from repro.search.store import EvaluationStore, model_fingerprint
 
 THREADS = 8
 
@@ -100,54 +97,6 @@ class TestCacheThreadSafety:
         assert dict(cache.history) == cache.values
         assert all(cache.values[p] == float(sum(p)) for p in points)
 
-
-class TestCheckpointFlushConcurrency:
-    def test_flush_racing_batch_inserts_always_writes_valid_files(
-        self, tmp_path
-    ):
-        """Flushes interleaved with ``prime`` bursts must never produce a
-        torn or internally inconsistent checkpoint."""
-        cache = EvaluationCache(lambda p: float(sum(p)))
-        path = str(tmp_path / "race.ckpt")
-        manager = CheckpointManager(path, every=1)
-        manager.attach(cache)
-        errors = []
-        stop = threading.Event()
-
-        def producer():
-            for i in range(500):
-                cache.prime((i, i), float(i))
-            stop.set()
-
-        def flusher():
-            while not stop.is_set():
-                try:
-                    manager.flush()
-                except Exception as exc:  # pragma: no cover - the failure
-                    errors.append(exc)
-                    stop.set()
-
-        def reader():
-            while not stop.is_set():
-                try:
-                    load_checkpoint(path)
-                except SearchError as exc:
-                    if "cannot read" not in str(exc):  # missing file is fine
-                        errors.append(exc)
-                        stop.set()
-                except Exception as exc:  # pragma: no cover - the failure
-                    errors.append(exc)
-                    stop.set()
-
-        _run_threads([producer, flusher, flusher, reader])
-        assert not errors
-
-        manager.flush()
-        final = load_checkpoint(path)
-        assert len(final.cache_entries) == 500
-        assert final.evaluations == 500
-        assert dict(final.cache_entries) == cache.values
-
     def test_snapshot_is_mutually_consistent(self):
         cache = EvaluationCache(lambda p: float(sum(p)))
         for i in range(10):
@@ -158,59 +107,59 @@ class TestCheckpointFlushConcurrency:
         assert evaluations == cache.evaluations
 
 
-class TestParallelCheckpointResume:
+class TestParallelStoreResume:
     NETWORK_ARGS = (18.0, 18.0)
 
     def test_mid_batch_interrupt_resumes_to_same_optimum(self, tmp_path):
         """Exhaust the evaluation budget mid-way through a parallel run,
-        then resume from the checkpoint: same optimum as serial."""
+        then resume from the store: same optimum as serial."""
         network = canadian_two_class(*self.NETWORK_ARGS)
         baseline = windim(network, max_window=16)
 
-        path = str(tmp_path / "parallel.ckpt")
+        path = str(tmp_path / "parallel.store")
         cut = 6
         assert baseline.search.evaluations > cut
         partial = windim(
             network,
             max_window=16,
             workers=2,
-            checkpoint_path=path,
-            checkpoint_every=1,
+            store_path=path,
             max_evaluations=cut,
         )
         assert partial.status == "budget_exhausted"
-        interrupted = load_checkpoint(path)
-        assert 0 < len(interrupted.cache_entries) <= cut
+        with EvaluationStore.open(
+            path, model_fingerprint(network, "mva-heuristic")
+        ) as interrupted:
+            stored = len(interrupted)
+        assert 0 < stored <= cut
 
         resumed = windim(
             network,
             max_window=16,
             workers=2,
-            checkpoint_path=path,
-            resume=True,
+            store_path=path,
         )
         assert resumed.windows == baseline.windows
         assert resumed.power == pytest.approx(baseline.power)
-        assert resumed.seeded_evaluations == len(interrupted.cache_entries)
+        assert resumed.store_seeded == stored
 
-    def test_scalar_checkpoint_replays_free_under_vectorized(self, tmp_path):
-        """Regression: cache keys carry no backend tag, so a checkpoint
+    def test_scalar_store_replays_free_under_vectorized(self, tmp_path):
+        """Regression: store keys carry no backend tag, so a store
         written by a scalar run must resume for free under the vectorized
         backend (and land on the same optimum)."""
         network = canadian_two_class(*self.NETWORK_ARGS)
-        path = str(tmp_path / "scalar.ckpt")
+        path = str(tmp_path / "scalar.store")
         scalar = windim(
-            network, max_window=16, backend="scalar", checkpoint_path=path
+            network, max_window=16, backend="scalar", store_path=path
         )
         resumed = windim(
             network,
             max_window=16,
             backend="vectorized",
-            checkpoint_path=path,
-            resume=True,
+            store_path=path,
         )
         assert resumed.windows == scalar.windows
-        assert resumed.seeded_evaluations == scalar.search.evaluations
+        assert resumed.store_seeded == scalar.search.evaluations
         assert resumed.search.evaluations == 0, (
-            "a backend-tagged cache key forced re-evaluation"
+            "a backend-tagged store key forced re-evaluation"
         )

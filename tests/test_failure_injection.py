@@ -100,7 +100,7 @@ class TestSolverInputPoisoning:
 
 
 class TestResilienceLadderInjection:
-    """ISSUE cases: flaky solver, timing-out solver, torn checkpoint."""
+    """ISSUE cases: flaky solver, timing-out solver, torn store record."""
 
     def test_flaky_solver_recovers_on_second_damped_retry(self, two_class_net):
         from repro.mva.heuristic import solve_mva_heuristic
@@ -146,33 +146,32 @@ class TestResilienceLadderInjection:
         assert result.search.evaluations <= 3
         assert "deadline" in result.search.stop_reason
 
-    def test_checkpoint_corrupted_mid_write_is_quarantined(self, tmp_path):
-        # Simulate a torn write from a crash of a non-atomic writer: the
-        # file holds only a prefix of the JSON.  Resume must never start
-        # silently from garbage: the damage is quarantined with a loud
-        # warning, and the run restarts fresh (zero seeded evaluations).
+    def test_store_corrupted_mid_write_is_quarantined(self, tmp_path):
+        # Simulate a torn record from a crash of a non-atomic writer: a
+        # record line holds only a prefix of its JSON.  Resume must never
+        # start silently from garbage: the damaged line is quarantined
+        # with a loud warning, and the healthy records still seed the run.
         import os
 
         from repro.core.windim import windim
-        from repro.resilience import SearchCheckpoint
-
-        full = SearchCheckpoint(
-            cache_entries=[((3, 3), 0.5)], meta={"num_chains": 2}
-        ).to_json()
-        path = tmp_path / "torn.ckpt"
-        path.write_text(full[: len(full) - 10])
 
         network = canadian_two_class(18.0, 18.0, windows=(1, 1))
-        with pytest.warns(RuntimeWarning, match="not valid JSON"):
-            result = windim(
-                network,
-                max_window=8,
-                checkpoint_path=str(path),
-                resume=True,
-            )
+        path = str(tmp_path / "torn.store")
+        first = windim(network, max_window=8, store_path=path)
+        with open(path) as handle:
+            lines = handle.read().splitlines()
+        lines[2] = lines[2][: len(lines[2]) - 10]
+        with open(path, "w") as handle:
+            handle.write("\n".join(lines) + "\n")
+
+        with pytest.warns(RuntimeWarning, match="quarantined 1 corrupt"):
+            result = windim(network, max_window=8, store_path=path)
         assert result.status == "completed"
-        assert result.seeded_evaluations == 0
-        assert os.path.exists(str(path) + ".corrupt")
+        assert result.windows == first.windows
+        assert result.store_quarantined == 1
+        assert result.store_seeded == first.search.evaluations - 1
+        assert result.search.evaluations == 1  # only the torn point
+        assert os.path.exists(path + ".quarantine")
 
 
 class TestCliFailurePaths:
