@@ -5,6 +5,14 @@ The thesis heuristic (§4.2 STEP 6) iterates until "the stopping condition
 norm of the change in class throughputs (``CRIT`` in ``FCT``).  This module
 centralises that policy — tolerance, iteration budget, optional damping —
 so every iterative solver in :mod:`repro.mva` behaves consistently.
+
+``CRIT`` has one definition, :meth:`IterationControl.residuals`: the
+norms of many networks' throughput changes at once, one per contiguous
+segment of a packed vector.  A SoA pack (:mod:`repro.mva.soa`) takes
+every network's stopping decision of a sweep in that one call, and
+:meth:`IterationControl.residual` is its one-segment case, so the
+heuristic, Schweitzer, Linearizer, asymptotic and dense reference loops
+all round ``CRIT`` the same way.
 """
 
 from __future__ import annotations
@@ -19,6 +27,9 @@ from repro.errors import ConvergenceError, ConvergenceWarning, ModelError
 
 __all__ = ["IterationControl"]
 
+#: ``starts`` of a vector that is one segment.
+_WHOLE = np.zeros(1, dtype=np.intp)
+
 
 @dataclass(frozen=True)
 class IterationControl:
@@ -28,7 +39,9 @@ class IterationControl:
     ----------
     tolerance:
         Convergence threshold on the Euclidean norm of the change in the
-        iterate (class throughput vector for the MVA heuristics).
+        iterate (class throughput vector for the MVA heuristics), as
+        :meth:`residuals` computes it — per network, for a pack of
+        several.
     max_iterations:
         Hard budget; behaviour on exhaustion is set by ``raise_on_failure``.
     damping:
@@ -56,9 +69,26 @@ class IterationControl:
         if not 0.0 < self.damping <= 1.0:
             raise ModelError(f"damping must be in (0, 1], got {self.damping}")
 
+    def residuals(
+        self, current: np.ndarray, previous: np.ndarray, starts: np.ndarray
+    ) -> np.ndarray:
+        """Euclidean norm of the iterate change per segment (the APL ``CRIT``).
+
+        ``current`` and ``previous`` are 1-d vectors cut into contiguous,
+        non-empty segments that begin at the ascending offsets ``starts``
+        (a pack's ``chain_offsets[:-1]``); entry ``j`` of the result is
+        ``sqrt(sum(d * d))`` over segment ``j`` of ``d = current -
+        previous``.  ``np.add.reduceat`` sums each segment on its own, in
+        an order fixed by the segment's length alone, so a network's
+        residual does not depend on where it sits in the pack: a pack
+        and its networks' serial solves stop on the same sweeps.
+        """
+        d = np.asarray(current) - np.asarray(previous)
+        return np.sqrt(np.add.reduceat(d * d, starts))
+
     def residual(self, current: np.ndarray, previous: np.ndarray) -> float:
-        """Euclidean norm of the iterate change (the APL ``CRIT``)."""
-        return float(np.linalg.norm(np.asarray(current) - np.asarray(previous)))
+        """:meth:`residuals` of a vector that is one segment."""
+        return float(self.residuals(current, previous, _WHOLE)[0])
 
     def has_converged(self, current: np.ndarray, previous: np.ndarray) -> bool:
         """True when the residual falls below the tolerance."""

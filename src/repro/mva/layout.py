@@ -95,6 +95,10 @@ class RouteLayout:
         ``(L,)`` bool mask of infinite-server stations.
     visit_mask:
         ``(R, L)`` bool, ``visit_counts > 0``.
+    slot_index, chain_index, station_index:
+        One entry per visited (chain, station) pair: slot ``k`` of
+        column ``r`` holds station ``slots[k, r]``.  :meth:`scatter`
+        reads them instead of searching :attr:`valid` on every call.
     """
 
     num_stations: int
@@ -105,6 +109,9 @@ class RouteLayout:
     bins: np.ndarray
     delay_mask: np.ndarray
     visit_mask: np.ndarray
+    slot_index: np.ndarray
+    chain_index: np.ndarray
+    station_index: np.ndarray
 
     @classmethod
     def build(cls, network) -> "RouteLayout":
@@ -138,6 +145,9 @@ class RouteLayout:
             bins=_frozen(np.where(valid, slots, num_stations)),
             delay_mask=_frozen(delay_mask),
             visit_mask=_frozen(visit_mask),
+            slot_index=_frozen(position),
+            chain_index=_frozen(chains),
+            station_index=_frozen(stations),
         )
 
     @property
@@ -158,6 +168,7 @@ class RouteLayout:
     def scatter(self, compact: np.ndarray) -> np.ndarray:
         """Expand ``(K', R)`` slots (``K' >= K``) to a dense ``(R, L)`` array."""
         dense = np.zeros((self.num_chains, self.num_stations))
-        k, r = np.nonzero(self.valid)
-        dense[r, self.slots[k, r]] = compact[k, r]
+        dense[self.chain_index, self.station_index] = compact[
+            self.slot_index, self.chain_index
+        ]
         return dense

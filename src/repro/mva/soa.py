@@ -10,7 +10,8 @@ through the per-station totals, so B networks pack side by side into one
 ``(K, N)`` array (``N`` = their chains together, ``K`` = their longest
 route) and the heuristic/Schweitzer iteration advances all of them at
 once: one dispatch per step instead of B, with per-network convergence
-masking (a network's solution is snapshotted the moment *its* residual
+masking (every network's residual of a sweep comes from one segmented
+reduction; a network's solution is snapshotted the moment *its* residual
 crosses the tolerance and its columns are compacted out of the live
 arrays, so the batch only ever pays for unfinished work).
 
@@ -36,8 +37,12 @@ floating-point operations in the same order:
   same order as the serial solve;
 * the increments recursion is column-independent
   (:func:`repro.mva.heuristic.batched_increments`);
-* each network's stopping decision uses ``control.residual`` on its own
-  contiguous ``(R,)`` throughput slice.
+* every network's stopping decision of a sweep comes from one
+  :meth:`~repro.mva.convergence.IterationControl.residuals` call over
+  the pack's throughput vector, segmented at the networks' first
+  columns; ``np.add.reduceat`` sums each network's own contiguous
+  ``(R,)`` segment in an order fixed by ``R`` alone, and a serial solve
+  (a pack of one) makes the same call on its one segment.
 
 A pack concatenates each network's own columns and pads neither chains
 nor stations.  (Asserted by ``tests/mva/test_soa.py`` and
@@ -304,6 +309,13 @@ def fixed_point(
     ``converged=False``; warning about them (or raising) is left to the
     caller, once every network of the pack is done.
 
+    STEP 6 is one vectorized pass per sweep: a single
+    :meth:`~repro.mva.convergence.IterationControl.residuals` call gives
+    every live network's residual, and ``residuals < tolerance`` marks
+    the networks that finish on this sweep.  Only those networks cost
+    Python work (their :class:`NetworkSolution` is built), and the pack
+    makes no per-network residual call.
+
     Converged networks are *compacted out* of the live columns: every
     operation is column- or network-local (see the module's parity
     contract), so dropping finished columns — and rebuilding the
@@ -339,16 +351,16 @@ def fixed_point(
         )
 
     throughputs = np.zeros(populations.size)
-    bounds = pack.chain_offsets
+    widths = np.diff(pack.chain_offsets)  # live network -> its chains
+    starts = pack.chain_offsets[:-1]  # live network -> its first column
     indices = np.arange(pack.batch)  # live network -> pack index
-    residuals = np.full(pack.batch, float("inf"))
     solutions: List[Optional[NetworkSolution]] = [None] * pack.batch
 
     def snapshot(j: int, converged: bool) -> None:
-        columns = slice(bounds[j], bounds[j + 1])
-        network = pack.networks[int(indices[j])]
+        columns = slice(starts[j], starts[j] + widths[j])
+        network = pack.networks[indices[j]]
         layout = network.route_layout
-        solutions[int(indices[j])] = NetworkSolution(
+        solutions[indices[j]] = NetworkSolution(
             network=network,
             throughputs=throughputs[columns].copy(),
             queue_lengths=layout.scatter(queue_lengths[:, columns]),
@@ -382,32 +394,26 @@ def fixed_point(
         # STEP 5 — Little's law for queues.
         queue_lengths = new_throughputs * waiting
 
-        # STEP 6 — per-network stopping decision on contiguous slices.
-        done = []
-        for j in range(indices.size):
-            columns = slice(bounds[j], bounds[j + 1])
-            residuals[j] = control.residual(
-                new_throughputs[columns], throughputs[columns]
-            )
-            if residuals[j] < control.tolerance:
-                done.append(j)
+        # STEP 6 — every live network's stopping decision in one pass.
+        residuals = control.residuals(new_throughputs, throughputs, starts)
+        finished = residuals < control.tolerance
         throughputs = new_throughputs
-        for j in done:
-            snapshot(j, True)
+        done = finished.nonzero()[0].tolist()
         if not done:
             if accelerator is not None:
                 accelerated = accelerator.push(queue_lengths)
                 if accelerated is not None:
                     queue_lengths = accelerated
             continue
-
-        keep = np.ones(indices.size, dtype=bool)
-        keep[done] = False
-        if not keep.any():
+        for j in done:
+            snapshot(j, True)
+        if len(done) == indices.size:
             return solutions  # type: ignore[return-value]
-        live = np.repeat(keep, np.diff(bounds))
-        indices, residuals = indices[keep], residuals[keep]
-        bounds = np.concatenate(([0], np.cumsum(np.diff(bounds)[keep])))
+
+        keep = ~finished
+        live = np.repeat(keep, widths)
+        indices, widths, residuals = indices[keep], widths[keep], residuals[keep]
+        starts = np.cumsum(widths) - widths
         demands, queueing, bins = demands[:, live], queueing[:, live], bins[:, live]
         queue_lengths, waiting = queue_lengths[:, live], waiting[:, live]
         int_pops, populations = int_pops[live], populations[live]

@@ -11,6 +11,7 @@ sequence of station visits plus a fixed population (the window).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import ModelError
@@ -72,14 +73,25 @@ class ClosedChain:
             )
 
     def with_population(self, population: int) -> "ClosedChain":
-        """Return a copy of this chain with a different window size."""
-        return ClosedChain(
-            name=self.name,
-            visits=self.visits,
-            service_times=self.service_times,
-            population=population,
-            source_station=self.source_station,
-        )
+        """Return a copy of this chain with a different window size.
+
+        Only the population is checked: the route fields are carried over
+        from this already-validated, frozen chain, so a window sweep pays
+        for one integer test per copy, not a full re-validation.
+        """
+        if not isinstance(population, Integral) or population < 0:
+            raise ModelError(
+                f"chain {self.name!r}: population must be an integer >= 0, "
+                f"got {population!r}"
+            )
+        # Field by field, not through the copy's ``__dict__``: touching
+        # that would give every copy a full dict of its own (about 64
+        # bytes more a chain, and a sweep keeps thousands).
+        chain = object.__new__(ClosedChain)
+        for name, value in self.__dict__.items():
+            object.__setattr__(chain, name, value)
+        object.__setattr__(chain, "population", population)
+        return chain
 
     @property
     def hop_count(self) -> int:

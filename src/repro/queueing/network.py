@@ -65,6 +65,10 @@ class ClosedNetwork:
     _layout: Optional["RouteLayout"] = field(
         default=None, compare=False, repr=False
     )
+    # The topology's power-delay mask, built on first use (see delay_mask).
+    _delay_mask: Optional[np.ndarray] = field(
+        default=None, compare=False, repr=False
+    )
 
     # ------------------------------------------------------------------
     # construction
@@ -226,12 +230,16 @@ class ClosedNetwork:
 
         ``True`` where chain ``r`` visits station ``i`` *and* station ``i``
         is not chain ``r``'s source queue — the thesis set ``V(r)``.
+        Built once, on first use, read-only, and shared by every
+        :meth:`with_populations` copy, like :attr:`route_layout`.
         """
-        mask = self.visit_counts > 0
-        for r in range(self.num_chains):
-            if self.source_index[r] >= 0:
-                mask[r, self.source_index[r]] = False
-        return mask
+        if self._delay_mask is None:
+            mask = self.visit_counts > 0
+            sourced = np.flatnonzero(self.source_index >= 0)
+            mask[sourced, self.source_index[sourced]] = False
+            mask.flags.writeable = False
+            object.__setattr__(self, "_delay_mask", mask)
+        return self._delay_mask
 
     def is_fixed_rate(self) -> bool:
         """True when every station is single-server fixed-rate or IS.
@@ -255,17 +263,19 @@ class ClosedNetwork:
             raise ModelError(
                 f"expected {self.num_chains} populations, got {len(populations)}"
             )
+        windows = [int(p) for p in populations]
         new_chains = tuple(
-            chain.with_population(int(p)) for chain, p in zip(self.chains, populations)
+            chain.with_population(w) for chain, w in zip(self.chains, windows)
         )
         return ClosedNetwork(
             stations=self.stations,
             chains=new_chains,
             demands=self.demands,
             visit_counts=self.visit_counts,
-            populations=np.asarray([int(p) for p in populations], dtype=np.int64),
+            populations=np.asarray(windows, dtype=np.int64),
             source_index=self.source_index,
             _layout=self.route_layout,
+            _delay_mask=self.delay_mask(),
         )
 
     def subnetwork(self, chain: int) -> "ClosedNetwork":

@@ -44,6 +44,30 @@ class TestResidual:
         control = IterationControl()
         assert control.residual(np.array([3.0, 0.0]), np.array([0.0, 4.0])) == 5.0
 
+    def test_residuals_keeps_the_3_4_5_example_per_segment(self):
+        control = IterationControl()
+        current = np.array([3.0, 0.0, 1.0, 6.0, 0.0])
+        previous = np.array([0.0, 4.0, 1.0, 0.0, 8.0])
+        residuals = control.residuals(current, previous, np.array([0, 2, 3]))
+        assert residuals.tolist() == [5.0, 0.0, 10.0]
+
+    def test_residuals_equal_residual_per_segment(self):
+        # Segments longer than 8 are summed in numpy's blocked order; it
+        # must depend on the segment alone, never on its offset.
+        control = IterationControl()
+        rng = np.random.default_rng(7)
+        lengths = [4, 120, 2, 25, 1, 9]
+        starts = np.cumsum([0] + lengths[:-1])
+        for scale in (1e-9, 1.0, 1e4):
+            current = rng.standard_normal(sum(lengths)) * scale
+            previous = rng.standard_normal(sum(lengths)) * scale
+            residuals = control.residuals(current, previous, starts)
+            for j, (start, length) in enumerate(zip(starts, lengths)):
+                segment = slice(start, start + length)
+                assert residuals[j] == control.residual(
+                    current[segment], previous[segment]
+                )
+
     def test_has_converged(self):
         control = IterationControl(tolerance=1e-3)
         assert control.has_converged(np.array([1.0]), np.array([1.0 + 1e-4]))

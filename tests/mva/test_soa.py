@@ -24,8 +24,8 @@ from repro.mva.soa import (
     solve_packed,
     solve_windows_batched,
 )
-from repro.netmodel.examples import canadian_two_class
-from repro.netmodel.generator import random_network
+from repro.netmodel.examples import canadian_four_class, canadian_two_class
+from repro.netmodel.generator import random_network, scale_fixture
 
 SERIAL = {"mva-heuristic": solve_mva_heuristic, "schweitzer": solve_schweitzer}
 
@@ -198,6 +198,64 @@ class TestHeterogeneousPack:
 
     def test_empty_batch_is_empty(self):
         assert soa.solve_networks_batched([]) == []
+
+
+class TestSegmentedStopping:
+    """Every network's stopping decision of a sweep is one reduction."""
+
+    def test_mixed_sizes_match_serial_bitwise(self):
+        # The 120-chain segment sits at a nonzero offset, so its residual
+        # goes through reduceat's blocked summation mid-pack.
+        networks = [
+            canadian_four_class(6.0, 6.0, 6.0, 12.0, windows=(2, 2, 2, 4)),
+            scale_fixture("medium"),
+            canadian_two_class(4.0, 4.0, windows=(3, 2)),
+        ]
+        for solver in BATCHABLE_SOLVERS:
+            solutions = solve_packed(pack_networks(networks), solver)
+            for network, sol in zip(networks, solutions):
+                _assert_same_solution(
+                    sol, SERIAL[solver](network, backend="vectorized")
+                )
+
+    def test_one_residuals_call_per_sweep(self, monkeypatch):
+        calls = {"residuals": 0, "residual": 0}
+
+        def counted(name):
+            original = getattr(IterationControl, name)
+
+            def wrapper(self, *args):
+                calls[name] += 1
+                return original(self, *args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(IterationControl, name, counted(name))
+        network = canadian_four_class(6.0, 6.0, 6.0, 12.0)
+        # Every window vector of [1, 6]^4.
+        windows = (np.indices((6,) * 4).reshape(4, -1).T + 1).tolist()
+        assert len(windows) == 1296
+        solutions = solve_windows_batched(network, windows)
+        assert all(sol.converged for sol in solutions)
+        assert calls == {
+            "residuals": max(sol.iterations for sol in solutions),
+            "residual": 0,
+        }
+
+
+class TestScatter:
+    def test_cached_index_matches_nonzero_scatter(self):
+        networks = (canadian_four_class(6.0, 6.0, 6.0, 12.0), scale_fixture("small"))
+        for network in networks:
+            layout = network.route_layout
+            rng = np.random.default_rng(3)
+            # A pack pads columns past the layout's own depth.
+            padded = rng.standard_normal((layout.depth + 2, layout.num_chains))
+            expected = np.zeros((layout.num_chains, layout.num_stations))
+            k, r = np.nonzero(layout.valid)
+            expected[r, layout.slots[k, r]] = padded[k, r]
+            assert np.array_equal(layout.scatter(padded), expected)
 
 
 class TestChunking:

@@ -58,6 +58,14 @@ class TestClosedChainBehaviour:
         assert bigger.population == 9
         assert chain.population == 4
         assert bigger.visits == chain.visits
+        assert bigger.service_times == chain.service_times
+        assert bigger.source_station == chain.source_station
+        assert bigger == make_chain(population=9)
+
+    @pytest.mark.parametrize("population", [-1, 2.5, "3"])
+    def test_with_population_checks_the_window(self, population):
+        with pytest.raises(ModelError, match="'c'.*population"):
+            make_chain().with_population(population)
 
     def test_hop_count_excludes_source(self):
         assert make_chain().hop_count == 2

@@ -123,6 +123,42 @@ class TestWithPopulations:
         with pytest.raises(ModelError):
             build_two_chain().with_populations([1])
 
+    def test_negative_window_rejected(self):
+        with pytest.raises(ModelError, match="'c2'.*population"):
+            build_two_chain().with_populations([1, -1])
+
+    def test_copies_share_the_topology_masks(self):
+        net = build_two_chain()
+        resized = net.with_populations([5, 7])
+        assert resized.delay_mask() is net.delay_mask()
+        assert resized.route_layout is net.route_layout
+
+
+def _per_chain_delay_mask(net):
+    """The power-delay mask built chain by chain, as it once was."""
+    mask = net.visit_counts > 0
+    for r in range(net.num_chains):
+        if net.source_index[r] >= 0:
+            mask[r, net.source_index[r]] = False
+    return mask
+
+
+class TestDelayMask:
+    @pytest.mark.parametrize("name", ["arpanet", "medium"])
+    def test_equals_per_chain_construction(self, name):
+        from repro.netmodel.examples import arpanet_fragment
+        from repro.netmodel.generator import scale_fixture
+
+        net = arpanet_fragment() if name == "arpanet" else scale_fixture("medium")
+        np.testing.assert_array_equal(net.delay_mask(), _per_chain_delay_mask(net))
+
+    def test_built_once_and_read_only(self):
+        net = build_two_chain()
+        mask = net.delay_mask()
+        assert net.delay_mask() is mask
+        with pytest.raises(ValueError):
+            mask[0, 0] = True
+
 
 class TestQueries:
     def test_station_and_chain_lookup(self):
