@@ -12,7 +12,7 @@ Subcommands
     same path again), and the reuse engine: ``--reuse`` (warm-started
     fixed points, shared exact lattices).  With
     ``--workers N`` evaluations run on a persistent shared-memory
-    worker fleet driven by the speculative scheduler.
+    worker fleet (same evaluations and optimum as the serial run).
 ``evaluate``
     Solve a network at explicit window settings and print the power report.
 ``sweep``

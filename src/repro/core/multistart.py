@@ -52,10 +52,10 @@ def windim_multistart(
     ``backend`` selects the solver kernel and ``workers`` a process-pool
     size (as in :func:`repro.core.windim.windim`).  With workers, the
     whole deduplicated seed list is batch-solved up front in one
-    :meth:`~repro.core.objective.WindowObjective.batch_solve` call, and
-    every search's exploratory neighborhoods run in parallel on one
-    long-lived worker fleet (created once, shared by the seed batch and
-    every start's speculative scheduler).
+    :meth:`~repro.core.objective.WindowObjective.batch_solve` call over
+    one long-lived worker fleet, which then serves every start's
+    demanded points (created once, shared by the seed batch and all
+    starts).
 
     ``reuse`` and ``store_path`` behave as in
     :func:`repro.core.windim.windim` — and pay off even more here, since
@@ -129,10 +129,9 @@ def windim_multistart(
     unique_starts = [space.clip(s) for s in dict.fromkeys(starts)]
     # One plane serves every start: the shared cache makes overlapping
     # trajectories free, a pooled plane shares one worker fleet across
-    # the seed batch and all starts' speculation, and the context manager
-    # guarantees drain-then-close on every exit path — an exhausted
-    # evaluation cap (or a raising solver) mid-loop can no longer return
-    # early with in-flight pool tasks undrained.
+    # the seed batch and all starts, and the context manager closes it
+    # on every exit path — an exhausted evaluation cap (or a raising
+    # solver) mid-loop can no longer return early with the pool alive.
     plane = build_plane(
         objective,
         cache=cache,

@@ -256,8 +256,8 @@ class WindowObjective:
 
         Only meaningful for a parallel objective; the pool is created
         on first use with the objective's network/solver/backend and is
-        reused for every later batch, scheduler, and multistart phase of
-        the run.
+        reused for every later demand, batch and multistart phase of the
+        run.
         """
         if not self.parallel:
             raise ModelError("ensure_pool() requires workers > 1")

@@ -222,13 +222,12 @@ def windim(
         pins them to ≤ 1e-8).
     workers:
         When > 1 (named solvers only), objective evaluations run on a
-        persistent pool of this size: the workers are created once,
-        receive the model through a shared-memory arena, and are kept
-        saturated by the asynchronous
-        :class:`~repro.parallel.scheduler.SpeculativeScheduler` (the
-        search trajectory is identical to the serial run; speculative
-        neighbors count as evaluations).  If the pool fails mid-search
-        the run steps down to in-process solving (see
+        persistent pool of this size: the workers are created once and
+        receive the model through a shared-memory arena.  The search
+        demands one point at a time, so it makes the serial run's
+        evaluations and walks its trajectory; only a batch (a multistart
+        seed list) runs on several workers at once.  If the pool fails
+        mid-search the run steps down to in-process solving (see
         ``WindimResult.degradations``).  Incompatible with
         ``resilient=True`` (health records are in-process); use
         ``solver="resilient"`` to combine parallelism with the ladder.
@@ -371,9 +370,8 @@ def windim(
 
     # One plane per run: build_plane picks the execution path (persistent
     # fleet or serial) from the objective's configuration, and the
-    # context manager guarantees the drain-then-close lifecycle on every
-    # exit path — a budget-exhausted or interrupted run can no longer
-    # leave paid-for pool results unmerged or workers alive.
+    # context manager closes it on every exit path — a budget-exhausted
+    # or interrupted run can no longer leave workers alive.
     plane = build_plane(
         objective,
         cache=cache,

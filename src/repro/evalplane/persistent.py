@@ -1,18 +1,16 @@
-"""Persistent shared-memory pool plane (speculative scheduler path).
+"""Persistent shared-memory pool plane.
 
-Wraps the PR 5 execution stack — a long-lived
-:class:`~repro.parallel.pool.PersistentEvalPool` kept saturated by a
-:class:`~repro.parallel.scheduler.SpeculativeScheduler` — behind the
-:class:`~repro.evalplane.plane.EvaluationPlane` interface.  The search's
-hints feed the scheduler's priority frontier; a demanded value blocks
-only until the pool merges it into the shared cache.  The trajectory
-contract is inherited from the scheduler: accepted moves and the chosen
-optimum are bitwise-identical to the serial plane.
-
-One scheduler serves one search run: :meth:`drain` banks every in-flight
-completion and retires the scheduler, and the next hint or demand lazily
-creates a fresh one against the same pool — which is how a multistart
-shares a single worker fleet across all of its starts.
+Runs the searches' evaluations on a long-lived
+:class:`~repro.parallel.pool.PersistentEvalPool` behind the
+:class:`~repro.evalplane.plane.EvaluationPlane` interface.  A demanded
+point is submitted to the pool, awaited, and merged into the shared
+cache with the same one-hook bookkeeping as an in-process solve; nothing
+is ever in flight between two plane calls.  A pooled search therefore
+makes exactly the serial search's evaluations, in the same order, and
+walks the bitwise-identical trajectory to the identical optimum.  The
+one place the pool works in parallel is :meth:`PersistentPlane.
+submit_many` (a multistart seed list), which fans a batch out over
+``pool.map``.
 
 Degradation ladder
 ------------------
@@ -47,7 +45,7 @@ DEFAULT_FAILURE_BUDGET = 8
 
 
 class PersistentPlane(EvaluationPlane):
-    """Asynchronous speculative evaluation on a persistent worker fleet."""
+    """Demand-driven evaluation on a persistent worker fleet."""
 
     name = "persistent"
 
@@ -58,9 +56,6 @@ class PersistentPlane(EvaluationPlane):
                 "PersistentPlane requires a parallel objective (workers > 1 "
                 "and a named solver)"
             )
-        if self.space is None:
-            raise SearchError("PersistentPlane requires a search space")
-        self._scheduler = None
         self._mode = "persistent"
         if failure_budget is None:
             failure_budget = _env_int(
@@ -68,43 +63,17 @@ class PersistentPlane(EvaluationPlane):
             )
         self.failure_budget = failure_budget
 
-    # ------------------------------------------------------------------
     @property
     def mode(self) -> str:
         """Current ladder rung: ``persistent`` or ``serial``."""
         return self._mode
 
-    def _live_scheduler(self):
-        """The scheduler for the current search run (created lazily)."""
-        if self._scheduler is None:
-            from repro.parallel.scheduler import SpeculativeScheduler
-
-            self._scheduler = SpeculativeScheduler(
-                self._objective.ensure_pool(),
-                self.cache,
-                self.space,
-                merge_hook=self._objective.absorb_remote,
-                on_evaluation=self.on_evaluation,
-                budget=self.budget,
-                max_evaluations=self.max_evaluations,
-                seed_for=self.seed_for,
-            )
-        return self._scheduler
-
-    @property
-    def scheduler_stats(self) -> Optional[dict]:
-        """Speculation counters of the current scheduler (None when idle)."""
-        return self._scheduler.stats if self._scheduler is not None else None
-
     # ------------------------------------------------------------------
     # degradation ladder
     # ------------------------------------------------------------------
     def _degrade(self, reason: str) -> None:
-        """Step down to serial; the broken pool is abandoned, not drained."""
+        """Step down to serial; the broken pool is abandoned."""
         self._record_degradation("persistent", "serial", reason)
-        # The scheduler fronted a pool we no longer trust: drop it without
-        # finish() — in-flight speculation on a broken fleet is forfeit.
-        self._scheduler = None
         self._objective.demote_pool()
         self._mode = "serial"
 
@@ -126,56 +95,34 @@ class PersistentPlane(EvaluationPlane):
         return True
 
     # ------------------------------------------------------------------
-    def _fulfil(self, key: Point):
+    def _fulfil(self, key: Point) -> float:
+        """Solve ``key`` on the pool, or in-process once demoted."""
         if self._pooled():
-            # demand() blocks until the pool's value for this point is
-            # merged into the cache; the scheduler fires on_evaluation on
-            # every merge, so the base class must not fire it again.
             try:
-                self._live_scheduler().demand(key)
-                return self.cache(key), True
+                return self._solve_on_pool(key)
             except (PoolFailure, SearchError) as error:
                 self._degrade(str(error))
-        if key in self.cache.values:
-            # merged by the pool before it failed (hook already fired)
-            return self.cache.values[key], True
-        # serial rung: plain in-process solve, base class fires the hook
-        return self.cache(key), False
+        return self.cache(key)
 
-    # ------------------------------------------------------------------
-    # speculation (the serial rung has nothing worth prepaying for)
-    # ------------------------------------------------------------------
-    def hint_sweep(self, point: Sequence[int], value: float, step: int) -> None:
-        if not self._pooled():
-            return
-        try:
-            self._live_scheduler().begin_sweep(self._key(point), step)
-        except (PoolFailure, SearchError) as error:
-            self._degrade(str(error))
-
-    def hint_accept(
-        self,
-        new_base: Sequence[int],
-        previous: Sequence[int],
-        value: float,
-        step: int,
-    ) -> None:
-        if not self._pooled():
-            return
-        try:
-            self._live_scheduler().note_accept(
-                self._key(new_base), self._key(previous), step
+    def _solve_on_pool(self, key: Point) -> float:
+        pool = self._objective.ensure_pool()
+        seed = self.seed_for(key) if self.seed_for is not None else None
+        eval_id = pool.submit(key, seed=seed)
+        # The demanded task is the only one in flight, so the next
+        # completion is its answer.
+        done = pool.poll(timeout=None)
+        if done is None or done.eval_id != eval_id:
+            raise SearchError(
+                f"pool drained without completing demanded point {key}"
             )
-        except (PoolFailure, SearchError) as error:
-            self._degrade(str(error))
-
-    def hint_step(self, step: int) -> None:
-        if self._mode != "persistent" or self._scheduler is None:
-            return
-        try:
-            self._scheduler.note_step(step)
-        except (PoolFailure, SearchError) as error:
-            self._degrade(str(error))
+        if not done.ok:
+            detail = (done.payload or {}).get("error", "unknown")
+            raise SearchError(
+                f"pool worker failed evaluating windows {key}: {detail}"
+            )
+        self._objective.absorb_remote(key, done.payload)
+        self.cache.prime(key, done.value)
+        return done.value
 
     def submit_many(self, batch: Sequence[Sequence[int]]):
         """Seed-list fan-out on the pool (one barrier batch).
@@ -191,23 +138,3 @@ class PersistentPlane(EvaluationPlane):
             except (PoolFailure, SearchError) as error:
                 self._degrade(str(error))
         return super().submit_many(batch)
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def drain(self) -> None:
-        """Bank all in-flight speculation, then retire the scheduler.
-
-        Idempotent; called by the search when a run ends (normally or on
-        budget exhaustion) and by :meth:`close` on clean exits, so no
-        exit path can leave paid-for pool results unmerged.  The next
-        demand starts a fresh scheduler on the same fleet.  If the pool
-        breaks while draining, the plane degrades instead of raising —
-        a drain must never lose an otherwise-complete search.
-        """
-        if self._scheduler is not None:
-            scheduler, self._scheduler = self._scheduler, None
-            try:
-                scheduler.finish()
-            except (PoolFailure, SearchError) as error:
-                self._degrade(f"pool failed during drain: {error}")

@@ -1,31 +1,28 @@
 """The unified evaluation plane interface.
 
 Every execution path — the serial objective and the persistent
-shared-memory pool with its speculative scheduler — sits behind
-:class:`EvaluationPlane`, so :func:`~repro.search.pattern.pattern_search`,
-``windim`` and ``windim_multistart`` carry no per-path glue:
+shared-memory pool — sits behind :class:`EvaluationPlane`, so
+:func:`~repro.search.pattern.pattern_search`, ``windim`` and
+``windim_multistart`` carry no per-path glue:
 
 * :meth:`~EvaluationPlane.submit` — blocking ``windows -> EvalResult``
   through the shared evaluation cache, with budget/cap enforcement and
   the ``on_evaluation`` hook fired exactly once per fresh evaluation;
 * :meth:`~EvaluationPlane.submit_many` — best-effort batch evaluation
   (multistart seed lists), trimmed to the remaining budget room;
-* speculation *hints* (:meth:`hint_sweep` / :meth:`hint_accept` /
-  :meth:`hint_step`) — never change what a search observes, only let a
-  parallel plane warm the cache ahead of demand;
-* :meth:`drain` / :meth:`close` lifecycle — every in-flight result is
-  banked into the cache before resources are released, on **all** exit
-  paths (the planes are context managers; an exceptional exit skips the
-  drain so a hung worker cannot block shutdown).
+* :meth:`~EvaluationPlane.close` — releases the backing resources
+  (idempotent; the planes are context managers, so every exit path
+  closes).  No evaluation is ever in flight between two plane calls,
+  so there is nothing to bank first.
 
 The contract certified by the conformance suite (``tests/evalplane/``):
-a pattern search driven through any plane walks the bitwise-identical
-accepted-move trajectory and returns the identical optimum as the serial
-plane, budgets and stores count the same fresh evaluations, and
-warm seeds propagate equivalently.  A new backend is added by
-subclassing this class and registering a factory in
-:mod:`repro.evalplane.registry` — the battery then certifies it with no
-new glue tests.
+a pattern search driven through any plane makes the same fresh
+evaluations, walks the bitwise-identical accepted-move trajectory and
+returns the identical optimum as the serial plane, so budgets, caps and
+stores count exactly what a serial run counts, and warm seeds propagate
+equivalently.  A new backend is added by subclassing this class and
+registering a factory in :mod:`repro.evalplane.registry` — the battery
+then certifies it with no new glue tests.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from repro.errors import ModelError, SearchError
 from repro.evalplane.result import EvalResult
 from repro.resilience.budget import BudgetExhausted, SearchBudget
 from repro.resilience.health import DegradationEvent
-from repro.search.cache import EvaluationCache
+from repro.search.cache import EvaluationCache, integral_key
 from repro.search.space import IntegerBox
 
 __all__ = ["EvaluationPlane", "build_plane"]
@@ -58,8 +55,8 @@ class EvaluationPlane:
         Shared :class:`~repro.search.cache.EvaluationCache`; created
         fresh when omitted.  Must wrap the same ``objective``.
     space:
-        Feasible :class:`~repro.search.space.IntegerBox` (required by
-        planes that speculate; optional for purely serial ones).
+        Optional feasible :class:`~repro.search.space.IntegerBox` the
+        plane's searches run over.
     budget:
         Optional :class:`~repro.resilience.budget.SearchBudget`; checked
         before every *fresh* evaluation (:class:`BudgetExhausted`
@@ -68,8 +65,8 @@ class EvaluationPlane:
         Hard cap on fresh evaluations through this plane.
     on_evaluation:
         Fired with the cache after every fresh evaluation — exactly once
-        each, whether the value was computed in-process, prefetched in a
-        batch, or merged from a speculative pool completion.  This is
+        each, whether the value was computed in-process, solved in a
+        batch, or merged from a pool worker.  This is
         where the persistent store plugs in; callers do not wire it per
         execution path.
     seed_for:
@@ -121,21 +118,6 @@ class EvaluationPlane:
         """Fresh evaluations performed through this plane's cache."""
         return self.cache.evaluations
 
-    def _key(self, windows: Sequence[int]) -> Point:
-        # Same strictness as EvaluationCache: a fractional coordinate is
-        # rejected rather than silently truncated onto a different key.
-        key = []
-        for x in windows:
-            i = int(x)
-            if i != x:
-                raise ValueError(
-                    f"non-integral coordinate {x!r} in windows "
-                    f"{tuple(windows)!r}; window vectors must be "
-                    "integer-valued"
-                )
-            key.append(i)
-        return tuple(key)
-
     def _check_caps(self) -> None:
         """Budget/cap gate before a fresh evaluation (raises when spent)."""
         if self.budget is not None:
@@ -147,23 +129,20 @@ class EvaluationPlane:
             )
 
     def _caps_spent(self) -> bool:
-        """Quiet variant of :meth:`_check_caps` for speculation paths."""
+        """Quiet variant of :meth:`_check_caps` for best-effort batches."""
         if self.cache.evaluations >= self.max_evaluations:
             return True
         if self.budget is not None:
             return self.budget.exhausted_reason(self.cache.evaluations) is not None
         return False
 
-    def _fulfil(self, key: Point) -> Tuple[float, bool]:
-        """Produce the value of an uncached ``key``.
+    def _fulfil(self, key: Point) -> float:
+        """Produce the value of an uncached ``key`` and cache it.
 
-        Returns ``(value, hook_fired)``: subclasses that merge through
-        ``cache.prime`` with their own ``on_evaluation`` firing (the
-        speculative scheduler) return ``hook_fired=True`` so the base
-        class does not fire it twice.  The base implementation solves
-        in-process through the cache.
+        The base implementation solves in-process through the cache;
+        pooled planes solve elsewhere and merge with ``cache.prime``.
         """
-        return self.cache(key), False
+        return self.cache(key)
 
     def submit(
         self,
@@ -184,12 +163,12 @@ class EvaluationPlane:
         """
         if self._closed:
             raise SearchError(f"evaluation plane {self.name!r} is closed")
-        key = self._key(windows)
+        key = integral_key(windows)
         fresh = key not in self.cache
         if fresh:
             self._check_caps()
-            value, hook_fired = self._fulfil(key)
-            if not hook_fired and self.on_evaluation is not None:
+            value = self._fulfil(key)
+            if self.on_evaluation is not None:
                 self.on_evaluation(self.cache)
         else:
             value = self.cache(key)
@@ -209,7 +188,7 @@ class EvaluationPlane:
         """
         results: List[EvalResult] = []
         for windows in batch:
-            key = self._key(windows)
+            key = integral_key(windows)
             if key not in self.cache and self._caps_spent():
                 continue
             try:
@@ -323,7 +302,7 @@ class EvaluationPlane:
         fires ``on_evaluation`` once — identical bookkeeping to an
         in-process solve, which is what keeps stores path-agnostic.
         """
-        keys = [self._key(w) for w in batch]
+        keys = [integral_key(w) for w in batch]
         seen = set()
         fresh: List[Point] = []
         for key in keys:
@@ -345,46 +324,16 @@ class EvaluationPlane:
         ]
 
     # ------------------------------------------------------------------
-    # speculation hints (no-ops on serial planes)
-    # ------------------------------------------------------------------
-    def hint_sweep(self, point: Sequence[int], value: float, step: int) -> None:
-        """An exploratory sweep around ``point`` (value, step) is starting."""
-
-    def hint_accept(
-        self,
-        new_base: Sequence[int],
-        previous: Sequence[int],
-        value: float,
-        step: int,
-    ) -> None:
-        """A move to ``new_base`` (from ``previous``) was just accepted."""
-
-    def hint_step(self, step: int) -> None:
-        """The exploration step was halved to ``step``."""
-
-    # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def drain(self) -> None:
-        """Bank every in-flight result into the cache.  Idempotent.
+    def close(self) -> None:
+        """Release resources.  Idempotent.
 
-        After this returns no paid-for evaluation is lost: best-so-far
-        selection and the persistent store both see it.
-        Serial planes have nothing in flight; pooled planes override.
-        """
-
-    def close(self, drain: bool = True) -> None:
-        """Drain (unless told otherwise) and release resources.
-
-        Idempotent.  Captures the backing pool's health snapshot first so
+        Captures the backing pool's health snapshot first so
         :attr:`pool_health` stays readable after the workers are gone.
-        ``drain=False`` is the exceptional-exit path: shutdown must not
-        block on a wedged worker.
         """
         if self._closed:
             return
-        if drain:
-            self.drain()
         self._pool_health = getattr(self._objective, "pool_health", None)
         self._closed = True
         closer = getattr(self._objective, "close", None)
@@ -405,10 +354,8 @@ class EvaluationPlane:
     def __enter__(self) -> "EvaluationPlane":
         return self
 
-    def __exit__(self, exc_type, _exc, _tb) -> None:
-        # A clean exit banks in-flight speculation; an exceptional one
-        # (KeyboardInterrupt, SearchError) must never block on the pool.
-        self.close(drain=exc_type is None)
+    def __exit__(self, *_exc: object) -> None:
+        self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self._closed else "open"

@@ -4,9 +4,11 @@ Every execution path that wants the conformance suite's certification
 registers a :class:`PlaneSpec` here: a factory plus the objective
 configuration it needs (parallel workers or not).  The suite in
 ``tests/evalplane/`` parametrises over :func:`plane_names` and builds
-each plane through :func:`create_plane`, so a new backend gets the whole battery — golden parity, seeded fuzz
-trajectory equivalence, budget/resume semantics, fault injection — by
-adding one ``register_plane`` call and zero new test glue.
+each plane through :func:`create_plane`, so a new backend gets the
+whole battery — golden parity, seeded fuzz trajectory equivalence, the
+serial plane's evaluation counts, budget/resume semantics, fault
+injection — by adding one ``register_plane`` call and zero new test
+glue.
 
 The built-in factories lazy-import their plane modules (and those
 lazy-import the parallel stack), keeping ``import repro.evalplane``
@@ -143,8 +145,8 @@ register_plane(
         name="persistent",
         factory=_persistent_factory,
         description=(
-            "persistent shared-memory worker fleet with speculative "
-            "scheduling"
+            "persistent shared-memory worker fleet; one demanded point "
+            "at a time, batches fanned out"
         ),
         needs_parallel=True,
     )

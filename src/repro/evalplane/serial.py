@@ -1,10 +1,9 @@
 """The serial evaluation plane — the reference semantics.
 
 Every other plane is certified against this one: a fresh submit solves
-in-process through the shared cache, hints are no-ops, and there is
-never anything in flight.  It wraps *any* ``point -> float`` callable,
-which is what lets :func:`~repro.search.pattern.pattern_search` keep its
-plain-function interface.
+in-process through the shared cache.  It wraps *any* ``point -> float``
+callable, which is what lets :func:`~repro.search.pattern.pattern_search`
+keep its plain-function interface.
 
 ``submit_many`` has a cross-network SoA fast path: when the wrapped
 objective is a :class:`~repro.core.objective.WindowObjective` whose

@@ -1,6 +1,6 @@
 """Persistent shared-memory evaluation service for WINDIM searches.
 
-Three pieces, layered:
+Two pieces, layered:
 
 * :mod:`repro.parallel.shm` — a ``multiprocessing.shared_memory`` arena
   broadcasting one network model (zero-copy dense arrays + structural
@@ -8,13 +8,13 @@ Three pieces, layered:
 * :mod:`repro.parallel.pool` — a long-lived worker fleet attached to one
   arena; workers receive only ``(eval_id, window_vector, seed_slot)``
   micro-tasks, and dead workers are respawned with their tasks requeued.
-* :mod:`repro.parallel.scheduler` — an asynchronous speculative frontier
-  that keeps the fleet saturated ahead of the pattern search while
-  preserving its sequential trajectory exactly.
+
+The :class:`~repro.evalplane.persistent.PersistentPlane` drives the
+fleet: one demanded point at a time during a search, one ``map`` batch
+for a multistart seed list.
 """
 
 from repro.parallel.pool import CompletedEval, PersistentEvalPool
-from repro.parallel.scheduler import SpeculativeScheduler
 from repro.parallel.shm import ArenaRef, DEFAULT_SEED_SLOTS, ModelArena
 
 __all__ = [
@@ -23,5 +23,4 @@ __all__ = [
     "DEFAULT_SEED_SLOTS",
     "ModelArena",
     "PersistentEvalPool",
-    "SpeculativeScheduler",
 ]

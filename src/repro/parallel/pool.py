@@ -6,11 +6,9 @@ a :class:`~repro.parallel.shm.ModelArena` (zero-copy for the dense
 numeric payload), and from then on accept only
 ``(eval_id, window_vector, seed_slot)`` micro-tasks a few hundred bytes
 each.  Completions stream back out of order over per-worker result
-pipes, which is what lets the
-:class:`~repro.parallel.scheduler.SpeculativeScheduler` keep every
-worker saturated instead of idling at batch barriers.  Each pipe has
-exactly one writer, so a worker SIGKILLed mid-write (by the watchdog or
-the OS) can only tear its **own** channel — a shared result queue would
+pipes.  Each pipe has exactly one writer, so a worker SIGKILLed
+mid-write (by the watchdog or the OS) can only tear its **own**
+channel — a shared result queue would
 let a dying worker take the queue's write lock to the grave and wedge
 every survivor's ``put`` forever.  The parent treats a torn pipe as a
 worker death and lets the ordinary respawn path replace both the worker
@@ -46,6 +44,7 @@ import itertools
 import multiprocessing
 import os
 import pickle
+import queue
 import signal
 import time
 from multiprocessing import connection as mp_connection
@@ -66,6 +65,9 @@ Point = Tuple[int, ...]
 
 #: How often the parent re-checks worker liveness while waiting (seconds).
 _LIVENESS_TICK = 0.1
+
+#: How often an idle worker checks that its parent is still alive (seconds).
+_PARENT_TICK = 0.5
 
 #: Default requeue bound (overridable per pool / via REPRO_MAX_REQUEUES).
 _MAX_REQUEUES = 2
@@ -106,7 +108,6 @@ class CompletedEval(NamedTuple):
     payload: Optional[dict]
     worker: int
     pid: int
-    speculative: bool
 
     @property
     def ok(self) -> bool:
@@ -118,7 +119,6 @@ class _TaskRecord(NamedTuple):
     worker: int
     seed_slot: Optional[int]
     generation: int
-    speculative: bool
     requeues: int = 0
     dispatched_at: float = 0.0
 
@@ -171,6 +171,15 @@ def _worker_main(
     every completion, which is what the hung-worker watchdog watches
     (``CLOCK_MONOTONIC`` is system-wide on the platforms the pool runs
     on, so parent and child stamps are directly comparable).
+
+    A parent killed without closing the pool (SIGTERM, SIGKILL) cannot
+    send the stop message, so an idle worker checks every
+    ``_PARENT_TICK`` seconds whether its parent is still there and exits
+    when it is not.  Two checks: the parent's sentinel
+    (``parent_process().is_alive()``) is the documented one, but under
+    ``fork`` a sibling forked later inherits the sentinel's write end and
+    keeps it open until that sibling exits; a changed parent pid (the
+    worker was reparented) catches the parent's death at once.
     """
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -184,6 +193,8 @@ def _worker_main(
     chaos = worker_chaos(worker_index)
     arena = ModelArena.attach(ref)
     pid = os.getpid()
+    parent = multiprocessing.parent_process()
+    parent_pid = os.getppid()
     generation = -1
     network = solver = None
     solver_keywords: frozenset = frozenset()
@@ -194,7 +205,14 @@ def _worker_main(
 
     try:
         while True:
-            message = task_queue.get()
+            try:
+                message = task_queue.get(timeout=_PARENT_TICK)
+            except queue.Empty:
+                if os.getppid() != parent_pid or (
+                    parent is not None and not parent.is_alive()
+                ):
+                    break  # orphaned: nobody will ever read a result
+                continue
             if message is None:
                 break
             _stamp()
@@ -244,6 +262,8 @@ def _worker_main(
                     )
                 )
             _stamp()
+    except (BrokenPipeError, ConnectionResetError):
+        pass  # the parent closed its end of the result pipe
     finally:
         arena.close()
 
@@ -510,7 +530,6 @@ class PersistentEvalPool:
                             },
                             index,
                             dead_pid,
-                            record.speculative,
                         )
                     )
                     continue
@@ -568,16 +587,12 @@ class PersistentEvalPool:
         self._task_queues[worker].put(message)
 
     def submit(
-        self,
-        key: Sequence[int],
-        seed: Optional[np.ndarray] = None,
-        speculative: bool = False,
+        self, key: Sequence[int], seed: Optional[np.ndarray] = None
     ) -> int:
         """Queue one window vector for evaluation; returns its eval id.
 
         ``seed`` (a converged queue-length matrix) travels through an
-        arena slot, not the task message; ``speculative`` is carried
-        back on the completion for the scheduler's bookkeeping.
+        arena slot, not the task message.
         """
         if self._closed:
             raise SearchError("pool is closed")
@@ -590,7 +605,6 @@ class PersistentEvalPool:
                 worker=0,
                 seed_slot=slot,
                 generation=self._generation,
-                speculative=speculative,
             ),
         )
         return eval_id
@@ -635,7 +649,6 @@ class PersistentEvalPool:
                 payload,
                 worker,
                 pid,
-                record.speculative,
             )
 
     def _next_message(self, timeout: float):
@@ -659,16 +672,6 @@ class PersistentEvalPool:
                 self._result_conns[index] = None
         return None
 
-    def drain(self) -> List[CompletedEval]:
-        """Block until every in-flight task completed; return them all."""
-        completions = []
-        while self.inflight:
-            done = self.poll(timeout=None)
-            if done is None:
-                break
-            completions.append(done)
-        return completions
-
     def map(
         self,
         keys: Sequence[Point],
@@ -677,8 +680,8 @@ class PersistentEvalPool:
         """Batch helper: evaluate ``keys`` and return completions by key.
 
         The barrier-style entry point used by
-        ``WindowObjective.batch_solve``; the scheduler bypasses it and
-        talks to :meth:`submit`/:meth:`poll` directly.
+        ``WindowObjective.batch_solve``; a search's single demanded
+        points go through :meth:`submit`/:meth:`poll` directly.
         """
         pending = set()
         for key in keys:
@@ -714,7 +717,7 @@ class PersistentEvalPool:
         if self.inflight:
             raise SearchError(
                 f"cannot update the pool model with {self.inflight} tasks "
-                "in flight; drain first"
+                "in flight"
             )
         self._generation = self.arena.update_model(
             network, self._solver_name, backend if backend is not None else self._backend

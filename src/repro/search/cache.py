@@ -21,17 +21,16 @@ a cache shared by concurrent batch evaluations cannot be corrupted
 
 from __future__ import annotations
 
-import copy
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-__all__ = ["EvaluationCache"]
+__all__ = ["EvaluationCache", "integral_key"]
 
 Point = Tuple[int, ...]
 
 
-def _integral_key(point: Point) -> Tuple[int, ...]:
+def integral_key(point: Point) -> Tuple[int, ...]:
     """Normalise a point to a tuple of ints, rejecting fractional values."""
     key = []
     for x in point:
@@ -81,7 +80,7 @@ class EvaluationCache:
         of a *different* window vector under the requested key and
         corrupt every later lookup of the truncated point.
         """
-        key = _integral_key(point)
+        key = integral_key(point)
         with self._lock:
             if key in self.values:
                 self.hits += 1
@@ -102,7 +101,7 @@ class EvaluationCache:
         Returns False (and changes nothing) when the point is already
         cached, so racing producers cannot double-count.
         """
-        key = _integral_key(point)
+        key = integral_key(point)
         with self._lock:
             if key in self.values:
                 return False
@@ -114,7 +113,7 @@ class EvaluationCache:
     def __contains__(self, point: Point) -> bool:
         """True when ``point`` is already cached (no counter updates)."""
         with self._lock:
-            return _integral_key(point) in self.values
+            return integral_key(point) in self.values
 
     @property
     def evaluations(self) -> int:
@@ -125,23 +124,6 @@ class EvaluationCache:
     def lookups(self) -> int:
         """Total number of objective requests (cached or not)."""
         return self.hits + self.misses
-
-    def snapshot(self) -> Tuple[List[Tuple[Point, float]], Optional[Point], float, int]:
-        """Atomic ``(entries, best_point, best_value, evaluations)`` copy.
-
-        The fields are taken in one locked step, so a reader that races
-        concurrent batch inserts never sees a half-updated cache (or
-        dies on a dict mutated mid-iteration).  The entries are a
-        **deep copy**: a ``prime()`` racing the reader (e.g. a scheduler
-        merge) cannot mutate payloads the snapshot already captured.
-        """
-        with self._lock:
-            entries = copy.deepcopy(list(self.values.items()))
-            if entries:
-                point, value = min(entries, key=lambda item: item[1])
-            else:
-                point, value = None, float("inf")
-            return entries, point, value, self.misses
 
     def best(self) -> Tuple[Optional[Point], float]:
         """The best point seen so far (``(None, inf)`` when empty)."""

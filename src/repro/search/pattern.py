@@ -19,17 +19,14 @@ Search suffices" (§4.1).
 
 All evaluations flow through an
 :class:`~repro.evalplane.plane.EvaluationPlane`: the search demands
-values with :meth:`~repro.evalplane.plane.EvaluationPlane.submit`,
-telegraphs its intent through the plane's speculation hints
-(``hint_sweep``/``hint_accept``/``hint_step``), and banks in-flight
-speculation with
-:meth:`~repro.evalplane.plane.EvaluationPlane.drain` on every exit from
-the loop.  Which execution backend sits behind those calls — in-process
-serial or the persistent shared-memory fleet — is entirely the plane's
-business; the conformance suite (``tests/evalplane/``) certifies that
-both walk the same trajectory.  Budget/cap enforcement and the
-``on_evaluation`` store hook live in the plane, at the single choke
-point every fresh evaluation passes through.
+each value with :meth:`~repro.evalplane.plane.EvaluationPlane.submit`
+and needs it before it picks the next point.  Which execution backend
+sits behind that call — in-process serial or the persistent
+shared-memory fleet — is entirely the plane's business; the
+conformance suite (``tests/evalplane/``) certifies that both make the
+same evaluations and walk the same trajectory.  Budget/cap enforcement
+and the ``on_evaluation`` store hook live in the plane, at the single
+choke point every fresh evaluation passes through.
 """
 
 from __future__ import annotations
@@ -127,12 +124,10 @@ def pattern_search(
         wiring arguments above (in-process evaluation — the reference
         semantics).  When supplied, it must wrap ``objective``, the
         wiring arguments must be left unset (the plane already carries
-        them), and the caller keeps ownership: the search drains it on
-        every exit but never closes it.  Parallel planes speculate on
-        the search's hints; speculative points count as fresh evaluations
-        (budget, cap and ``on_evaluation`` all see them) and never change
-        the demanded sequence — the accepted-move trajectory and the
-        optimum are bitwise-identical to a serial run.
+        them), and the caller keeps ownership: the search never closes
+        it.  Every plane makes the same fresh evaluations as a serial
+        run, so the accepted-move trajectory and the optimum are
+        bitwise-identical to it.
 
     Returns
     -------
@@ -180,7 +175,6 @@ def pattern_search(
     try:
         base_value = evaluate(base)
         while step >= 1 and halvings <= max_halvings:
-            plane.hint_sweep(base, base_value, step)
             probe, probe_value = _explore(
                 evaluate, space, base, base_value, step
             )
@@ -189,13 +183,11 @@ def pattern_search(
                 previous = base
                 base, base_value = probe, probe_value
                 trajectory.append(base)
-                plane.hint_accept(base, previous, base_value, step)
                 while True:
                     pattern_point = space.clip(
                         tuple(2 * b - p for b, p in zip(base, previous))
                     )
                     landing_value = evaluate(pattern_point)
-                    plane.hint_sweep(pattern_point, landing_value, step)
                     probe2, probe2_value = _explore(
                         evaluate, space, pattern_point, landing_value, step
                     )
@@ -203,19 +195,14 @@ def pattern_search(
                         previous = base
                         base, base_value = probe2, probe2_value
                         trajectory.append(base)
-                        plane.hint_accept(base, previous, base_value, step)
                     else:
                         break
             else:
                 step //= 2
                 halvings += 1
-                plane.hint_step(step)
     except BudgetExhausted as exc:
         status = "budget_exhausted"
         stop_reason = exc.reason
-        # Bank already-paid-for speculation before picking the
-        # best-so-far: in-flight completions are real evaluations.
-        plane.drain()
         # Best-so-far: the cache may hold a better explored-but-not-yet-
         # accepted point than the current base (or the start may never
         # have been evaluated at all under a zero budget).
@@ -226,8 +213,6 @@ def pattern_search(
             base, base_value = cached_best, cached_value
             if not trajectory or trajectory[-1] != base:
                 trajectory.append(base)
-    finally:
-        plane.drain()
 
     return SearchResult(
         best_point=base,

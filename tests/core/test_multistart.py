@@ -43,6 +43,18 @@ class TestMultistart:
         with pytest.raises(ModelError):
             windim_multistart(net, extra_starts=[(1, 2, 3)])
 
+    def test_pooled_run_matches_serial(self):
+        """One fleet serves the seed batch and every start, and pays for
+        exactly the serial run's evaluations."""
+        net = canadian_two_class(25.0, 25.0)
+        serial = windim_multistart(net, max_window=8)
+        pooled = windim_multistart(net, max_window=8, workers=2)
+        assert list(pooled.windows) == list(serial.windows)
+        assert pooled.power == serial.power
+        assert pooled.search.evaluations == serial.search.evaluations
+        assert pooled.pool_health is not None
+        assert pooled.pool_health.respawns == 0
+
     def test_result_is_consistent(self):
         net = canadian_two_class(25.0, 25.0)
         multi = windim_multistart(net)

@@ -38,6 +38,11 @@ class TestBasicRun:
         assert "optimal windows" in text
         assert "power" in text
 
+    def test_per_batch_pool_mode_is_rejected(self):
+        net = canadian_two_class(18.0, 18.0)
+        with pytest.raises(ModelError, match="per-batch mode was removed"):
+            windim(net, max_window=8, workers=2, pool_mode="per-batch")
+
 
 class TestOptimality:
     @pytest.mark.parametrize("rates", [(18.0, 18.0), (10.0, 15.0)])

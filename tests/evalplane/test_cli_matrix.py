@@ -2,9 +2,9 @@
 
 Drives ``repro.cli.main`` in-process across the ``--workers`` ×
 ``--reuse`` × ``--store`` matrix and asserts that every
-combination reports the *identical* optimum, and that resuming from a
-store performs strictly fewer fresh evaluations than the run that
-wrote it.  This is the user-facing face of the conformance wall: the
+combination reports the *identical* optimum, that a pooled run pays
+for exactly the serial run's evaluations, and that resuming from a
+store pays for none.  This is the user-facing face of the conformance wall: the
 backends are interchangeable not just at the library layer but through
 the shell entry point.
 """
@@ -75,18 +75,17 @@ class TestSolveMatrix:
         ],
     )
     def test_resume_reuses_the_store(self, pool_args, capsys, tmp_path):
-        """--store seeds the cache: same optimum, fewer fresh evals."""
+        """--store seeds the cache: same optimum, no fresh evals."""
         argv = BASE + pool_args + ["--store", str(tmp_path / "solve.store")]
+        serial = _run(BASE, capsys)
         cold = _run(argv, capsys)
         resumed = _run(argv, capsys)
-        assert resumed[0] == cold[0]
-        assert resumed[1] == cold[1]
-        # The whole trajectory is already cached, so the resumed run must
-        # demand strictly fewer fresh evaluations (zero for the serial
-        # plane; the speculative scheduler may still pre-fill a handful).
-        assert resumed[2] < cold[2]
-        if not pool_args:
-            assert resumed[2] == 0
+        assert resumed[0] == cold[0] == serial[0]
+        assert resumed[1] == cold[1] == serial[1]
+        # Every plane makes only the evaluations the search demands: the
+        # store holds the serial run's points, and the resume pays 0.
+        assert cold[2] == serial[2] > 0
+        assert resumed[2] == 0
 
     def test_resume_chain_is_monotone(self, capsys, tmp_path):
         """Each resume leg evaluates no more than the previous leg."""

@@ -1,13 +1,13 @@
 """Cross-backend conformance wall for :mod:`repro.evalplane`.
 
 One battery, every registered backend: a pattern search driven through
-any evaluation plane must walk the bitwise-identical accepted-move
-trajectory and return the identical optimum as the serial reference —
-on the golden thesis fixtures and on 25 seeded fuzz networks — while
-budgets, caps, store-style cache seeding and warm seeds behave
-equivalently, and faults (a SIGKILLed worker,
-mid-search budget exhaustion, racing cache primes) degrade to the same
-answer.  A new backend registered in :mod:`repro.evalplane.registry`
+any evaluation plane must make the same fresh evaluations, walk the
+bitwise-identical accepted-move trajectory and return the identical
+optimum as the serial reference — on the golden thesis fixtures and on
+25 seeded fuzz networks — while budgets, caps, store-style cache
+seeding and warm seeds behave equivalently, and faults (a SIGKILLed
+worker, mid-search budget exhaustion, racing cache primes) degrade to
+the same answer.  A new backend registered in :mod:`repro.evalplane.registry`
 is pulled through all of it automatically via the ``plane_name``
 fixture.
 
@@ -100,15 +100,18 @@ def _oracle(label: str, network, max_window: int):
 
 
 def _assert_identical(result, oracle, label: str) -> None:
-    """The conformance core: bitwise-identical trajectory and optimum."""
+    """The conformance core: the serial run's evaluations, trajectory and
+    optimum, bitwise."""
     assert result.base_points == oracle.base_points, label
     assert result.best_point == oracle.best_point, label
     assert result.best_value == oracle.best_value, label
     assert result.status == oracle.status, label
+    assert result.evaluations == oracle.evaluations, label
+    assert result.lookups == oracle.lookups, label
 
 
 class TestLifecycle:
-    """Construction, context management, close/drain idempotence."""
+    """Construction, context management, close idempotence."""
 
     def test_close_is_idempotent_and_final(self, plane_name, moderate_net):
         _objective, plane = build_harness(plane_name, moderate_net)
@@ -117,7 +120,6 @@ class TestLifecycle:
             assert not plane.closed
         assert plane.closed
         plane.close()  # second close is a no-op
-        plane.drain()  # drain after close is a no-op too
         with pytest.raises(SearchError):
             plane.submit((3, 3))
 
@@ -205,7 +207,7 @@ class TestFuzzTrajectoryEquivalence:
 
 
 class TestBudgetSemantics:
-    """Caps and budgets: raise before work, best-so-far, full drain."""
+    """Caps and budgets: raise before work, best-so-far, serial counts."""
 
     def test_zero_cap_exhausts_before_any_work(self, plane_name, moderate_net):
         result, plane = _run_search(
@@ -219,12 +221,15 @@ class TestBudgetSemantics:
         result, plane = _run_search(
             plane_name, moderate_net, 12, max_evaluations=5
         )
+        serial, serial_plane = _run_search(
+            "serial", moderate_net, 12, max_evaluations=5
+        )
         assert result.status == "budget_exhausted"
-        # Speculation is trimmed to the remaining room, so no backend may
-        # overshoot the cap.
-        assert plane.cache.evaluations <= 5
-        # Best-so-far is the best *cached* value — including speculative
-        # completions banked by the mid-search drain.
+        # Every backend spends the cap on the serial run's points.
+        assert plane.cache.evaluations == 5
+        assert plane.cache.history == serial_plane.cache.history
+        _assert_identical(result, serial, f"cap 5 via {plane_name}")
+        # Best-so-far is the best *cached* value.
         _best_point, best_value = plane.cache.best()
         assert result.best_value == best_value
         assert plane.cache.values[result.best_point] == best_value
@@ -254,7 +259,7 @@ class TestBudgetSemantics:
         with plane:
             batch = [(1, 1), (1, 1), (2, 2), (3, 3), (4, 4)]
             results = plane.submit_many(batch)  # never raises
-            assert plane.cache.evaluations <= 2
+            assert plane.cache.evaluations == 2
             for res in results:
                 assert res.windows in plane.cache
 
@@ -263,16 +268,18 @@ class TestSeededResume:
     """Store-style cache seeding: a resumed run pays nothing."""
 
     def test_seeded_rerun_is_free_and_identical(self, plane_name, moderate_net):
-        first, first_plane = _run_search(plane_name, moderate_net, 12)
+        # A store written by the serial reference seeds every plane: each
+        # makes only the serial run's evaluations, so nothing is left.
+        first, first_plane = _run_search("serial", moderate_net, 12)
         # Re-seed a fresh harness with the first run's cache entries —
         # exactly what an EvaluationStore replay does.
-        entries, _point, _value, _evals = first_plane.cache.snapshot()
+        entries = dict(first_plane.cache.values)
         objective, plane = build_harness(plane_name, moderate_net)
         hook_calls = []
         plane.on_evaluation = lambda cache: hook_calls.append(
             cache.evaluations
         )
-        for point, value in entries:
+        for point, value in entries.items():
             plane.cache.values[point] = value  # seeded, not counted
         start = initial_windows(moderate_net, "hops")
         with plane:
@@ -282,15 +289,8 @@ class TestSeededResume:
         assert second.best_point == first.best_point
         assert second.best_value == first.best_value
         assert second.base_points == first.base_points
-        if get_spec(plane_name).needs_parallel:
-            # Every *demanded* point is a seeded hit; the speculative
-            # frontier may still pay for a few candidates the first run
-            # cancelled before they reached a worker.
-            assert plane.cache.evaluations <= first_plane.cache.evaluations
-            assert plane.cache.hits >= len(second.base_points)
-        else:
-            assert plane.cache.evaluations == 0  # nothing fresh
-            assert hook_calls == []  # the hook only fires on fresh work
+        assert plane.cache.evaluations == 0  # nothing fresh
+        assert hook_calls == []  # the hook only fires on fresh work
 
 
 class TestWarmSeedsAndBounds:

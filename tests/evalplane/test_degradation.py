@@ -1,16 +1,18 @@
 """The plane degradation ladder, exercised at the plane layer.
 
-Satellite coverage for ``PersistentPlane.drain()`` under mid-drain
-worker death, the failure budget, and the serial rung's bookkeeping
-(cache priming, ``EvalResult.health``, trajectory preservation).
+Satellite coverage for a worker SIGKILLed while it holds a demanded
+task, the failure budget, and the serial rung's bookkeeping (cache
+priming, ``EvalResult.health``, trajectory preservation).
 """
 
 import os
 import signal
+import threading
 import time
 
 import pytest
 
+from repro.chaos import FaultPlan, FaultRule, inject
 from repro.core.objective import WindowObjective
 from repro.errors import SearchError
 from repro.evalplane import create_plane
@@ -36,36 +38,64 @@ def _kill_one_worker(objective):
     return pid
 
 
-class TestMidDrainDeath:
-    def test_drain_survives_mid_drain_sigkill(self, moderate_net):
-        # Default respawn budget: the fleet absorbs the kill and the
-        # drain banks every speculative completion as usual.
+def _serial_value(network, point):
+    with WindowObjective(network, "mva-heuristic") as serial:
+        return serial(point)
+
+
+def _submit_while_worker_zero_dies(objective, plane, point):
+    """Demand ``point`` and SIGKILL the worker solving it, mid-task.
+
+    Worker 0 takes the first task of an idle fleet; the armed plan holds
+    it there for 30 s, and a timer kills the worker half a second in.
+    """
+    plan = FaultPlan(
+        name="hold-demand",
+        rules=(FaultRule("pool.worker.task", "delay", worker=0, seconds=30.0),),
+    )
+    with inject(plan):
+        pid = objective.ensure_pool().worker_pids[0]
+        killer = threading.Timer(0.5, os.kill, (pid, signal.SIGKILL))
+        killer.start()
+        try:
+            started = time.monotonic()
+            result = plane.submit(point)
+            elapsed = time.monotonic() - started
+        finally:
+            killer.cancel()
+    assert elapsed < 20.0  # answered after the kill, not after the delay
+    return result
+
+
+class TestDemandedTaskDeath:
+    def test_demand_survives_worker_sigkill(self, moderate_net):
+        # Default respawn budget: the fleet respawns the worker, requeues
+        # the demanded task and answers it.
         objective, plane = build_harness("persistent", moderate_net)
         with plane:
-            first = plane.submit(POINT)
-            plane.hint_sweep(POINT, first.value, 2)  # speculation in flight
-            _kill_one_worker(objective)
-            plane.drain()  # must neither raise nor hang
-            assert plane.mode in ("persistent", "serial")
-            # the plane is still serviceable after the drain
+            result = _submit_while_worker_zero_dies(objective, plane, POINT)
+            assert plane.mode == "persistent"
+            assert plane.pool_health.respawns == 1
+            assert result.fresh
+            assert result.value == _serial_value(moderate_net, POINT)
+            assert plane.cache.evaluations == 1
             again = plane.submit(POINT)
-            assert again.value == first.value
             assert not again.fresh
 
-    def test_drain_degrades_when_respawns_forbidden(
+    def test_demand_degrades_when_respawns_forbidden(
         self, moderate_net, monkeypatch
     ):
         monkeypatch.setenv("REPRO_MAX_RESPAWNS", "0")
         objective, plane = build_harness("persistent", moderate_net)
         with plane, pytest.warns(RuntimeWarning, match="degraded"):
-            first = plane.submit(POINT)
-            plane.hint_sweep(POINT, first.value, 2)
-            _kill_one_worker(objective)
-            plane.drain()
+            result = _submit_while_worker_zero_dies(objective, plane, POINT)
             assert plane.mode == "serial"
             assert plane.degradations
             assert plane.degradations[0].from_mode == "persistent"
             assert plane.degradations[0].to_mode == "serial"
+            # the lost demand is solved once, in-process
+            assert result.value == _serial_value(moderate_net, POINT)
+            assert plane.cache.evaluations == 1
             # demanded evaluations keep flowing on the serial rung, and
             # results now carry the degradation record
             probe = plane.submit((5, 5))
@@ -99,8 +129,7 @@ class TestFailureBudget:
             )
         # the trajectory-facing contract held throughout: values primed
         # by the pool and by the serial rung match in-process solves
-        with WindowObjective(moderate_net, "mva-heuristic") as serial:
-            assert plane.cache.values[POINT] == serial(POINT)
+        assert plane.cache.values[POINT] == _serial_value(moderate_net, POINT)
 
     def test_env_override_sets_default_budget(self, moderate_net, monkeypatch):
         monkeypatch.setenv("REPRO_POOL_FAILURE_BUDGET", "3")

@@ -2,10 +2,10 @@
 
 Before the evaluation plane, :func:`windim_multistart` wired its worker
 pool per start and returned early — on budget exhaustion or a raising
-solver — without draining in-flight speculative work, leaking pool
-processes.  The search loop is now wrapped in a single plane context
-manager, so *every* exit path (normal, exhausted cap, raising start)
-must leave the plane closed and the pool shut down.
+solver — without shutting its pool down, leaking pool processes.  The
+search loop is now wrapped in a single plane context manager, so
+*every* exit path (normal, exhausted cap, raising start) must leave the
+plane closed and the pool shut down.
 """
 
 from __future__ import annotations

@@ -2,7 +2,18 @@
 
 from __future__ import annotations
 
+import pytest
+
+from repro.backend import BACKEND_ENV_VAR
 from repro.mva import autobatch
+
+
+@pytest.fixture(autouse=True)
+def vectorized_kernel(monkeypatch):
+    """``backend=None`` resolves to the process default; pin the
+    vectorized kernel so the scalar-backend reason cannot mask the one a
+    test asks about."""
+    monkeypatch.setenv(BACKEND_ENV_VAR, "vectorized")
 
 
 class TestAssess:

@@ -3,7 +3,7 @@
 The arena is the "broadcast the model exactly once" half of the
 persistent pool: these tests pin the owner/attacher round trip, the
 generation-bump retarget that lets one worker fleet serve a whole
-campaign sweep, and the warm-seed slots the scheduler uses.
+campaign sweep, and the warm-seed slots pool tasks read.
 """
 
 import numpy as np

@@ -2,13 +2,17 @@
 
 Covers the pool half of the tentpole: values match in-process solves,
 warm seeds travel by arena slot, a killed worker is respawned with its
-tasks requeued, and the whole stack works under the ``spawn`` start
-method (which is what makes it portable off fork-capable hosts).
+tasks requeued, the whole stack works under the ``spawn`` start
+method (which is what makes it portable off fork-capable hosts), and
+workers exit on their own when their parent is killed.
 """
 
 import os
 import pickle
 import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
@@ -223,3 +227,68 @@ def test_objective_with_live_pool_pickles(network):
             clone.close()
     finally:
         objective.close()
+
+
+_ORPHAN_SCRIPT = textwrap.dedent(
+    """
+    import sys, time
+    from repro.netmodel.examples import canadian_two_class
+    from repro.parallel import PersistentEvalPool
+
+    pool = PersistentEvalPool(
+        canadian_two_class(18.0, 18.0), "mva-heuristic",
+        workers=2, start_method=sys.argv[1],
+    )
+    assert pool.map([(3, 3), (4, 4)])[(3, 3)].ok
+    print(" ".join(str(pid) for pid in pool.worker_pids), flush=True)
+    time.sleep(120)
+    """
+)
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError, IndexError):
+        return False
+    return state != "Z"
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc/<pid>/stat"
+)
+@pytest.mark.parametrize("start_method", ["fork", "spawn"])
+def test_workers_exit_when_the_parent_is_terminated(start_method):
+    # SIGTERM kills the parent without closing the pool, so no stop
+    # message ever reaches the workers: they must notice by themselves.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "..", "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    parent = subprocess.Popen(
+        [sys.executable, "-c", _ORPHAN_SCRIPT, start_method],
+        stdout=subprocess.PIPE,
+        env=env,
+        text=True,
+    )
+    workers = []
+    try:
+        workers = [int(pid) for pid in parent.stdout.readline().split()]
+        assert len(workers) == 2
+        assert all(_running(pid) for pid in workers)
+        parent.send_signal(signal.SIGTERM)
+        assert parent.wait(timeout=10) == -signal.SIGTERM
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and any(map(_running, workers)):
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _running(pid)]
+    finally:
+        if parent.poll() is None:
+            parent.kill()
+            parent.wait()
+        parent.stdout.close()
+        for pid in filter(_running, workers):  # a failed run leaks none
+            os.kill(pid, signal.SIGKILL)

@@ -56,12 +56,14 @@ def test_pattern_search_bench_tiny_mode(results_dir):
     for run in payload["runs"].values():
         _check_run(run)
     # Same search under every configuration: identical optimum, and the
-    # persistent pool additionally walks the identical accepted-move
-    # trajectory on a fleet that never lost a worker.
+    # persistent pool additionally makes the same evaluations and walks
+    # the identical accepted-move trajectory on a fleet that never lost a
+    # worker.
     optima = {tuple(r["best_windows"]) for r in payload["runs"].values()}
     assert len(optima) == 1
     pool_run = payload["runs"]["pool"]
     assert pool_run["trajectory"] == payload["runs"]["scalar"]["trajectory"]
+    assert pool_run["evaluations"] == payload["runs"]["scalar"]["evaluations"]
     assert pool_run["pool"]["stable_pids"]
     assert pool_run["pool"]["respawns"] == 0
     assert pool_run["pool"]["payload_bytes_per_task"] > 0

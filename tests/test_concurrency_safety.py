@@ -98,13 +98,14 @@ class TestCacheThreadSafety:
         assert all(cache.values[p] == float(sum(p)) for p in points)
 
     def test_snapshot_is_mutually_consistent(self):
+        """values, history, best() and evaluations describe one state."""
         cache = EvaluationCache(lambda p: float(sum(p)))
         for i in range(10):
             cache((i, 0))
-        entries, best_point, best_value, evaluations = cache.snapshot()
-        assert dict(entries) == cache.values
-        assert (best_point, best_value) == cache.best()
-        assert evaluations == cache.evaluations
+        values = dict(cache.values)
+        assert dict(cache.history) == values
+        assert cache.best() == min(values.items(), key=lambda kv: kv[1])
+        assert cache.evaluations == len(values) == 10
 
 
 class TestParallelStoreResume:
