@@ -16,15 +16,26 @@ worker fleet (:class:`~repro.parallel.pool.PersistentEvalPool`).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
 from repro.backend import resolve_backend
-from repro.core.power import inverse_power
+from repro.core.power import inverse_pack_power, inverse_power
 from repro.core.reuse import ReuseEngine
 from repro.errors import ModelError, SolverError
+from repro.mva.soa import PackedSolution
 from repro.queueing.network import ClosedNetwork
+from repro.search.cache import integral_key
 from repro.solution import NetworkSolution
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -39,11 +50,15 @@ __all__ = ["WindowObjective", "resolve_solver", "SOLVERS"]
 #: run into >100 GB of dead state.  Eviction is least-recently-*used*;
 #: every consumer already tolerates a miss (``solution()`` re-solves,
 #: ``cached_solution()`` returns None and the store harvest skips).
+#: A packed evaluation is retained as a
+#: :class:`~repro.mva.soa.PackedSolution` handle, under the same cap.
 DEFAULT_MAX_SOLUTIONS = 256
 
 
 Point = Tuple[int, ...]
 Solver = Callable[..., NetworkSolution]
+#: What the solution cache keeps per window vector.
+Retained = Union[NetworkSolution, PackedSolution]
 
 
 def _heuristic_solver(
@@ -228,7 +243,7 @@ class WindowObjective:
         if max_solutions < 1:
             raise ModelError(f"max_solutions must be >= 1, got {max_solutions}")
         self._max_solutions = int(max_solutions)
-        self._solutions: "OrderedDict[Point, NetworkSolution]" = OrderedDict()
+        self._solutions: "OrderedDict[Point, Retained]" = OrderedDict()
         self.evaluations = 0
 
     @property
@@ -320,7 +335,7 @@ class WindowObjective:
             return None
         return self._engine.nearest_seed(self._key(windows))
 
-    def _retain(self, key: Point, solution: NetworkSolution) -> None:
+    def _retain(self, key: Point, solution: Retained) -> None:
         """Keep ``solution`` for :meth:`solution`, evicting LRU past the cap."""
         self._solutions[key] = solution
         self._solutions.move_to_end(key)
@@ -328,7 +343,16 @@ class WindowObjective:
             self._solutions.popitem(last=False)
 
     def _key(self, windows: Sequence[int]) -> Point:
-        key = tuple(int(w) for w in windows)
+        """``windows`` as a key: integral, one per chain, none negative.
+
+        A fractional window is rejected, never truncated: truncation
+        would answer for a different window vector (the same guard as
+        :func:`~repro.search.cache.integral_key`).
+        """
+        try:
+            key = integral_key(windows)
+        except ValueError as error:
+            raise ModelError(str(error)) from None
         if len(key) != self._network.num_chains:
             raise ModelError(
                 f"expected {self._network.num_chains} windows, got {len(key)}"
@@ -342,6 +366,20 @@ class WindowObjective:
         """Reuse-engine counters (None when ``reuse=False``)."""
         return self._engine.stats() if self._engine is not None else None
 
+    def retained(self, key: Point) -> Optional[Retained]:
+        """What the solution cache keeps at ``key``, or None — never builds.
+
+        ``key`` is a window tuple already normalised by the caller (the
+        evaluation plane's :func:`~repro.search.cache.integral_key`); a
+        hit counts as a use for the LRU order.  A packed evaluation
+        answers with its :class:`~repro.mva.soa.PackedSolution` handle,
+        which builds the solution when first read.
+        """
+        solution = self._solutions.get(key)
+        if solution is not None:
+            self._solutions.move_to_end(key)
+        return solution
+
     def cached_solution(self, windows: Sequence[int]) -> Optional[NetworkSolution]:
         """The retained solution at ``windows``, or None — never solves.
 
@@ -350,10 +388,9 @@ class WindowObjective:
         without triggering extra work.  A cap-evicted point reads as
         None, exactly like a never-evaluated one.
         """
-        key = self._key(windows)
-        solution = self._solutions.get(key)
-        if solution is not None:
-            self._solutions.move_to_end(key)
+        solution = self.retained(self._key(windows))
+        if isinstance(solution, PackedSolution):
+            return solution.get()
         return solution
 
     def prime_seed(self, windows: Sequence[int], queue_lengths: np.ndarray) -> None:
@@ -430,23 +467,14 @@ class WindowObjective:
             autobatch.record_declined(reason, batch_size)
         return engage
 
-    def _solve_packed(
-        self, networks: List[ClosedNetwork]
-    ) -> Optional[List[NetworkSolution]]:
-        """``networks`` solved as SoA packs, or None when batching declines.
-
-        The decide → pack step of every in-process batch; a declined
-        batch is left to the caller's serial loop.
-        """
-        if not self.engages_packs(len(networks)):
-            return None
+    def _engage_packs(self, batch_size: int) -> bool:
+        """:meth:`engages_packs`, counting an engaged batch as packed."""
+        if not self.engages_packs(batch_size):
+            return False
         from repro.mva import autobatch
-        from repro.mva.soa import solve_networks_batched
 
-        autobatch.record_engaged(len(networks))
-        return solve_networks_batched(
-            networks, solver=self._solver_name, backend=self._backend
-        )
+        autobatch.record_engaged(batch_size)
+        return True
 
     def batch_solve_networks(
         self, networks: Sequence[ClosedNetwork]
@@ -460,68 +488,113 @@ class WindowObjective:
         where the solver failed).  When :meth:`soa_assessment` engages,
         the whole batch runs as SoA packs
         (:func:`repro.mva.soa.solve_networks_batched`), bit-identical to
-        serial solves; declined batches are logged with the reason and
-        solved serially.  ``evaluations`` grows by ``len(networks)``
-        either way.
+        serial solves, and is scored by
+        :func:`~repro.core.power.inverse_pack_power`; declined batches
+        are logged with the reason and solved serially.  ``evaluations``
+        grows by ``len(networks)`` either way.
         """
         networks = list(networks)
         if not networks:
             return []
-        solutions = self._solve_packed(networks)
-        if solutions is None:
+        if self._engage_packs(len(networks)):
+            from repro.mva import soa
+
+            packed = soa.solve_networks_batched(
+                networks, solver=self._solver_name, backend=self._backend
+            )
+            results = list(zip(inverse_pack_power(packed).tolist(), packed))
+        else:
             kwargs: Dict[str, object] = {}
             if self._solver_name is not None:
                 kwargs["backend"] = self._backend
-            solutions = []
+            results = []
             for network in networks:
                 try:
-                    solutions.append(self._solver(network, **kwargs))
+                    solution = self._solver(network, **kwargs)
                 except SolverError:
-                    solutions.append(None)
-        results: "List[Tuple[float, Optional[NetworkSolution]]]" = []
-        for solution in solutions:
-            self.evaluations += 1
-            value = inverse_power(solution) if solution is not None else float("inf")
-            results.append((value, solution))
+                    results.append((float("inf"), None))
+                else:
+                    results.append((inverse_power(solution), solution))
+        self.evaluations += len(networks)
         return results
+
+    def _window_matrix(self, batch: Sequence[Sequence[int]]) -> np.ndarray:
+        """``batch`` as a checked ``(B, R)`` int64 window matrix.
+
+        One array check for the whole batch; anything it cannot vouch
+        for goes through :meth:`_key` point by point, which raises the
+        same errors a single evaluation would.
+        """
+        chains = self._network.num_chains
+        try:
+            windows = np.asarray(batch)
+        except ValueError:  # ragged
+            windows = None
+        if (
+            windows is None
+            or windows.shape != (len(batch), chains)
+            or windows.dtype.kind not in "iu"
+            or (windows.size and windows.min() < 0)
+        ):
+            windows = np.array([self._key(w) for w in batch], dtype=np.int64)
+        return windows.reshape(len(batch), chains).astype(np.int64, copy=False)
 
     def batch_solve(self, batch: Sequence[Sequence[int]]) -> List[float]:
         """Evaluate a whole batch of window vectors in one call.
 
-        The batch is typically a pattern-search neighborhood or a
-        multistart seed list.  With ``workers > 1`` (and a named solver)
-        the solves run concurrently on the persistent worker fleet —
-        created lazily on first use and reused across calls, with warm
-        seeds shipped by arena slot.  In-process batches that
-        :meth:`soa_assessment` engages run as SoA packs (see
-        :mod:`repro.mva.soa`), bit-identical to the per-key loop;
-        everything else runs serially in-process.  Either way the full
-        solutions are retained, so :meth:`solution` is free afterwards,
-        and ``evaluations`` grows by one per solve.
+        The batch is typically a pattern-search neighborhood, a
+        multistart seed list or a window grid.  With ``workers > 1``
+        (and a named solver) the solves run concurrently on the
+        persistent worker fleet — created lazily on first use and reused
+        across calls, with warm seeds shipped by arena slot.  In-process
+        batches that :meth:`soa_assessment` engages run as SoA packs
+        over the objective's one layout and the batch's window matrix
+        (:func:`repro.mva.soa.solve_windows_batched`, bit-identical to
+        the per-key loop, no network copies) and are scored from the
+        pack's arrays (:func:`~repro.core.power.inverse_pack_power`);
+        everything else runs serially in-process.  Either way the
+        solutions stay retained — packed ones as handles that build a
+        :class:`~repro.solution.NetworkSolution` on first read — so
+        :meth:`solution` is free afterwards, and ``evaluations`` grows by
+        one per solve.
 
         Returns the objective values in batch order (``inf`` where the
         solver failed).  Duplicate vectors in a packed or pooled batch
         are solved once.
         """
+        if not self.parallel:
+            if not len(batch):
+                return []
+            windows = self._window_matrix(batch)
+            keys = list(map(tuple, windows.tolist()))
+            unique = list(dict.fromkeys(keys))
+            if len(unique) < 2 or not self._engage_packs(len(unique)):
+                return [self(k) for k in keys]
+            from repro.mva import soa
+
+            if len(unique) < len(keys):
+                windows = np.array(unique, dtype=np.int64)
+            packed = soa.solve_windows_batched(
+                self._network, windows, solver=self._solver_name,
+                backend=self._backend,
+            )
+            values = inverse_pack_power(packed).tolist()
+            self.evaluations += len(unique)
+            # Only the last ``max_solutions`` keys would survive the
+            # LRU: retaining just those leaves the same keys behind.
+            for index in range(
+                max(0, len(unique) - self._max_solutions), len(unique)
+            ):
+                self._retain(unique[index], PackedSolution(packed, index))
+            if len(unique) == len(keys):
+                return values
+            by_key = dict(zip(unique, values))
+            return [by_key[k] for k in keys]
+
         keys = [self._key(w) for w in batch]
         if not keys:
             return []
         unique = list(dict.fromkeys(keys))
-        if not self.parallel:
-            solutions = None
-            if len(unique) >= 2:
-                solutions = self._solve_packed(
-                    [self._network.with_populations(k) for k in unique]
-                )
-            if solutions is None:
-                return [self(k) for k in keys]
-            values: Dict[Point, float] = {}
-            for key, solution in zip(unique, solutions):
-                self.evaluations += 1
-                self._retain(key, solution)
-                values[key] = inverse_power(solution)
-            return [values[k] for k in keys]
-
         pool = self.ensure_pool()
         seeds = {}
         for key in unique:
@@ -589,10 +662,12 @@ class WindowObjective:
 
     def solution(self, windows: Sequence[int]) -> NetworkSolution:
         """The full solution at ``windows`` (solving now if needed)."""
-        key = tuple(int(w) for w in windows)
+        key = self._key(windows)
         if key not in self._solutions:
             self(key)
-        if key not in self._solutions:
+        solution = self.retained(key)
+        if solution is None:
             raise SolverError(f"no solution obtainable at windows {key}")
-        self._solutions.move_to_end(key)
-        return self._solutions[key]
+        if isinstance(solution, PackedSolution):
+            return solution.get()
+        return solution

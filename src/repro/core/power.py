@@ -18,13 +18,23 @@ network transit time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
 from repro.solution import NetworkSolution
 
-__all__ = ["PowerReport", "network_power", "inverse_power", "power_report"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.mva.soa import PackResult
+
+__all__ = [
+    "PowerReport",
+    "network_power",
+    "inverse_power",
+    "pack_power",
+    "inverse_pack_power",
+    "power_report",
+]
 
 
 @dataclass(frozen=True)
@@ -81,6 +91,44 @@ def inverse_power(solution: NetworkSolution) -> float:
     if power <= 0:
         return float("inf")
     return 1.0 / power
+
+
+def pack_power(result: "PackResult") -> np.ndarray:
+    """:func:`network_power` of every network of a pack result, ``(B,)``.
+
+    Computed from the result's arrays, without building any
+    :class:`NetworkSolution`, and bit-identical to ``network_power`` of
+    each element: per topology, each network's throughputs and its
+    delay-mask slots (in the dense mask's chain-major order) are
+    gathered into the rows of C-contiguous arrays and summed with
+    ``sum(axis=1)``, which adds a row exactly as ``ndarray.sum`` adds
+    the vector ``network_power`` sums (see :mod:`repro.mva.soa`).
+    """
+    throughput = np.empty(len(result))
+    queued = np.empty(len(result))
+    for network, rows in result.groups():
+        layout = network.route_layout
+        counted = network.delay_mask()[layout.chain_index, layout.station_index]
+        starts = result.chain_offsets[rows][:, None]
+        throughput[rows] = result.throughputs[
+            starts + np.arange(layout.num_chains)
+        ].sum(axis=1)
+        queued[rows] = result.queue_lengths[
+            layout.slot_index[counted], starts + layout.chain_index[counted]
+        ].sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delay = queued / throughput
+        power = throughput / delay
+    return np.where(
+        (throughput > 0) & (delay > 0) & np.isfinite(delay), power, 0.0
+    )
+
+
+def inverse_pack_power(result: "PackResult") -> np.ndarray:
+    """:func:`inverse_power` of every network of a pack result, ``(B,)``."""
+    power = pack_power(result)
+    with np.errstate(divide="ignore"):
+        return np.where(power > 0, 1.0 / power, float("inf"))
 
 
 def power_report(solution: NetworkSolution) -> PowerReport:

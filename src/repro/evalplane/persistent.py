@@ -132,6 +132,7 @@ class PersistentPlane(EvaluationPlane):
         merge.  Caps are honoured quietly, as in the base class.  A pool
         failure mid-batch degrades to serial and replays the batch there.
         """
+        self._check_open()
         if self._mode == "persistent":
             try:
                 return self._submit_batched(batch)

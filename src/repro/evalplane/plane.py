@@ -30,7 +30,7 @@ from __future__ import annotations
 import warnings
 from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import ModelError, SearchError
+from repro.errors import SearchError
 from repro.evalplane.result import EvalResult
 from repro.resilience.budget import BudgetExhausted, SearchBudget
 from repro.resilience.health import DegradationEvent
@@ -118,6 +118,11 @@ class EvaluationPlane:
         """Fresh evaluations performed through this plane's cache."""
         return self.cache.evaluations
 
+    def _check_open(self) -> None:
+        """Refuse work once the plane is closed."""
+        if self._closed:
+            raise SearchError(f"evaluation plane {self.name!r} is closed")
+
     def _check_caps(self) -> None:
         """Budget/cap gate before a fresh evaluation (raises when spent)."""
         if self.budget is not None:
@@ -161,10 +166,9 @@ class EvaluationPlane:
         "sweep"}``); the built-in planes ignore it, custom backends may
         route on it.
         """
-        if self._closed:
-            raise SearchError(f"evaluation plane {self.name!r} is closed")
+        self._check_open()
         key = integral_key(windows)
-        fresh = key not in self.cache
+        fresh = key not in self.cache.values
         if fresh:
             self._check_caps()
             value = self._fulfil(key)
@@ -211,8 +215,7 @@ class EvaluationPlane:
         rejected.  Caps are honoured quietly: a spent budget declines
         the whole batch (empty list) rather than raising.
         """
-        if self._closed:
-            raise SearchError(f"evaluation plane {self.name!r} is closed")
+        self._check_open()
         networks = list(networks)
         if not networks or self._caps_spent():
             return []
@@ -225,40 +228,31 @@ class EvaluationPlane:
             )
         results: List[EvalResult] = []
         for network, (value, solution) in zip(networks, solve(networks)):
-            warm_seed = None
-            if solution is not None and getattr(solution, "converged", False):
-                warm_seed = solution.queue_lengths
             results.append(
                 EvalResult(
                     windows=tuple(int(p) for p in network.populations),
                     value=value,
                     fresh=True,
                     source=self.name,
-                    solution=solution,
-                    warm_seed=warm_seed,
+                    retained=solution,
                     health=self._health_record(),
                 )
             )
         return results
 
     def _result(self, key: Point, value: float, fresh: bool) -> EvalResult:
-        solution = None
-        getter = getattr(self._objective, "cached_solution", None)
-        if getter is not None:
-            try:
-                solution = getter(key)
-            except ModelError:  # pragma: no cover - foreign-shape key
-                solution = None
-        warm_seed = None
-        if solution is not None and getattr(solution, "converged", False):
-            warm_seed = solution.queue_lengths
+        """The result at a normalised ``key``; builds no solution.
+
+        The objective's retained entry (a solution or a packed handle)
+        rides along, and :attr:`EvalResult.solution` builds it when read.
+        """
+        retained = getattr(self._objective, "retained", None)
         return EvalResult(
             windows=key,
             value=value,
             fresh=fresh,
             source=self.name,
-            solution=solution,
-            warm_seed=warm_seed,
+            retained=retained(key) if retained is not None else None,
             health=self._health_record(),
         )
 
@@ -301,26 +295,27 @@ class EvaluationPlane:
         cache.  Each primed value counts as one fresh evaluation and
         fires ``on_evaluation`` once — identical bookkeeping to an
         in-process solve, which is what keeps stores path-agnostic.
+        Each window vector is normalised once, here; a closed plane
+        raises :class:`~repro.errors.SearchError` like :meth:`submit`.
         """
+        self._check_open()
         keys = [integral_key(w) for w in batch]
-        seen = set()
-        fresh: List[Point] = []
-        for key in keys:
-            if key in self.cache or key in seen:
-                continue
-            seen.add(key)
-            fresh.append(key)
+        cached = self.cache.values
+        seen = dict.fromkeys(key for key in keys if key not in cached)
         room = self.max_evaluations - self.cache.evaluations
-        fresh = fresh[: max(0, room)]
+        fresh = list(seen)[: max(0, room)]
         if fresh and not self._caps_spent():
             values = self._objective.batch_solve(fresh)
             for key, value in zip(fresh, values):
-                if self.cache.prime(key, value) and self.on_evaluation is not None:
+                if (
+                    self.cache.prime_key(key, value)
+                    and self.on_evaluation is not None
+                ):
                     self.on_evaluation(self.cache)
         return [
-            self._result(key, self.cache.values[key], fresh=key in seen)
+            self._result(key, cached[key], fresh=key in seen)
             for key in keys
-            if key in self.cache
+            if key in cached
         ]
 
     # ------------------------------------------------------------------

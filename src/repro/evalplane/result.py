@@ -8,14 +8,16 @@ never need to know which backend produced a number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Optional, Tuple, Union
+
+from repro.mva.soa import PackedSolution
+from repro.solution import NetworkSolution
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
     from repro.resilience.health import DegradationEvent
-    from repro.solution import NetworkSolution
 
 __all__ = ["EvalResult"]
 
@@ -39,15 +41,12 @@ class EvalResult:
     source:
         Name of the plane that produced the value (``"serial"``,
         ``"persistent"``, or a registered custom backend).
-    solution:
-        The full :class:`~repro.solution.NetworkSolution` when the
-        objective retains one (named solvers via ``WindowObjective``);
-        None for plain callables or failed solves.
-    warm_seed:
-        Converged queue-length matrix usable as a warm-start seed for
-        neighbouring evaluations (None when the solve failed, did not
-        converge, or the objective retains no solutions).  This is the
-        same matrix the reuse engine and the persistent store harvest.
+    retained:
+        What the objective retained for this evaluation: a
+        :class:`~repro.solution.NetworkSolution`, a
+        :class:`~repro.mva.soa.PackedSolution` handle of a packed batch
+        (read through :attr:`solution`), or None for plain callables,
+        failed solves and evicted points.
     health:
         Per-evaluation health annotation: the tuple of
         :class:`~repro.resilience.health.DegradationEvent` rungs taken
@@ -58,11 +57,32 @@ class EvalResult:
     value: float
     fresh: bool
     source: str
-    solution: Optional["NetworkSolution"] = None
-    warm_seed: Optional["np.ndarray"] = None
+    retained: Union[NetworkSolution, PackedSolution, None] = field(
+        default=None, repr=False, compare=False
+    )
     health: Optional[Tuple["DegradationEvent", ...]] = None
 
     @property
     def ok(self) -> bool:
         """True when the solve produced a finite objective value."""
         return self.value != float("inf")
+
+    @property
+    def solution(self) -> Optional[NetworkSolution]:
+        """The full solution (built now, once, from a packed handle)."""
+        if isinstance(self.retained, PackedSolution):
+            return self.retained.get()
+        return self.retained
+
+    @property
+    def warm_seed(self) -> Optional["np.ndarray"]:
+        """Converged queue-length matrix usable as a warm-start seed.
+
+        None when the solve failed, did not converge, or the objective
+        retains no solutions.  This is the same matrix the reuse engine
+        and the persistent store harvest.
+        """
+        solution = self.solution
+        if solution is not None and getattr(solution, "converged", False):
+            return solution.queue_lengths
+        return None

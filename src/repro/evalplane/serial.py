@@ -11,7 +11,7 @@ solver, reuse and backend settings allow packing (the one decision is
 :meth:`~repro.core.objective.WindowObjective.engages_packs`; network
 size plays no part), the fresh slice of a seed list goes to
 :meth:`~repro.core.objective.WindowObjective.batch_solve` and is solved
-in packs (:func:`repro.mva.soa.solve_networks_batched`) instead of a
+in packs (:func:`repro.mva.soa.solve_windows_batched`) instead of a
 per-point loop.  Packs are bit-identical to the per-point solves, so the
 plane's reference semantics are unchanged — only the dispatch count
 drops.

@@ -97,12 +97,12 @@ def plan_increments(
     # their denominator by one keeps the division well-defined while
     # leaving alive chains' denominators bit-for-bit untouched (x + 0.0).
     dead_offset = np.where(alive, 0.0, 1.0)
-    # ``set(tolist())`` collects the distinct windows in C; ``np.unique``
-    # would also do it without a Python loop, but its first call imports
+    # The distinct windows from one ``np.bincount`` (populations are
+    # >= 0); ``np.unique`` would sort, and its first call imports
     # ``numpy.ma`` (about 1.6 MB of peak RSS for every solving process).
     finish_at = {
         d: alive & (populations == d)
-        for d in set(populations.tolist())
+        for d in np.flatnonzero(np.bincount(populations)).tolist()
         if d >= 1
     }
     max_population = int(populations.max()) if populations.size else 0

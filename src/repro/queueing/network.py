@@ -14,7 +14,7 @@ never needs to touch Python-level structure in inner loops.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -259,24 +259,47 @@ class ClosedNetwork:
     # ------------------------------------------------------------------
     def with_populations(self, populations: Sequence[int]) -> "ClosedNetwork":
         """Return a copy with new chain populations (window sizes)."""
-        if len(populations) != self.num_chains:
-            raise ModelError(
-                f"expected {self.num_chains} populations, got {len(populations)}"
+        return self.with_population_rows([populations])[0]
+
+    def with_population_rows(
+        self, rows: Sequence[Sequence[int]]
+    ) -> List["ClosedNetwork"]:
+        """One :meth:`with_populations` copy per window vector of ``rows``.
+
+        A copy shares everything with this network but its chains and
+        its populations (its row of one int64 matrix).  The copies share
+        chain copies as well, one per (chain, window), so a window grid
+        makes ``R x`` (distinct windows) of them, not one per chain per
+        row.
+        """
+        for populations in rows:
+            if len(populations) != self.num_chains:
+                raise ModelError(
+                    f"expected {self.num_chains} populations, "
+                    f"got {len(populations)}"
+                )
+        matrix = np.array(rows, dtype=np.int64).reshape(len(rows), self.num_chains)
+        # Build the shared lazy state once, so every copy carries it.
+        self.route_layout
+        self.delay_mask()
+        state = self.__dict__
+        copies: Dict[Tuple[int, int], ClosedChain] = {}
+        networks = []
+        for windows, populations in zip(matrix.tolist(), matrix):
+            chains = []
+            for r, window in enumerate(windows):
+                chain = copies.get((r, window))
+                if chain is None:
+                    chain = copies[r, window] = self.chains[r].with_population(window)
+                chains.append(chain)
+            # This network's (validated) state with two fields replaced,
+            # without the dataclass __init__.
+            network = object.__new__(ClosedNetwork)
+            network.__dict__.update(
+                state, chains=tuple(chains), populations=populations
             )
-        windows = [int(p) for p in populations]
-        new_chains = tuple(
-            chain.with_population(w) for chain, w in zip(self.chains, windows)
-        )
-        return ClosedNetwork(
-            stations=self.stations,
-            chains=new_chains,
-            demands=self.demands,
-            visit_counts=self.visit_counts,
-            populations=np.asarray(windows, dtype=np.int64),
-            source_index=self.source_index,
-            _layout=self.route_layout,
-            _delay_mask=self.delay_mask(),
-        )
+            networks.append(network)
+        return networks
 
     def subnetwork(self, chain: int) -> "ClosedNetwork":
         """Single-chain network consisting of ``chain`` and its stations.

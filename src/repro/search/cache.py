@@ -101,7 +101,14 @@ class EvaluationCache:
         Returns False (and changes nothing) when the point is already
         cached, so racing producers cannot double-count.
         """
-        key = integral_key(point)
+        return self.prime_key(integral_key(point), value)
+
+    def prime_key(self, key: Point, value: float) -> bool:
+        """:meth:`prime` for a key already normalised by :func:`integral_key`.
+
+        The evaluation plane normalises each window vector once, where
+        it enters, and merges batch results through this.
+        """
         with self._lock:
             if key in self.values:
                 return False

@@ -45,6 +45,26 @@ class TestEvaluation:
         with pytest.raises(ModelError):
             objective((4, -1))
 
+    def test_fractional_windows_rejected_not_truncated(self, objective):
+        # Truncation would answer for (1, 1): every entry point refuses.
+        with pytest.raises(ModelError, match="non-integral"):
+            objective((1.7, 1))
+        with pytest.raises(ModelError, match="non-integral"):
+            objective.batch_solve([(2.5, 1), (1, 1)])
+        with pytest.raises(ModelError, match="non-integral"):
+            objective.solution((1.9, 1))
+        with pytest.raises(ModelError, match="non-integral"):
+            objective.cached_solution((1.9, 1))
+        assert objective.evaluations == 0
+
+    def test_integral_floats_are_the_same_key(self, objective):
+        assert objective((2.0, 3.0)) == objective((2, 3))
+        assert objective.solution((2.0, 3)) is objective.solution((2, 3))
+        assert objective.batch_solve([(2.0, 3.0), (1, 1)]) == [
+            objective((2, 3)),
+            objective((1, 1)),
+        ]
+
     def test_zero_windows_are_inf(self, objective):
         assert objective((0, 0)) == float("inf")
 

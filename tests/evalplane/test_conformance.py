@@ -123,6 +123,23 @@ class TestLifecycle:
         with pytest.raises(SearchError):
             plane.submit((3, 3))
 
+    @pytest.mark.parametrize("reuse", [False, True], ids=["packed", "per-point"])
+    def test_closed_plane_rejects_batches(self, plane_name, moderate_net, reuse):
+        # Without reuse a serial batch takes the pack path, with reuse the
+        # per-point loop; a closed plane evaluates on neither and fires
+        # no hook (a closed store must not be written).
+        hook_calls = []
+        objective, plane = build_harness(
+            plane_name, moderate_net, reuse=reuse,
+            on_evaluation=lambda cache: hook_calls.append(cache.evaluations),
+        )
+        plane.close()
+        with pytest.raises(SearchError, match="closed"):
+            plane.submit_many([(1, 1), (2, 2)])
+        assert plane.cache.evaluations == 0
+        assert objective.evaluations == 0
+        assert hook_calls == []
+
     def test_exceptional_exit_still_closes(self, plane_name, moderate_net):
         _objective, plane = build_harness(plane_name, moderate_net)
         with pytest.raises(RuntimeError):

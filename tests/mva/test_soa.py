@@ -7,13 +7,17 @@ within tolerance), including iteration counts, convergence flags and
 residual extras.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import repro.mva.heuristic as heuristic
 import repro.mva.soa as soa
 from repro.backend import BACKEND_ENV_VAR
 from repro.core.objective import WindowObjective
-from repro.errors import ModelError
+from repro.core.power import inverse_power, network_power, pack_power
+from repro.errors import ModelError, SolverError
 from repro.mva.accel import AitkenAccelerator
 from repro.mva.convergence import IterationControl
 from repro.mva.heuristic import solve_mva_heuristic
@@ -26,8 +30,20 @@ from repro.mva.soa import (
 )
 from repro.netmodel.examples import canadian_four_class, canadian_two_class
 from repro.netmodel.generator import random_network, scale_fixture
+from repro.queueing.network import ClosedNetwork
+from repro.solution import NetworkSolution
 
 SERIAL = {"mva-heuristic": solve_mva_heuristic, "schweitzer": solve_schweitzer}
+
+#: The eight Table 4.12 load points (class rates, msg/s).
+TABLE_4_12 = [
+    (6.0, 6.0, 6.0, 12.0), (9.957, 4.419, 7.656, 7.968),
+    (17.61, 3.56, 3.0, 5.83), (12.5, 12.5, 12.5, 25.0),
+    (21.24, 9.86, 18.85, 12.55), (33.59, 1.70, 24.15, 3.06),
+    (20.0, 20.0, 20.0, 40.0), (28.18, 38.02, 2.87, 30.93),
+]
+#: Every window vector of [1, 6]^4, the grid of the optimality probes.
+GRID = np.indices((6,) * 4).reshape(4, -1).T + 1
 
 
 @pytest.fixture(autouse=True)
@@ -456,3 +472,182 @@ class TestObjectiveIntegration:
         assert not engage
         assert "reuse" in reason
         assert not reused.soa_batchable
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def _assert_pack_matches_serial(network, windows):
+    """Pack power, iterations and flags against serial solves, bitwise."""
+    packed = solve_windows_batched(network, windows)
+    serial = [
+        solve_mva_heuristic(network.with_populations(w), backend="vectorized")
+        for w in windows
+    ]
+    assert np.array_equal(
+        _bits(pack_power(packed)), _bits([network_power(s) for s in serial])
+    )
+    assert packed.iterations.tolist() == [s.iterations for s in serial]
+    assert packed.converged.tolist() == [s.converged for s in serial]
+    return packed
+
+
+class TestPackPower:
+    """Power scored from a pack's arrays equals ``network_power`` bitwise."""
+
+    @pytest.mark.parametrize("rates", TABLE_4_12)
+    def test_grid_sample_matches_serial(self, rates):
+        rng = np.random.default_rng(412)
+        sample = GRID[rng.choice(len(GRID), size=24, replace=False)]
+        # An all-zero window (no throughput: power 0, value inf) and one
+        # with idle chains ride along.
+        windows = np.vstack([sample, [[0, 0, 0, 0], [0, 3, 0, 2]]])
+        packed = _assert_pack_matches_serial(canadian_four_class(*rates), windows)
+        assert pack_power(packed)[-2] == 0.0
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("rates", TABLE_4_12)
+    def test_every_grid_window_matches_serial(self, rates):
+        _assert_pack_matches_serial(canadian_four_class(*rates), GRID)
+
+    def test_wide_and_mixed_packs_match_network_power(self):
+        # 25 chains: throughputs and delay slots past the pairwise
+        # threshold; and a mixed pack, grouped by layout.
+        network = scale_fixture("small")
+        rng = np.random.default_rng(3)
+        windows = rng.integers(0, 4, size=(5, network.num_chains))
+        packed = solve_windows_batched(network, windows)
+        assert np.array_equal(
+            _bits(pack_power(packed)), _bits([network_power(s) for s in packed])
+        )
+        networks = [
+            random_network(
+                num_nodes=5 + k, num_classes=1 + k % 9, extra_edges=3, seed=k
+            ).with_populations([1 + k % 3] * (1 + k % 9))
+            for k in range(12)
+        ]
+        networks += [networks[4].with_populations([0] * 5), networks[2]]
+        mixed = soa.solve_networks_batched(networks)
+        assert np.array_equal(
+            _bits(pack_power(mixed)), _bits([network_power(s) for s in mixed])
+        )
+
+    def test_objective_values_are_inverse_powers(self):
+        network = canadian_four_class(*TABLE_4_12[0])
+        objective = WindowObjective(network)
+        windows = [(0, 0, 0, 0), (1, 1, 1, 4), (6, 1, 2, 3)]
+        values = objective.batch_solve(windows)
+        assert values[0] == float("inf")
+        for w, value in zip(windows, values):
+            ref = solve_mva_heuristic(network.with_populations(w))
+            assert _bits(value) == _bits(inverse_power(ref))
+
+    def test_power_curve_failed_point_scores_zero(self):
+        from repro.analysis.sweeps import power_curve
+
+        rates = [(4.0, 4.0), (8.0, 8.0), (12.0, 12.0)]
+
+        def failing_at_eight(network, backend=None):
+            if network.demands.max() == canadian_two_class(8.0, 8.0).demands.max():
+                raise SolverError("injected failure")
+            return solve_mva_heuristic(network, backend=backend)
+
+        packed = power_curve(canadian_two_class, rates, windows=(3, 3))
+        serial = power_curve(
+            canadian_two_class, rates, windows=(3, 3), solver=failing_at_eight
+        )
+        assert serial[1] == (rates[1], 0.0)
+        assert packed[1][1] > 0.0
+        for k in (0, 2):
+            assert _bits(serial[k][1]) == _bits(packed[k][1])
+
+
+class TestColumnarGrid:
+    """A window grid is solved and scored as arrays (host-independent counts)."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch) -> Counter:
+        counts: Counter = Counter()
+
+        def counted(owner, name, key, per_call=lambda *args: 1):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                counts[key] += per_call(*args)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(ClosedNetwork, "with_populations", "copies")
+        counted(
+            ClosedNetwork, "with_population_rows", "copies",
+            per_call=lambda network, rows: len(rows),
+        )
+        counted(NetworkSolution, "__init__", "solutions")
+        counted(heuristic, "batched_increments", "kernel")
+        return counts
+
+    def test_grid_copies_no_network_and_builds_no_solution(self, counts):
+        from repro.analysis.sweeps import window_grid_power
+        from repro.search.space import IntegerBox
+
+        network = canadian_four_class(*TABLE_4_12[0])
+        grid = window_grid_power(network, IntegerBox.windows(4, 6))
+        assert len(grid) == len(GRID) == 1296
+        assert counts["copies"] == 0
+        assert counts["solutions"] == 0
+        # One kernel call per sweep of the one pack: the slowest window
+        # of this grid takes 33 sweeps.
+        assert counts["kernel"] == 33
+
+    def test_solution_after_a_packed_grid_builds_one(self, counts):
+        from repro.evalplane.serial import SerialPlane
+
+        network = canadian_four_class(*TABLE_4_12[0])
+        objective = WindowObjective(network)
+        windows = [tuple(w) for w in GRID.tolist()]
+        with SerialPlane(objective) as plane:
+            results = plane.submit_many(windows)
+        assert counts["solutions"] == 0
+        evaluations = objective.evaluations
+        last = windows[-1]
+        solution = objective.solution(last)
+        assert counts["solutions"] == 1
+        assert objective.evaluations == evaluations
+        # Built once: the plane's result and later reads share it.
+        assert objective.solution(last) is solution
+        assert results[-1].solution is solution
+        assert counts["solutions"] == 1
+        _assert_same_solution(
+            solution,
+            solve_mva_heuristic(network.with_populations(last), backend="vectorized"),
+        )
+        assert solution.network.populations.tolist() == list(last)
+
+    def test_retained_keys_are_the_lru_tail(self):
+        network = canadian_four_class(*TABLE_4_12[0])
+        objective = WindowObjective(network, max_solutions=100)
+        windows = [tuple(w) for w in GRID.tolist()]
+        objective.batch_solve(windows)
+        retained = [w for w in windows if objective.cached_solution(w) is not None]
+        assert retained == windows[-100:]
+
+    def test_population_column_is_checked(self):
+        network = canadian_two_class(4.0, 4.0)
+        for bad, match in (
+            ([[1, 1]], "window vectors"),
+            ([[1, 1], [1]], "window vectors"),
+            ([[1, 1], [1.5, 1]], "integers"),
+            ([[1, 1], [-1, 1]], ">= 0"),
+        ):
+            with pytest.raises(ModelError, match=match):
+                soa.pack_networks([network] * 2, populations=bad)
+
+    def test_population_rows_share_chain_copies(self):
+        network = canadian_two_class(4.0, 4.0)
+        first, second = network.with_population_rows([[2, 3], [2, 5]])
+        assert first.chains[0] is second.chains[0]
+        assert [c.population for c in second.chains] == [2, 5]
+        assert second.populations.tolist() == [2, 5]
+        assert second.route_layout is network.route_layout
