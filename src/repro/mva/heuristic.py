@@ -88,25 +88,48 @@ def plan_increments(
     scaling by ``1 + others >= 1`` never changes positivity, callers
     derive it once from the raw demands and reuse the plan across every
     fixed-point iteration of a solve.  ``queueing`` is the ``(K, N)``
-    slot mask of :func:`batched_increments`.  ``plan[3]`` is the
-    recursion depth (the largest population).  One plan serves a serial
+    slot mask of :func:`batched_increments`.  One plan serves a serial
     solve's ``(K, R)`` columns and a pack's ``(K, B·R)`` alike.
+
+    A column's recursion depth is its population, or 0 if it is not
+    alive.  The plan is ``(order, inverse, segments, depth)``:
+
+    ``order``, ``inverse``
+        The column permutation that ranks the columns by depth, deepest
+        first (stably), and its inverse; both ``None`` when the columns
+        are already ranked.
+    ``segments``
+        One ``(last, width, rest, mask)`` per distinct positive depth,
+        shallowest first: steps up to ``last`` advance the leading
+        ``width`` ranked columns, whose queueing slots are ``mask``;
+        columns ``rest:width`` finish at step ``last``.
+    ``depth``
+        ``plan[3]``, the recursion depth: the largest column depth, an
+        int.
     """
-    populations = np.asarray(populations)
-    # Zero-demand chains have zero total wait at every step; offsetting
-    # their denominator by one keeps the division well-defined while
-    # leaving alive chains' denominators bit-for-bit untouched (x + 0.0).
-    dead_offset = np.where(alive, 0.0, 1.0)
-    # The distinct windows from one ``np.bincount`` (populations are
-    # >= 0); ``np.unique`` would sort, and its first call imports
-    # ``numpy.ma`` (about 1.6 MB of peak RSS for every solving process).
-    finish_at = {
-        d: alive & (populations == d)
-        for d in np.flatnonzero(np.bincount(populations)).tolist()
-        if d >= 1
-    }
-    max_population = int(populations.max()) if populations.size else 0
-    return queueing, dead_offset, finish_at, max_population
+    steps = np.where(alive, populations, 0)
+    # The distinct depths from one ``np.bincount`` (populations are
+    # >= 0) and a stable ranking from one ``np.flatnonzero`` per depth,
+    # with no sort: ``np.unique`` would sort, and its first call imports
+    # ``numpy.ma`` (about 1.6 MB of peak RSS for every solving process);
+    # ``np.argsort`` would sort all N columns to rank a handful of depths.
+    sizes = np.bincount(steps)
+    depths = np.flatnonzero(sizes).tolist()[::-1]
+    if (steps[1:] <= steps[:-1]).all():
+        order = inverse = None
+    else:
+        order = np.concatenate([np.flatnonzero(steps == d) for d in depths])
+        inverse = np.empty_like(order)
+        inverse[order] = np.arange(order.size)
+        queueing = queueing.take(order, axis=1)
+    counts = np.cumsum(sizes[depths])
+    segments = []
+    rest = 0
+    for d, width in zip(depths, counts.tolist()):
+        if d >= 1:
+            segments.append((d, width, rest, queueing[:, :width]))
+            rest = width
+    return order, inverse, segments[::-1], depths[0] if depths else 0
 
 
 def batched_increments(
@@ -121,16 +144,22 @@ def batched_increments(
     solve_single_chain` once per chain and taking ``trace.increment()``:
     the single-chain population recursion is advanced for every chain
     simultaneously on route-compacted, slot-major ``(K, N)`` state (see
-    :mod:`repro.mva.layout`) — column ``c`` is one chain's route, so a
-    step costs ``O(sum_r E_r)``, not ``O(R·L)``.
+    :mod:`repro.mva.layout`) — column ``c`` is one chain's route.
+
+    Each column recurses only to its own depth, its population (0 for
+    a chain with no demand, whose increments are zero): the columns are
+    ranked deepest first (:func:`plan_increments`), and step ``d``
+    advances the leading columns of depth ``>= d``, so a call costs
+    ``O(sum_r E_r)`` column-steps, not ``O(R·max_r E_r)``.  The loop
+    runs one segment per distinct depth, with a fixed width inside it;
+    a segment's finishing columns yield their increments on its last
+    step, and one ``take`` puts them back in column order.
 
     Columns are independent: each column's sum runs over its slots in
-    station order (:func:`~repro.mva.layout.route_sum`), and a chain's
-    increment is captured on the step matching its own population while
-    its column keeps recursing (unread) until the longest chain
-    finishes.  A column's result therefore does not depend on which
-    other columns share the array — a serial solve's ``(K, R)`` and a
-    pack's ``(K, B·R)`` give it bit for bit.  Against the dense scalar
+    station order (:func:`~repro.mva.layout.route_sum`), and a column
+    goes through the same floating-point operations whichever columns
+    share the array — a serial solve's ``(K, R)`` and a pack's
+    ``(K, B·R)`` give it bit for bit.  Against the dense scalar
     reference (pairwise sums over all ``L`` stations) it agrees to
     rounding.
 
@@ -154,18 +183,36 @@ def batched_increments(
     """
     if plan is None:
         plan = plan_increments(route_sum(scaled) > 0, populations, queueing)
-    queueing, dead_offset, finish_at, max_population = plan
-    queue = np.zeros_like(scaled)
-    sigma = np.zeros_like(scaled)
-    for d in range(1, max_population + 1):
-        wait = np.where(queueing, scaled * (1.0 + queue), scaled)
-        rate = d / (route_sum(wait) + dead_offset)
-        stepped = rate * wait
-        finishing = finish_at.get(d)
-        if finishing is not None:
-            sigma = np.where(finishing, stepped - queue, sigma)
-        queue = stepped
-    return sigma
+    order, inverse, segments, _depth = plan
+    if not segments:
+        return np.zeros_like(scaled)
+    if order is not None:
+        scaled = scaled.take(order, axis=1)
+    pieces = []
+    queue = None
+    d = 0
+    for last, width, rest, mask in segments:
+        part = scaled[:, :width]
+        if queue is not None:
+            queue = queue[:, :width]
+        while d < last:
+            d += 1
+            # At step 1 the queue is empty: part * (1.0 + 0.0) == part.
+            wait = part if d == 1 else np.where(mask, part * (1.0 + queue), part)
+            stepped = d / route_sum(wait) * wait
+            if d == last:
+                # x - 0.0 == x, so step 1's piece needs no subtraction.
+                pieces.append(
+                    stepped[:, rest:] if d == 1 else stepped[:, rest:] - queue[:, rest:]
+                )
+            queue = stepped
+    # Deepest columns first, then the dead columns' zeros.
+    pieces.reverse()
+    alive = segments[0][1]
+    if alive < scaled.shape[1]:
+        pieces.append(np.zeros((scaled.shape[0], scaled.shape[1] - alive)))
+    sigma = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
+    return sigma if inverse is None else sigma.take(inverse, axis=1)
 
 
 def solve_mva_heuristic(

@@ -45,7 +45,9 @@ floating-point operations in the same order:
   network, so a station's bin receives its own network's slots in the
   same order as the serial solve;
 * the increments recursion is column-independent
-  (:func:`repro.mva.heuristic.batched_increments`);
+  (:func:`repro.mva.heuristic.batched_increments`): each column
+  recurses to its own window, through the same operations whichever
+  columns share the array and in whatever order the pack ranks them;
 * every network's stopping decision of a sweep comes from one
   :meth:`~repro.mva.convergence.IterationControl.residuals` call over
   the pack's throughput vector, segmented at the networks' first

@@ -259,6 +259,30 @@ class TestSegmentedStopping:
             "residual": 0,
         }
 
+    def test_increments_recurse_each_column_to_its_own_window(self, monkeypatch):
+        # One kernel call on a 1,296-window [1, 6]^4 pack: column c
+        # advances E_c steps, not the pack's largest window, so the
+        # recursion makes sum(windows) = 18,144 column-steps, not
+        # 5,184 columns x depth 6 = 31,104.
+        network = canadian_four_class(*TABLE_4_12[0])
+        pack = pack_networks((network,) * len(GRID), populations=GRID)
+        plan = heuristic.plan_increments(
+            soa.route_sum(pack.demands) > 0, pack.populations, pack.queueing
+        )
+        column_steps = []
+        original = heuristic.route_sum
+
+        def counted(wait):
+            column_steps.append(wait.shape[1])
+            return original(wait)
+
+        monkeypatch.setattr(heuristic, "route_sum", counted)
+        heuristic.batched_increments(
+            pack.demands, pack.populations, pack.queueing, plan
+        )
+        assert len(column_steps) == 6
+        assert sum(column_steps) == int(GRID.sum()) == 18_144
+
 
 class TestScatter:
     def test_cached_index_matches_nonzero_scatter(self):

@@ -22,10 +22,16 @@ import pytest
 from repro.backend import BACKEND_ENV_VAR
 from repro.errors import ConvergenceWarning
 from repro.mva.convergence import IterationControl
-from repro.mva.heuristic import batched_increments, solve_mva_heuristic
+from repro.mva.heuristic import (
+    batched_increments,
+    plan_increments,
+    solve_mva_heuristic,
+)
 from repro.mva.layout import NARROW, route_sum
 from repro.mva.schweitzer import solve_schweitzer
-from repro.mva.soa import solve_networks_batched, solve_windows_batched
+from repro.mva.single_chain import solve_single_chain
+from repro.mva.soa import pack_networks, solve_networks_batched, solve_windows_batched
+from repro.netmodel.examples import canadian_four_class
 from repro.queueing.chain import ClosedChain
 from repro.queueing.network import ClosedNetwork
 from repro.queueing.station import Station
@@ -124,6 +130,77 @@ def test_increments_of_a_column_do_not_depend_on_its_neighbours(lone_chain):
             scaled[:, c : c + 1], populations[c : c + 1], queueing[:, c : c + 1]
         )
         assert np.array_equal(alone[:, 0], together[:, c])
+
+
+def _kernel_input(windows, seed, dead=()):
+    """``(scaled, populations, queueing)`` of a four-class window pack.
+
+    Queueing slots are inflated by seeded noise, as a sweep's
+    ``1 + others`` inflates them; the columns in ``dead`` get zero
+    demand, whatever their window.
+    """
+    network = canadian_four_class(20.0, 20.0, 20.0, 40.0)
+    pack = pack_networks((network,) * len(windows), populations=windows)
+    rng = np.random.default_rng(seed)
+    noise = rng.uniform(0.0, 4.0, size=pack.demands.shape)
+    scaled = np.where(pack.queueing, pack.demands * (1.0 + noise), pack.demands)
+    scaled[:, list(dead)] = 0.0
+    return scaled, pack.populations, pack.queueing
+
+
+def _shuffled(scaled, populations, queueing, seed):
+    order = np.random.default_rng(seed).permutation(populations.size)
+    return scaled[:, order], populations[order], queueing[:, order]
+
+
+_GRID = np.indices((6,) * 4).reshape(4, -1).T + 1
+
+#: Kernel inputs that take the edge paths of the trimmed recursion.
+KERNEL_CASES = {
+    "shuffled columns": lambda: _shuffled(*_kernel_input(_GRID[::37], 1), seed=2),
+    "zero populations": lambda: _kernel_input(
+        [[0, 3, 0, 1], [2, 0, 5, 0], [0, 0, 0, 4]], 3
+    ),
+    "zero demand, positive window": lambda: _kernel_input(
+        [[3, 1, 4, 2], [5, 2, 6, 1]], 4, dead=(0, 5, 6)
+    ),
+    "non-increasing populations": lambda: _kernel_input(
+        [[6, 5, 5, 3], [3, 2, 0, 0]], 5
+    ),
+    "thesis window (1,1,2,23)": lambda: _kernel_input([[1, 1, 2, 23]], 6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_increments_edge_cases_equal_columns_alone(case):
+    scaled, populations, queueing = KERNEL_CASES[case]()
+    together = batched_increments(scaled, populations, queueing)
+    for c in range(populations.size):
+        alone = batched_increments(
+            scaled[:, c : c + 1], populations[c : c + 1], queueing[:, c : c + 1]
+        )
+        assert np.array_equal(alone[:, 0], together[:, c])
+        # The dense single-chain recursion sums a route pairwise, so it
+        # agrees to rounding.
+        reference = solve_single_chain(
+            scaled[:, c], int(populations[c]), delay_station=~queueing[:, c]
+        ).increment()
+        np.testing.assert_allclose(together[:, c], reference, rtol=1e-12, atol=1e-15)
+
+
+def test_increments_identity_order_skips_the_permutation():
+    scaled, populations, queueing = KERNEL_CASES["non-increasing populations"]()
+    order, inverse, _segments, depth = plan_increments(
+        route_sum(scaled) > 0, populations, queueing
+    )
+    assert order is None and inverse is None and depth == 6
+
+
+def test_increments_of_all_zero_populations_are_zero():
+    scaled, populations, queueing = _kernel_input([[0, 0, 0, 0], [0, 0, 0, 0]], 7)
+    sigma = batched_increments(scaled, populations, queueing)
+    assert sigma.shape == scaled.shape
+    assert not sigma.any()
 
 
 @pytest.mark.parametrize("budget", BUDGETS)
