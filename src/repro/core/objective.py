@@ -206,6 +206,15 @@ class WindowObjective:
         in :meth:`cached_solution` — values, trajectories and optima are
         unaffected, only peak memory is bounded.
 
+    Attributes
+    ----------
+    evaluations:
+        Solves this objective ran, including points an evaluation plane
+        solved ahead and never used
+        (:meth:`~repro.evalplane.serial.SerialPlane.solve_ahead`).  A
+        search's own count of fresh evaluations, the one caps and
+        budgets charge, is ``SearchResult.evaluations``.
+
     Notes
     -----
     A window vector that makes the solver fail (e.g. a lattice-size guard

@@ -97,6 +97,11 @@ class WindimResult:
         Corrupt record lines the persistent evaluation store skipped and
         quarantined to its ``.quarantine`` sidecar on load (0 when no
         store was used or the store was clean).
+    solved_ahead / ahead_used:
+        Points the serial plane solved ahead in cross packs, and how
+        many of them the search then demanded (see
+        :mod:`repro.evalplane.serial`); both 0 on paths that never pack
+        a cross.  Only the used ones count in ``search.evaluations``.
     """
 
     windows: Tuple[int, ...]
@@ -113,6 +118,8 @@ class WindimResult:
     pool_health: Optional[PoolHealth] = None
     degradations: Tuple[DegradationEvent, ...] = ()
     store_quarantined: int = 0
+    solved_ahead: int = 0
+    ahead_used: int = 0
 
     def summary(self) -> str:
         """Human-readable multi-line report (mirrors the APL output)."""
@@ -138,6 +145,11 @@ class WindimResult:
             f"  evaluation cache      = {hits} hits, "
             f"{self.search.evaluations} misses"
         )
+        if self.solved_ahead:
+            lines.append(
+                f"  cross packs           = {self.solved_ahead} points solved "
+                f"ahead, {self.ahead_used} used by the search"
+            )
         if self.store_seeded:
             lines.append(
                 f"  persistent store      = {self.store_seeded} evaluations "
@@ -422,4 +434,6 @@ def windim(
         pool_health=pool_health,
         degradations=plane.degradations,
         store_quarantined=store.quarantined if store is not None else 0,
+        solved_ahead=getattr(plane, "solved_ahead", 0),
+        ahead_used=getattr(plane, "ahead_used", 0),
     )

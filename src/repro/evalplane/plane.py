@@ -10,6 +10,11 @@ shared-memory pool — sits behind :class:`EvaluationPlane`, so
   the ``on_evaluation`` hook fired exactly once per fresh evaluation;
 * :meth:`~EvaluationPlane.submit_many` — best-effort batch evaluation
   (multistart seed lists), trimmed to the remaining budget room;
+* :meth:`~EvaluationPlane.solve_ahead` — a hint naming the points the
+  search's next exploratory move can demand.  The serial plane may
+  solve them as one cross pack and bank the values; a banked value is
+  counted, cached and stored only when :meth:`~EvaluationPlane.submit`
+  demands it, so the hint never changes what a search observes;
 * :meth:`~EvaluationPlane.close` — releases the backing resources
   (idempotent; the planes are context managers, so every exit path
   closes).  No evaluation is ever in flight between two plane calls,
@@ -28,7 +33,7 @@ then certifies it with no new glue tests.
 from __future__ import annotations
 
 import warnings
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SearchError
 from repro.evalplane.result import EvalResult
@@ -200,6 +205,18 @@ class EvaluationPlane:
             except BudgetExhausted:  # deadline crossed mid-batch
                 break
         return results
+
+    def solve_ahead(self, points: Iterable[Point]) -> None:
+        """Hint: the next move may demand some of ``points``.
+
+        :func:`~repro.search.pattern.pattern_search` calls this before
+        each exploratory move with the move's centre and ``±step``
+        cross.  It is never a demand: nothing is counted, cached or
+        stored until :meth:`submit` asks.  The base plane ignores it;
+        the serial plane may solve the points as one pack and bank the
+        values (:meth:`~repro.evalplane.serial.SerialPlane.solve_ahead`).
+        """
+        self._check_open()
 
     def submit_networks(self, networks: Sequence[object]) -> List[EvalResult]:
         """Evaluate a mixed-topology batch of networks (best-effort).

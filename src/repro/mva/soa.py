@@ -413,6 +413,13 @@ class PackedSolution:
             self._result = None
         return self._solution
 
+    @property
+    def converged(self) -> bool:
+        """The element's convergence flag, read without building it."""
+        if self._solution is not None:
+            return self._solution.converged
+        return bool(self._result.converged[self._index])
+
 
 def solve_windows_batched(
     network: ClosedNetwork,

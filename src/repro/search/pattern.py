@@ -27,11 +27,20 @@ conformance suite (``tests/evalplane/``) certifies that both make the
 same evaluations and walk the same trajectory.  Budget/cap enforcement
 and the ``on_evaluation`` store hook live in the plane, at the single
 choke point every fresh evaluation passes through.
+
+Before each exploratory move the search also tells the plane which
+points that move can demand — its centre and the in-box ``±step``
+cross around it (:func:`_cross`) — through
+:meth:`~repro.evalplane.plane.EvaluationPlane.solve_ahead`.  That is
+a hint, never a demand: the serial plane may solve the cross as one
+SoA pack and bank the values, but a banked value is counted, stored and
+becomes best-so-far only when :meth:`submit` asks for it, so the
+search's evaluations, lookups and trajectory do not depend on it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 from repro.errors import SearchError
 from repro.resilience.budget import BudgetExhausted, SearchBudget
@@ -49,14 +58,43 @@ Point = Tuple[int, ...]
 Evaluator = Callable[[Point], float]
 
 
+def _cross(space: IntegerBox, centre: Point, step: int) -> Iterator[Point]:
+    """``centre`` and its in-box ``±step`` cross, in :func:`_explore`'s order.
+
+    Every point an exploratory move around ``centre`` can probe before
+    it first improves.  Lazy, so a plane that ignores the hint never
+    builds it (a 120-chain cross is 241 points).
+    """
+    yield centre
+    for axis in range(space.dimensions):
+        for direction in (+1, -1):
+            candidate = list(centre)
+            candidate[axis] += direction * step
+            candidate_t = tuple(candidate)
+            if candidate_t in space:
+                yield candidate_t
+
+
 def _explore(
     evaluate: Evaluator,
+    ahead: Callable[[Iterable[Point]], None],
     space: IntegerBox,
     point: Point,
-    value: float,
+    value: Optional[float],
     step: int,
 ) -> Tuple[Point, float]:
-    """One exploratory sweep: perturb each coordinate by ±step in turn."""
+    """One exploratory move (Fig. 4.2): perturb each coordinate by ±step.
+
+    ``value`` is the objective at ``point``, or None for a pattern
+    landing point the move evaluates first.  Before any evaluation the
+    move hands ``ahead`` (the plane's
+    :meth:`~repro.evalplane.plane.EvaluationPlane.solve_ahead`) the
+    points it can demand, :func:`_cross`; what it then demands, and in
+    which order, is the thesis move's alone.
+    """
+    ahead(_cross(space, point, step))
+    if value is None:
+        value = evaluate(point)
     current = list(point)
     current_value = value
     for axis in range(space.dimensions):
@@ -127,7 +165,9 @@ def pattern_search(
         them), and the caller keeps ownership: the search never closes
         it.  Every plane makes the same fresh evaluations as a serial
         run, so the accepted-move trajectory and the optimum are
-        bitwise-identical to it.
+        bitwise-identical to it.  Each exploratory move hands the plane
+        its cross (:meth:`~repro.evalplane.plane.EvaluationPlane.
+        solve_ahead`), which it may solve ahead but never counts.
 
     Returns
     -------
@@ -173,10 +213,11 @@ def pattern_search(
     base_value = float("inf")
 
     try:
+        plane.solve_ahead(_cross(space, base, step))
         base_value = evaluate(base)
         while step >= 1 and halvings <= max_halvings:
             probe, probe_value = _explore(
-                evaluate, space, base, base_value, step
+                evaluate, plane.solve_ahead, space, base, base_value, step
             )
             if probe_value < base_value:
                 # Pattern phase: ride the established direction.
@@ -187,9 +228,9 @@ def pattern_search(
                     pattern_point = space.clip(
                         tuple(2 * b - p for b, p in zip(base, previous))
                     )
-                    landing_value = evaluate(pattern_point)
                     probe2, probe2_value = _explore(
-                        evaluate, space, pattern_point, landing_value, step
+                        evaluate, plane.solve_ahead, space, pattern_point,
+                        None, step,
                     )
                     if probe2_value < base_value:
                         previous = base

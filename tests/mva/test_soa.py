@@ -284,6 +284,63 @@ class TestSegmentedStopping:
         assert sum(column_steps) == int(GRID.sum()) == 18_144
 
 
+class TestCrossPackCounts:
+    """Host-independent counts of the serial plane's cross packs."""
+
+    @pytest.fixture
+    def fixed_points(self, monkeypatch):
+        calls = Counter()
+        original = soa.fixed_point
+
+        def counted(pack, *args, **kwargs):
+            calls["calls"] += 1
+            calls["networks"] += pack.batch
+            return original(pack, *args, **kwargs)
+
+        # The serial heuristic imported the name; packs look it up in soa.
+        monkeypatch.setattr(soa, "fixed_point", counted)
+        monkeypatch.setattr(heuristic, "fixed_point", counted)
+        return calls
+
+    def test_row_one_campaign_packs_its_crosses(self, fixed_points):
+        # Table 4.12 row 1: the 29 evaluations of a serial run, in 11
+        # fixed points (one per evaluation without cross packs).
+        from repro.core.windim import windim
+
+        result = windim(canadian_four_class(*TABLE_4_12[0]))
+        assert result.search.evaluations == 29
+        assert result.windows == (1, 1, 1, 4)
+        assert fixed_points["calls"] == 11
+        assert result.ahead_used == 24
+        assert fixed_points["networks"] == 29 - 24 + result.solved_ahead
+        assert "24 used by the search" in result.summary()
+
+    def test_wide_network_keeps_one_fixed_point_per_evaluation(
+        self, fixed_points
+    ):
+        # 25 chains: a cross of 51 points would be 1,275 columns, far
+        # past repro.evalplane.serial.CROSS_COLUMNS, so nothing is
+        # solved ahead.
+        from repro.core.windim import windim
+
+        result = windim(
+            scale_fixture("small"), max_window=8, initial_step=1,
+            max_evaluations=12,
+        )
+        assert result.search.evaluations == 12
+        assert fixed_points["calls"] == fixed_points["networks"] == 12
+        assert result.solved_ahead == 0
+
+    def test_reuse_campaign_never_banks_nor_logs_a_decline(self, fixed_points):
+        from repro.core.windim import windim
+        from repro.mva import autobatch
+
+        result = windim(canadian_four_class(*TABLE_4_12[0]), reuse=True)
+        assert result.solved_ahead == 0
+        assert fixed_points["calls"] == result.search.evaluations
+        assert autobatch.batch_stats()["declined_batches"] == 0
+
+
 class TestScatter:
     def test_cached_index_matches_nonzero_scatter(self):
         networks = (canadian_four_class(6.0, 6.0, 6.0, 12.0), scale_fixture("small"))
