@@ -26,12 +26,6 @@ Subcommands
 ``verify``
     Differential verification: fuzz random networks through every
     applicable solver pair and replay the golden thesis fixtures.
-``planes``
-    List the registered evaluation-plane backends (the execution paths
-    ``solve``/``multistart`` pick from — serial and the persistent
-    fleet) and what each requires.  Every listed backend is certified by
-    the cross-backend conformance suite (``tests/evalplane/``) to walk
-    the bitwise-identical search trajectory as the serial reference.
 ``chaos``
     Run the named fault-injection battery (worker crashes/hangs, store
     corruption, slow IO, clock skew — see
@@ -197,15 +191,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 f"{args.network!r} needs {expected}"
             )
         rate_vectors.append(rates)
-    rows = []
-    for rates in rate_vectors:
-        result = windim(
-            factory(*rates), solver=args.solver, max_window=args.max_window
+    from repro.analysis.sweeps import optimal_window_sweep
+
+    rows = [
+        point.rates
+        + (point.total_rate, " ".join(map(str, point.windows)), point.power)
+        for point in optimal_window_sweep(
+            factory, rate_vectors, solver=args.solver, max_window=args.max_window
         )
-        rows.append(
-            tuple(rates)
-            + (sum(rates), " ".join(str(w) for w in result.windows), result.power)
-        )
+    ]
     headers = [f"S{i + 1}" for i in range(expected)] + [
         "total",
         "optimal windows",
@@ -371,23 +365,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ok = ok and not failed
 
     return 0 if ok else 1
-
-
-def _cmd_planes(args: argparse.Namespace) -> int:
-    from repro.evalplane import plane_specs
-
-    rows = []
-    for spec in plane_specs():
-        needs = "workers > 1" if spec.needs_parallel else "-"
-        rows.append((spec.name, spec.description, needs))
-    print(
-        render_table(
-            ["plane", "description", "requires"],
-            rows,
-            title="registered evaluation planes",
-        )
-    )
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -608,11 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", default=None, help="write the JSON report to this path"
     )
     verify.set_defaults(handler=_cmd_verify)
-
-    planes = sub.add_parser(
-        "planes", help="list registered evaluation-plane backends"
-    )
-    planes.set_defaults(handler=_cmd_planes)
 
     chaos = sub.add_parser(
         "chaos",

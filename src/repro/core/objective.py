@@ -33,7 +33,7 @@ from repro.backend import resolve_backend
 from repro.core.power import inverse_pack_power, inverse_power
 from repro.core.reuse import ReuseEngine
 from repro.errors import ModelError, SolverError
-from repro.mva.soa import PackedSolution
+from repro.mva.soa import PackedSolution, assess
 from repro.queueing.network import ClosedNetwork
 from repro.search.cache import integral_key
 from repro.solution import NetworkSolution
@@ -438,7 +438,7 @@ class WindowObjective:
     def soa_assessment(self, batch_size: int = 2) -> Tuple[bool, str]:
         """The SoA engagement decision for a ``batch_size`` batch.
 
-        Delegates to :func:`repro.mva.autobatch.assess`: a named solver
+        Delegates to :func:`repro.mva.soa.assess`: a named solver
         with a batched fixed point, no reuse engine — warm starts are
         inherently per-key (each solve seeds from its nearest already-
         solved neighbour, which may be *in the same batch*), so the
@@ -446,9 +446,7 @@ class WindowObjective:
         least two networks.  Returns ``(engage, reason)``; callers log
         declines so caps are never silent.
         """
-        from repro.mva import autobatch
-
-        return autobatch.assess(
+        return assess(
             self._solver_name, self._engine is not None, self._backend, batch_size
         )
 

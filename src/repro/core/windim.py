@@ -23,7 +23,7 @@ pays only for the work the store does not hold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.parallel.pool import PersistentEvalPool
@@ -337,16 +337,55 @@ def windim(
                 "shared_pool requires workers > 1 and a named solver"
             )
         objective.attach_pool(shared_pool)
-    space = IntegerBox.windows(network.num_chains, max_window)
-    cache = EvaluationCache(objective)
-    solver_label = solver if isinstance(solver, str) else getattr(
-        solver, "primary_name", getattr(solver, "__name__", "custom")
+    return _run(
+        objective,
+        [start_point],
+        solver=solver,
+        space=IntegerBox.windows(network.num_chains, max_window),
+        initial_step=initial_step,
+        max_halvings=max_halvings,
+        max_evaluations=max_evaluations,
+        reuse=reuse,
+        store_path=store_path,
+        budget=budget,
+        ladder=resilient_solver,
     )
 
+
+def _run(
+    objective: WindowObjective,
+    starts: Sequence[Tuple[int, ...]],
+    *,
+    solver: Union[str, Solver],
+    space: IntegerBox,
+    initial_step: int,
+    max_halvings: int,
+    max_evaluations: int,
+    reuse: bool,
+    store_path: Optional[str],
+    budget: Optional[SearchBudget] = None,
+    ladder: Optional[ResilientSolver] = None,
+) -> WindimResult:
+    """Pattern-search ``objective`` from each start and build the result.
+
+    The one run path of :func:`windim` (one start) and
+    :func:`~repro.core.multistart.windim_multistart` (several): one
+    store, one plane and one shared cache serve every start.  With one
+    start, ``search`` is that run's own result.  With several, the seed
+    list is first evaluated in one ``submit_many`` batch where the
+    objective packs or pools batches, and ``search`` is the best run's
+    trajectory with cache-wide counts and the status of the first run
+    that stopped on the cap or budget.  ``solver`` names the store's
+    fingerprint; ``ladder`` supplies the health log.
+    """
+    cache = EvaluationCache(objective)
     store: Optional[EvaluationStore] = None
     if store_path is not None:
+        label = solver if isinstance(solver, str) else getattr(
+            solver, "primary_name", getattr(solver, "__name__", "custom")
+        )
         store = EvaluationStore.open(
-            store_path, model_fingerprint(network, str(solver_label))
+            store_path, model_fingerprint(objective.network, str(label))
         )
         # Stored values enter cache.values directly: neither hits nor
         # misses, so the run's evaluation count keeps measuring fresh
@@ -378,42 +417,59 @@ def windim(
                     seed = solution.queue_lengths
             store.record(point, value, seed)
 
-    on_evaluation = note_evaluation if store is not None else None
-
     # One plane per run: build_plane picks the execution path (persistent
     # fleet or serial) from the objective's configuration, and the
-    # context manager closes it on every exit path — a budget-exhausted
-    # or interrupted run can no longer leave workers alive.
+    # context manager closes it on every exit path — a budget-exhausted,
+    # raising or interrupted run can no longer leave workers alive.
     plane = build_plane(
         objective,
         cache=cache,
         space=space,
         budget=budget,
         max_evaluations=max_evaluations,
-        on_evaluation=on_evaluation,
+        on_evaluation=note_evaluation if store is not None else None,
         seed_for=objective.seed_for if reuse else None,
     )
-
+    distinct = list(dict.fromkeys(starts))
+    runs: List[SearchResult] = []
     # The store appends each fresh evaluation as it completes, so an
     # interrupted run (KeyboardInterrupt included) has nothing left to
     # flush: close() only compacts, syncs and releases the file.
     try:
         with plane:
-            search = pattern_search(
-                objective,
-                start_point,
-                space,
-                initial_step=initial_step,
-                max_halvings=max_halvings,
-                plane=plane,
-            )
+            if len(starts) > 1 and (objective.parallel or objective.soa_batchable):
+                # Fanned over the pool, or one SoA pack (bit-identical to
+                # per-key solves), trimmed to the cap and never raising.
+                plane.submit_many(starts)
+            for start in distinct:
+                runs.append(
+                    pattern_search(
+                        objective,
+                        start,
+                        space,
+                        initial_step=initial_step,
+                        max_halvings=max_halvings,
+                        plane=plane,
+                    )
+                )
     finally:
         if store is not None:
             store.close()
-    # PoolHealth is plain data; the plane snapshots it before close()
-    # drops the pool so the result can still report fleet statistics.
-    pool_health = plane.pool_health
 
+    winner = min(range(len(runs)), key=lambda i: runs[i].best_value)
+    search = runs[winner]
+    if len(starts) > 1:
+        capped = next((run for run in runs if run.status != "completed"), search)
+        search = SearchResult(
+            best_point=search.best_point,
+            best_value=search.best_value,
+            evaluations=cache.evaluations,
+            lookups=cache.lookups,
+            base_points=search.base_points,
+            method="pattern-search-multistart",
+            status=capped.status,
+            stop_reason=capped.stop_reason,
+        )
     best = search.best_point
     solution = objective.solution(best)
     report = power_report(solution)
@@ -423,15 +479,15 @@ def windim(
         report=report,
         solution=solution,
         search=search,
-        initial_windows=start_point,
+        initial_windows=distinct[winner],
         converged=solution.converged,
         status=search.status,
-        health_log=tuple(resilient_solver.health_log)
-        if resilient_solver is not None
-        else (),
+        health_log=tuple(ladder.health_log) if ladder is not None else (),
         store_seeded=store.loaded if store is not None else 0,
         reuse_stats=objective.reuse_stats,
-        pool_health=pool_health,
+        # PoolHealth is plain data; the plane snapshots it before close()
+        # drops the pool so the result can still report fleet statistics.
+        pool_health=plane.pool_health,
         degradations=plane.degradations,
         store_quarantined=store.quarantined if store is not None else 0,
         solved_ahead=getattr(plane, "solved_ahead", 0),

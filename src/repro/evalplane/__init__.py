@@ -1,34 +1,17 @@
 """Unified evaluation plane: one interface over every execution path.
 
-See :mod:`repro.evalplane.plane` for the contract and
-:mod:`repro.evalplane.registry` for adding backends.  The conformance
-suite lives in ``tests/evalplane/`` and certifies every registered
-backend against the serial reference.
+See :mod:`repro.evalplane.plane` for the contract.  :func:`build_plane`
+is the one way to pick a plane: the persistent worker fleet for a
+parallel objective, the serial plane otherwise.  The conformance suite
+in ``tests/evalplane/`` builds both through it and certifies the
+persistent plane against the serial reference.
 """
 
 from repro.evalplane.plane import EvaluationPlane, build_plane
-from repro.evalplane.registry import (
-    PlaneSpec,
-    create_plane,
-    get_spec,
-    plane_names,
-    plane_specs,
-    register_plane,
-    temporary_plane,
-    unregister_plane,
-)
 from repro.evalplane.result import EvalResult
 
 __all__ = [
     "EvaluationPlane",
     "EvalResult",
     "build_plane",
-    "PlaneSpec",
-    "register_plane",
-    "unregister_plane",
-    "plane_names",
-    "plane_specs",
-    "get_spec",
-    "create_plane",
-    "temporary_plane",
 ]

@@ -25,15 +25,14 @@ a pattern search driven through any plane makes the same fresh
 evaluations, walks the bitwise-identical accepted-move trajectory and
 returns the identical optimum as the serial plane, so budgets, caps and
 stores count exactly what a serial run counts, and warm seeds propagate
-equivalently.  A new backend is added by subclassing this class and
-registering a factory in :mod:`repro.evalplane.registry` — the battery
-then certifies it with no new glue tests.
+equivalently.  :func:`build_plane` picks the plane for an objective;
+the suite builds both planes through it.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import SearchError
 from repro.evalplane.result import EvalResult
@@ -79,7 +78,8 @@ class EvaluationPlane:
         oracle, shipped to pool workers by the persistent plane.
     """
 
-    #: Registry name of this execution path; subclasses override.
+    #: Name of this execution path (``EvalResult.source``); subclasses
+    #: override.
     name = "abstract"
 
     def __init__(
@@ -154,11 +154,7 @@ class EvaluationPlane:
         """
         return self.cache(key)
 
-    def submit(
-        self,
-        windows: Sequence[int],
-        context: Optional[Mapping[str, object]] = None,
-    ) -> EvalResult:
+    def submit(self, windows: Sequence[int]) -> EvalResult:
         """Evaluate one window vector, blocking until its value is known.
 
         The single choke point every search flows through: cache hits are
@@ -166,10 +162,6 @@ class EvaluationPlane:
         budget and the evaluation cap (raising
         :class:`~repro.resilience.budget.BudgetExhausted` *before* any
         work is started) and fire ``on_evaluation`` exactly once.
-
-        ``context`` is optional caller metadata (e.g. ``{"phase":
-        "sweep"}``); the built-in planes ignore it, custom backends may
-        route on it.
         """
         self._check_open()
         key = integral_key(windows)

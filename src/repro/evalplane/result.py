@@ -39,8 +39,8 @@ class EvalResult:
         was served from the shared :class:`~repro.search.cache.
         EvaluationCache` (a hit costs nothing and fires no hooks).
     source:
-        Name of the plane that produced the value (``"serial"``,
-        ``"persistent"``, or a registered custom backend).
+        Name of the plane that produced the value (``"serial"`` or
+        ``"persistent"``).
     retained:
         What the objective retained for this evaluation: a
         :class:`~repro.solution.NetworkSolution`, a

@@ -79,8 +79,9 @@ packs through; :func:`solve_networks_batched` batches any mix of
 topologies (:meth:`~repro.core.objective.WindowObjective.
 batch_solve_networks`, and through it
 :func:`repro.analysis.sweeps.power_curve`).  Whether a batch is packed
-automatically is decided by :mod:`repro.mva.autobatch`; calling these
-functions directly is always honoured.  A network that runs out of
+automatically is decided by :func:`assess`, with declines counted and
+logged by :mod:`repro.mva.autobatch`; calling these functions directly
+is always honoured.  A network that runs out of
 iterations warns, once, at the caller of whichever of them was called.
 """
 
@@ -110,11 +111,45 @@ __all__ = [
     "solve_windows_batched",
     "solve_networks_batched",
     "BATCHABLE_SOLVERS",
+    "assess",
 ]
 
 #: Named solvers with a batched SoA fixed point.  (Linearizer's nested
 #: per-chain subproblems and the exact solvers do not batch this way.)
 BATCHABLE_SOLVERS = ("mva-heuristic", "schweitzer")
+
+
+def assess(
+    solver_name: Optional[str],
+    has_reuse: bool = False,
+    backend: Optional[str] = None,
+    batch_size: int = 2,
+) -> Tuple[bool, str]:
+    """The single SoA engagement decision: ``(engage, reason)``.
+
+    A named solver in :data:`BATCHABLE_SOLVERS`, no reuse engine, the
+    vectorized backend and at least two networks.  ``reason`` explains
+    the decision either way; callers pass declines to
+    :func:`repro.mva.autobatch.record_declined` so every batch that
+    stays serial is logged.
+    """
+    if solver_name not in BATCHABLE_SOLVERS:
+        return False, (
+            f"solver {solver_name!r} has no batched SoA kernel "
+            f"(batchable: {list(BATCHABLE_SOLVERS)})"
+        )
+    if has_reuse:
+        return False, (
+            "reuse engine active: warm starts are per-key (a solve may "
+            "seed from a neighbour in the same batch), so batches stay "
+            "serial"
+        )
+    resolved = resolve_backend(backend)
+    if resolved != "vectorized":
+        return False, f"backend {resolved!r} runs the scalar reference loops"
+    if batch_size < 2:
+        return False, "batch of one network: nothing to batch"
+    return True, f"{batch_size} networks packed on the vectorized kernel"
 
 #: Soft cap on the ``K x N`` slot elements of one packed solve.  The
 #: iteration carries ~6 arrays of that shape, so 4M doubles keeps peak
@@ -494,16 +529,11 @@ def solve_packed(
     backend: Optional[str] = None,
 ) -> PackResult:
     """Run the batched fixed point, cold, over every network in ``pack``."""
-    if solver not in BATCHABLE_SOLVERS:
+    engage, reason = assess(solver, backend=backend)
+    if not engage:
         raise ModelError(
-            f"solver {solver!r} has no batched SoA kernel; "
-            f"expected one of {BATCHABLE_SOLVERS}"
-        )
-    resolved = resolve_backend(backend)
-    if resolved != "vectorized":
-        raise ModelError(
-            "SoA batching requires the dense kernel backend "
-            f"'vectorized', not {resolved!r}"
+            f"SoA packs need a batchable solver on the dense kernel "
+            f"backend: {reason}"
         )
     control = control or IterationControl()
     result = fixed_point(pack, solver, control)

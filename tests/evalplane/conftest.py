@@ -1,11 +1,10 @@
 """Harness shared by the cross-backend conformance suite.
 
-Every test in this package parametrises over the evaluation-plane
-registry (:func:`repro.evalplane.plane_names`): a backend registered
-there is automatically pulled through the whole battery.  The harness
-knows how to build, for any registered spec, an objective satisfying the
-spec's requirements (a worker pool or none) plus the plane on top of it
-— tests only say *which* backend and *which* network.
+Every test in this package parametrises over both evaluation planes,
+:data:`PLANES`, each built by :func:`repro.evalplane.build_plane`, the
+one way the library picks a plane: ``"persistent"`` is a parallel
+objective (a worker pool), ``"serial"`` an in-process one.  Tests only
+say *which* plane and *which* network.
 """
 
 from __future__ import annotations
@@ -13,14 +12,15 @@ from __future__ import annotations
 import pytest
 
 from repro.core.objective import WindowObjective
-from repro.evalplane import create_plane, get_spec, plane_names
+from repro.evalplane import build_plane
 from repro.search.cache import EvaluationCache
 from repro.search.space import IntegerBox
 
 #: Worker count for pooled planes throughout the suite (CI-friendly).
 POOL_WORKERS = 2
 
-BUILTIN_PLANES = plane_names()
+#: Both planes, named by their ``EvaluationPlane.name``.
+PLANES = ("serial", "persistent")
 
 
 def build_harness(
@@ -33,16 +33,15 @@ def build_harness(
     on_evaluation=None,
     solver="mva-heuristic",
 ):
-    """Build ``(objective, plane)`` satisfying a registered spec's needs.
+    """Build ``(objective, plane)`` for one of :data:`PLANES`.
 
-    ``solver`` is a registry name or, on unpooled planes, any solver
+    ``solver`` is a named solver or, on the serial plane, any solver
     callable (e.g. a :class:`~repro.resilience.ladder.ResilientSolver`).
     """
-    workers = POOL_WORKERS if get_spec(plane_name).needs_parallel else None
+    workers = POOL_WORKERS if plane_name == "persistent" else None
     objective = WindowObjective(network, solver, workers=workers, reuse=reuse)
     space = IntegerBox.windows(network.num_chains, max_window)
-    plane = create_plane(
-        plane_name,
+    plane = build_plane(
         objective,
         cache=EvaluationCache(objective),
         space=space,
@@ -51,12 +50,13 @@ def build_harness(
         on_evaluation=on_evaluation,
         seed_for=objective.seed_for if reuse else None,
     )
+    assert plane.name == plane_name
     return objective, plane
 
 
-@pytest.fixture(params=BUILTIN_PLANES)
+@pytest.fixture(params=PLANES)
 def plane_name(request) -> str:
-    """Parametrise a test over every registered evaluation plane."""
+    """Parametrise a test over both evaluation planes."""
     return request.param
 
 

@@ -99,13 +99,6 @@ class TestSolveMatrix:
         assert evals == sorted(evals, reverse=True) or evals[1] == evals[2]
         assert evals[1] < evals[0]
 
-    def test_planes_listing_names_every_backend(self, capsys):
-        """`windim planes` advertises the full registry."""
-        assert main(["planes"]) == 0
-        out = capsys.readouterr().out
-        for name in ("serial", "persistent"):
-            assert name in out
-
 
 class TestExitCodes:
     """The documented shell contract: each failure class has a code."""

@@ -1,15 +1,15 @@
 """Cross-backend conformance wall for :mod:`repro.evalplane`.
 
-One battery, every registered backend: a pattern search driven through
+One battery, both planes: a pattern search driven through
 any evaluation plane must make the same fresh evaluations, walk the
 bitwise-identical accepted-move trajectory and return the identical
 optimum as the serial reference — on the golden thesis fixtures and on
 25 seeded fuzz networks — while budgets, caps, store-style cache
 seeding and warm seeds behave equivalently, and faults (a SIGKILLed
 worker, mid-search budget exhaustion, racing cache primes) degrade to
-the same answer.  A new backend registered in :mod:`repro.evalplane.registry`
-is pulled through all of it automatically via the ``plane_name``
-fixture.
+the same answer.  Both planes are built by
+:func:`repro.evalplane.build_plane`, the one way the library picks a
+plane, and every test runs on each via the ``plane_name`` fixture.
 
 The fuzz slice uses :func:`repro.verify.fuzz.generate_named_cases`, so
 each instance is pinned to its case *name* — growing the suite never
@@ -29,21 +29,14 @@ import pytest
 
 from repro.core.initializers import initial_windows
 from repro.errors import SearchError
-from repro.evalplane import (
-    PlaneSpec,
-    create_plane,
-    get_spec,
-    plane_names,
-    temporary_plane,
-)
-from repro.evalplane.serial import SerialPlane
+from repro.evalplane import build_plane
 from repro.resilience.budget import SearchBudget
 from repro.resilience.ladder import ResilientSolver
 from repro.search.pattern import pattern_search
 from repro.verify.fuzz import FuzzConfig, generate_named_cases
 from repro.verify.golden import golden_cases
 
-from tests.evalplane.conftest import build_harness
+from tests.evalplane.conftest import PLANES, build_harness
 
 FUZZ_SEED = 977
 FUZZ_COUNT = 25
@@ -161,11 +154,10 @@ class TestLifecycle:
         assert plane.cache.evaluations == 1
 
     def test_pool_health_survives_close(self, plane_name, moderate_net):
-        spec = get_spec(plane_name)
         _objective, plane = build_harness(plane_name, moderate_net)
         with plane:
             plane.submit((2, 2))
-        if spec.needs_parallel:
+        if plane_name == "persistent":
             assert plane.pool_health is not None
             assert plane.pool_health.workers >= 1
         else:
@@ -179,9 +171,7 @@ class TestLifecycle:
         other = EvaluationCache(WindowObjective(moderate_net, "mva-heuristic"))
         try:
             with pytest.raises(SearchError):
-                create_plane(
-                    plane_name, objective, cache=other, space=plane.space
-                )
+                build_plane(objective, cache=other, space=plane.space)
         finally:
             plane.close()
 
@@ -189,13 +179,13 @@ class TestLifecycle:
 class TestGoldenTrajectoryParity:
     """Bitwise-identical search on every golden thesis fixture.
 
-    The inputs are every registered plane plus ``resilient``: the serial
+    The inputs are both planes plus ``resilient``: the serial
     plane driving an objective that solves through the retry/escalation
     ladder, which is what ``windim(resilient=True)`` runs.
     """
 
     @pytest.mark.parametrize("golden", _golden_params)
-    @pytest.mark.parametrize("harness", [*plane_names(), "resilient"])
+    @pytest.mark.parametrize("harness", [*PLANES, "resilient"])
     def test_identical_trajectory_and_optimum(self, harness, golden):
         network = _GOLDENS[golden].build().network
         max_window = 6 if network.num_chains > 2 else 12
@@ -447,8 +437,6 @@ class TestFaultInjection:
     """Faults must degrade to the serial answer, never corrupt it."""
 
     def test_killed_worker_recovers_to_same_optimum(self, moderate_net):
-        if "persistent" not in plane_names():
-            pytest.skip("persistent plane not registered")
         oracle = _oracle("moderate-fault", moderate_net, 12)
         objective, plane = build_harness("persistent", moderate_net)
         start = initial_windows(moderate_net, "hops")
@@ -504,53 +492,3 @@ class TestFaultInjection:
                 plane.submit((2.5, 2))  # fractional window -> ValueError
         assert plane.closed
 
-
-class TestRegistry:
-    """Adding a backend = one register_plane call, zero new glue."""
-
-    def test_builtins_registered(self):
-        names = plane_names()
-        for expected in ("serial", "persistent"):
-            assert expected in names
-
-    def test_unknown_plane_rejected(self, moderate_net):
-        from repro.core.objective import WindowObjective
-
-        with pytest.raises(SearchError):
-            create_plane(
-                "warp-drive", WindowObjective(moderate_net, "mva-heuristic")
-            )
-
-    def test_duplicate_registration_rejected(self):
-        from repro.evalplane import register_plane
-
-        spec = get_spec("serial")
-        with pytest.raises(SearchError):
-            register_plane(spec)
-
-    def test_temporary_custom_plane_passes_the_battery(self, moderate_net):
-        submitted = []
-
-        class TracingPlane(SerialPlane):
-            name = "tracing"
-
-            def submit(self, windows, context=None):
-                result = super().submit(windows, context)
-                submitted.append(result.windows)
-                return result
-
-        spec = PlaneSpec(
-            name="tracing",
-            factory=lambda objective, **wiring: TracingPlane(
-                objective, **wiring
-            ),
-            description="serial plane that records every submit",
-        )
-        oracle = _oracle("moderate-custom", moderate_net, 12)
-        with temporary_plane(spec):
-            assert "tracing" in plane_names()
-            result, plane = _run_search("tracing", moderate_net, 12)
-            _assert_identical(result, oracle, "custom tracing plane")
-            assert submitted  # the custom hook really ran
-            assert plane.closed
-        assert "tracing" not in plane_names()

@@ -15,7 +15,7 @@ import pytest
 from repro.chaos import FaultPlan, FaultRule, inject
 from repro.core.objective import WindowObjective
 from repro.errors import SearchError
-from repro.evalplane import create_plane
+from repro.evalplane.persistent import PersistentPlane
 from repro.resilience.health import DegradationEvent
 from repro.search.cache import EvaluationCache
 from repro.search.space import IntegerBox
@@ -108,8 +108,7 @@ class TestFailureBudget:
     def test_budget_breach_degrades_before_next_demand(self, moderate_net):
         objective = WindowObjective(moderate_net, "mva-heuristic", workers=2)
         space = IntegerBox.windows(moderate_net.num_chains, 12)
-        plane = create_plane(
-            "persistent",
+        plane = PersistentPlane(
             objective,
             cache=EvaluationCache(objective),
             space=space,

@@ -1,7 +1,7 @@
 """Property tests for :class:`EvalResult` / cache-merge invariants.
 
 Hypothesis drives randomized batches of window vectors and racing prime
-values through every registered evaluation plane and asserts the merge
+values through both evaluation planes and asserts the merge
 invariants the conformance wall's determinism rests on:
 
 * **prime-winner stability** — the first value written for a key is the
@@ -14,7 +14,7 @@ invariants the conformance wall's determinism rests on:
   (or evaluation store) written by one backend is reused verbatim by
   another.
 
-Pooled planes are expensive to build, so each registered backend gets
+Pooled planes are expensive to build, so each plane gets
 one module-scoped harness that all examples share — which is itself a
 useful property: the invariants must hold on a *long-lived* cache, not
 just a fresh one.
@@ -29,8 +29,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.evalplane import plane_names
-from tests.evalplane.conftest import build_harness
+from tests.evalplane.conftest import PLANES, build_harness
 
 MAX_WINDOW = 9
 
@@ -73,7 +72,7 @@ _SETTINGS = settings(
 )
 
 
-@pytest.mark.parametrize("plane_name", plane_names())
+@pytest.mark.parametrize("plane_name", PLANES)
 class TestMergeInvariants:
     @_SETTINGS
     @given(batch=windows_vectors)

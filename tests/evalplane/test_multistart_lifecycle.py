@@ -3,32 +3,39 @@
 Before the evaluation plane, :func:`windim_multistart` wired its worker
 pool per start and returned early — on budget exhaustion or a raising
 solver — without shutting its pool down, leaking pool processes.  The
-search loop is now wrapped in a single plane context manager, so
-*every* exit path (normal, exhausted cap, raising start) must leave the
-plane closed and the pool shut down.
+search loop now runs on ``windim``'s own runner, inside one plane
+context manager, so *every* exit path (normal, exhausted cap, raising
+start) must leave the plane closed and the pool shut down.  The spies
+sit where that runner looks its collaborators up:
+``repro.core.windim.build_plane`` and ``repro.core.windim.pattern_search``.
 """
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
-import repro.core.multistart as multistart_mod
 from repro.core.multistart import windim_multistart
 from repro.errors import SearchError
+
+# ``repro.core`` re-exports the function ``windim`` under the module's
+# name, so the module itself is reached through the import system.
+windim_mod = importlib.import_module("repro.core.windim")
 
 
 @pytest.fixture
 def captured_planes(monkeypatch):
     """Record every plane multistart builds so tests can inspect it."""
     planes = []
-    real_build = multistart_mod.build_plane
+    real_build = windim_mod.build_plane
 
     def spy(*args, **kwargs):
         plane = real_build(*args, **kwargs)
         planes.append(plane)
         return plane
 
-    monkeypatch.setattr(multistart_mod, "build_plane", spy)
+    monkeypatch.setattr(windim_mod, "build_plane", spy)
     return planes
 
 
@@ -60,7 +67,7 @@ class TestMultistartLifecycle:
     ):
         """A start that blows up mid-loop must not leak the plane."""
         calls = {"n": 0}
-        real_search = multistart_mod.pattern_search
+        real_search = windim_mod.pattern_search
 
         def flaky(*args, **kwargs):
             calls["n"] += 1
@@ -68,7 +75,7 @@ class TestMultistartLifecycle:
                 raise SearchError("synthetic failure on the second start")
             return real_search(*args, **kwargs)
 
-        monkeypatch.setattr(multistart_mod, "pattern_search", flaky)
+        monkeypatch.setattr(windim_mod, "pattern_search", flaky)
         with pytest.raises(SearchError, match="synthetic failure"):
             windim_multistart(moderate_net, max_window=8)
         (plane,) = captured_planes

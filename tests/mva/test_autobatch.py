@@ -1,11 +1,17 @@
-"""SoA auto-engagement: the structural assess paths and the counters."""
+"""SoA auto-engagement: the structural ``soa.assess`` paths and the
+``autobatch`` counters."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.backend import BACKEND_ENV_VAR
-from repro.mva import autobatch
+from repro.mva import autobatch, soa
 
 
 @pytest.fixture(autouse=True)
@@ -18,29 +24,29 @@ def vectorized_kernel(monkeypatch):
 
 class TestAssess:
     def test_unbatchable_solver_declines(self):
-        engage, reason = autobatch.assess("linearizer", False, None, 4)
+        engage, reason = soa.assess("linearizer", False, None, 4)
         assert not engage
         assert "no batched SoA kernel" in reason
 
     def test_reuse_engine_declines(self):
-        engage, reason = autobatch.assess("mva-heuristic", True, None, 4)
+        engage, reason = soa.assess("mva-heuristic", True, None, 4)
         assert not engage
         assert "reuse" in reason
 
     def test_scalar_backend_declines(self):
-        engage, reason = autobatch.assess("mva-heuristic", False, "scalar", 4)
+        engage, reason = soa.assess("mva-heuristic", False, "scalar", 4)
         assert not engage
         assert "scalar" in reason
 
     def test_batch_of_one_declines(self):
-        engage, reason = autobatch.assess("mva-heuristic", False, None, 1)
+        engage, reason = soa.assess("mva-heuristic", False, None, 1)
         assert not engage
         assert "nothing to batch" in reason
 
     def test_small_network_engages(self):
         # Network size is no reason either way: any batch of two or more
         # on the vectorized kernel engages.
-        engage, reason = autobatch.assess(
+        engage, reason = soa.assess(
             "mva-heuristic", False, "vectorized", 4
         )
         assert engage
@@ -64,3 +70,29 @@ class TestCounters:
         assert stats["declined_reasons"] == {"reason one": 2, "reason two": 1}
         autobatch.reset_stats()
         assert autobatch.batch_stats()["declined_batches"] == 0
+
+
+_SEARCH_PROBE = """
+import sys
+from repro.core.windim import windim
+from repro.netmodel.examples import canadian_four_class
+result = windim(canadian_four_class(6.0, 6.0, 6.0, 12.0))
+print(list(result.windows), result.ahead_used > 0, "logging" in sys.modules)
+"""
+
+
+def test_serial_search_never_imports_logging():
+    """A packing serial search (Table 4.12 row 1) counts its engaged
+    batches without loading :mod:`logging`; only a decline logs."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env[BACKEND_ENV_VAR] = "vectorized"
+    child = subprocess.run(
+        [sys.executable, "-c", _SEARCH_PROBE],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert child.stdout.split("\n")[0] == "[1, 1, 1, 4] True False"
