@@ -75,7 +75,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.tables import render_table
 from repro.backend import BACKENDS, BACKEND_ENV_VAR
-from repro.core.objective import SOLVERS
 from repro.core.power import power_report
 from repro.core.windim import windim
 from repro.errors import LadderExhaustedError, ReproError
@@ -89,6 +88,7 @@ from repro.netmodel.examples import (
     canadian_topology,
 )
 from repro.queueing.network import ClosedNetwork
+from repro.solvers import SOLVERS
 
 __all__ = [
     "EXIT_BUDGET_EXHAUSTED",

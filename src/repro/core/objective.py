@@ -37,6 +37,7 @@ from repro.mva.soa import PackedSolution, assess
 from repro.queueing.network import ClosedNetwork
 from repro.search.cache import integral_key
 from repro.solution import NetworkSolution
+from repro.solvers import SOLVERS, resolve_solver
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.parallel.pool import PersistentEvalPool
@@ -59,114 +60,6 @@ Point = Tuple[int, ...]
 Solver = Callable[..., NetworkSolution]
 #: What the solution cache keeps per window vector.
 Retained = Union[NetworkSolution, PackedSolution]
-
-
-def _heuristic_solver(
-    network: ClosedNetwork,
-    backend: Optional[str] = None,
-    warm_start=None,
-) -> NetworkSolution:
-    from repro.mva.heuristic import solve_mva_heuristic
-
-    return solve_mva_heuristic(network, backend=backend, warm_start=warm_start)
-
-
-def _exact_mva_solver(
-    network: ClosedNetwork,
-    backend: Optional[str] = None,
-    lattice_cache=None,
-) -> NetworkSolution:
-    from repro.exact.mva_exact import solve_mva_exact
-
-    return solve_mva_exact(network, backend=backend, lattice_cache=lattice_cache)
-
-
-def _convolution_solver(
-    network: ClosedNetwork, backend: Optional[str] = None
-) -> NetworkSolution:
-    # The convolution algorithm has a single kernel; the backend flag is
-    # accepted (and validated) for interface uniformity.
-    resolve_backend(backend)
-    from repro.exact.convolution import solve_convolution
-
-    return solve_convolution(network)
-
-
-def _schweitzer_solver(
-    network: ClosedNetwork,
-    backend: Optional[str] = None,
-    warm_start=None,
-) -> NetworkSolution:
-    from repro.mva.schweitzer import solve_schweitzer
-
-    return solve_schweitzer(network, backend=backend, warm_start=warm_start)
-
-
-def _linearizer_solver(
-    network: ClosedNetwork,
-    backend: Optional[str] = None,
-    warm_start=None,
-) -> NetworkSolution:
-    from repro.mva.linearizer import solve_linearizer
-
-    return solve_linearizer(network, backend=backend, warm_start=warm_start)
-
-
-def _asymptotic_solver(
-    network: ClosedNetwork,
-    backend: Optional[str] = None,
-    warm_start=None,
-) -> NetworkSolution:
-    from repro.mva.asymptotic import solve_asymptotic
-
-    return solve_asymptotic(network, backend=backend, warm_start=warm_start)
-
-
-def _resilient_solver(
-    network: ClosedNetwork,
-    backend: Optional[str] = None,
-    warm_start=None,
-    lattice_cache=None,
-) -> NetworkSolution:
-    from repro.resilience.ladder import solve_resilient
-
-    return solve_resilient(
-        network,
-        "mva-heuristic",
-        backend=backend,
-        warm_start=warm_start,
-        lattice_cache=lattice_cache,
-    )
-
-
-#: Named solvers accepted by :func:`resolve_solver` and the CLI.  Every
-#: entry takes ``(network, backend=None)``; the backend selects the kernel
-#: implementation (see :mod:`repro.backend`), never the algorithm.  Where
-#: the underlying algorithm supports them, entries additionally accept the
-#: reuse keywords ``warm_start=`` / ``lattice_cache=`` (discovered by
-#: signature inspection in :class:`repro.core.reuse.ReuseEngine`).
-SOLVERS: Dict[str, Solver] = {
-    "mva-heuristic": _heuristic_solver,
-    "mva-exact": _exact_mva_solver,
-    "convolution": _convolution_solver,
-    "schweitzer": _schweitzer_solver,
-    "linearizer": _linearizer_solver,
-    "asymptotic": _asymptotic_solver,
-    "resilient": _resilient_solver,
-}
-
-
-def resolve_solver(solver: "str | Solver") -> Solver:
-    """Map a solver name (or pass through a callable) to a solver."""
-    if callable(solver):
-        return solver
-    try:
-        return SOLVERS[solver]
-    except KeyError:
-        raise ModelError(
-            f"unknown solver {solver!r}; expected one of {sorted(SOLVERS)} "
-            "or a callable"
-        ) from None
 
 
 class WindowObjective:

@@ -15,20 +15,21 @@ depend on its distance from already-solved points instead:
   :class:`~repro.exact.lattice_cache.LatticeCache`, so the prefix
   lattices of neighbouring targets are computed once (bit-exact reuse).
 
-Which keyword a solver understands is discovered by signature
-inspection, so custom callables participate exactly to the extent they
-opt in (a solver without ``warm_start=`` simply runs cold).
+Which keyword a solver understands is read from its signature
+(:func:`repro.solvers.solver_keywords`), so custom callables participate
+exactly to the extent they opt in (a solver without ``warm_start=``
+simply runs cold).
 """
 
 from __future__ import annotations
 
-import inspect
 from collections import OrderedDict
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.mva.accel import SWITCHED_OFF
+from repro.solvers import solver_keywords
 
 __all__ = ["ReuseEngine"]
 
@@ -36,21 +37,6 @@ Point = Tuple[int, ...]
 
 #: Default cap on retained warm-start seeds (one (R, L) float matrix each).
 DEFAULT_MAX_SEEDS = 128
-
-
-def _accepted_keywords(solver: Callable) -> frozenset:
-    """Keyword names ``solver`` accepts (empty when inspection fails)."""
-    try:
-        parameters = inspect.signature(solver).parameters
-    except (TypeError, ValueError):
-        return frozenset()
-    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()):
-        return frozenset({"warm_start", "lattice_cache"})
-    return frozenset(
-        name
-        for name, p in parameters.items()
-        if p.kind in (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
-    )
 
 
 class ReuseEngine:
@@ -67,7 +53,7 @@ class ReuseEngine:
     """
 
     def __init__(self, solver: Callable, max_seeds: int = DEFAULT_MAX_SEEDS) -> None:
-        keywords = _accepted_keywords(solver)
+        keywords = solver_keywords(solver)
         self.supports_warm_start = "warm_start" in keywords
         self.supports_lattice = "lattice_cache" in keywords
         self.max_seeds = int(max_seeds)

@@ -8,14 +8,21 @@ global-balance solver).  These generators centralise that combinatorics.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "population_vectors",
     "population_vectors_by_total",
     "compositions",
     "lattice_size",
+    "EXACT_LATTICE_LIMIT",
+    "exact_applicability",
 ]
+
+#: Largest population lattice handed to the exact recursive solvers as
+#: a last resort (the ladder's exact rung) or under the fuzzer (the
+#: oracle): far below their own module limits, so neither hangs.
+EXACT_LATTICE_LIMIT = 250_000
 
 
 def lattice_size(limits: Sequence[int]) -> int:
@@ -30,6 +37,20 @@ def lattice_size(limits: Sequence[int]) -> int:
             raise ValueError(f"population limits must be >= 0, got {limit}")
         size *= limit + 1
     return size
+
+
+def exact_applicability(network, limit: int = EXACT_LATTICE_LIMIT) -> Optional[str]:
+    """Why the exact lattice solvers should not take ``network`` (None = they can).
+
+    They need fixed-rate stations and a population lattice of at most
+    ``limit`` vectors.
+    """
+    if not network.is_fixed_rate():
+        return "needs fixed-rate single-server / IS stations"
+    size = lattice_size([int(p) for p in network.populations])
+    if size > limit:
+        return f"population lattice too large ({size} > {limit})"
+    return None
 
 
 def population_vectors(limits: Sequence[int]) -> Iterator[Tuple[int, ...]]:

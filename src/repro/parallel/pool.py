@@ -186,9 +186,8 @@ def _worker_main(
     except (ValueError, OSError):  # pragma: no cover - exotic platforms
         pass
     from repro.chaos.hooks import worker_chaos
-    from repro.core.objective import SOLVERS
     from repro.core.power import inverse_power
-    from repro.core.reuse import _accepted_keywords
+    from repro.solvers import SOLVERS, solver_keywords
 
     chaos = worker_chaos(worker_index)
     arena = ModelArena.attach(ref)
@@ -196,8 +195,7 @@ def _worker_main(
     parent = multiprocessing.parent_process()
     parent_pid = os.getppid()
     generation = -1
-    network = solver = None
-    solver_keywords: frozenset = frozenset()
+    network = solver = keywords = None
 
     def _stamp() -> None:
         if heartbeats is not None:
@@ -223,13 +221,11 @@ def _worker_main(
                 if arena.generation != generation or network is None:
                     network, solver_name, backend = arena.model()
                     solver = SOLVERS[solver_name]
-                    solver_keywords = _accepted_keywords(solver)
+                    keywords = solver_keywords(solver)
                     generation = arena.generation
-                kwargs: Dict[str, object] = {}
-                if "backend" in solver_keywords:
-                    kwargs["backend"] = backend
+                kwargs: Dict[str, object] = {"backend": backend}
                 warmed = False
-                if seed_slot is not None and "warm_start" in solver_keywords:
+                if seed_slot is not None and "warm_start" in keywords:
                     kwargs["warm_start"] = arena.read_seed(seed_slot)
                     warmed = True
                 candidate = network.with_populations(key)
@@ -276,7 +272,7 @@ class PersistentEvalPool:
     network:
         The network template broadcast to workers (populations ignored).
     solver:
-        Named solver from :data:`repro.core.objective.SOLVERS`.
+        Named solver from :data:`repro.solvers.SOLVERS`.
     backend:
         Kernel backend forwarded to the solver in every worker.
     workers:

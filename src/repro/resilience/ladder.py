@@ -13,7 +13,9 @@ interface and contains such failures:
 2. **Algorithm escalation** — if every damped retry fails, the ladder
    switches backend: heuristic -> Schweitzer-Bard -> Linearizer -> exact
    MVA (the last only when the population lattice is small enough to be
-   tractable, mirroring the oracle's applicability gate).
+   tractable: :func:`repro.exact.states.exact_applicability`, the
+   oracle's gate too).  Every backend name is an entry of
+   :data:`repro.solvers.SOLVERS`.
 3. **Structured health records** — every attempt (tried or skipped) is
    logged in a :class:`~repro.resilience.health.SolveHealth`, retrievable
    via :attr:`ResilientSolver.last_health` / :attr:`health_log`.
@@ -46,9 +48,11 @@ from repro.errors import (
     ModelError,
     SolverError,
 )
+from repro.exact.states import EXACT_LATTICE_LIMIT, exact_applicability
 from repro.mva.convergence import IterationControl
 from repro.queueing.network import ClosedNetwork
 from repro.solution import NetworkSolution
+from repro.solvers import SOLVERS, solver_keywords
 
 from repro.resilience.health import AttemptOutcome, SolveAttempt, SolveHealth
 
@@ -70,93 +74,17 @@ DEFAULT_ESCALATION: Tuple[str, ...] = (
     "mva-exact",
 )
 
-#: Largest population lattice the ladder will hand to exact MVA (same
-#: spirit as the oracle's ``LATTICE_LIMIT``: a last resort must not hang).
-EXACT_LATTICE_LIMIT = 250_000
-
 Solver = Callable[..., NetworkSolution]
 
 
-def _backend(name: str) -> Solver:
-    """Resolve a ladder backend name to its solver function (lazily)."""
-    if name == "mva-heuristic":
-        from repro.mva.heuristic import solve_mva_heuristic
-
-        return solve_mva_heuristic
-    if name == "schweitzer":
-        from repro.mva.schweitzer import solve_schweitzer
-
-        return solve_schweitzer
-    if name == "linearizer":
-        from repro.mva.linearizer import solve_linearizer
-
-        return solve_linearizer
-    if name == "mva-exact":
-        from repro.exact.mva_exact import solve_mva_exact
-
-        return solve_mva_exact
-    if name == "convolution":
-        from repro.exact.convolution import solve_convolution
-
-        return solve_convolution
-    if name == "asymptotic":
-        from repro.mva.asymptotic import solve_asymptotic
-
-        return solve_asymptotic
-    raise ModelError(
-        f"unknown ladder backend {name!r}; expected one of "
-        f"{sorted(('mva-heuristic', 'schweitzer', 'linearizer', 'mva-exact', 'convolution', 'asymptotic'))}"
-    )
-
-
-#: Backends whose solve function accepts an ``IterationControl`` (and can
-#: therefore be re-tried under the damping schedule).
-_ITERATIVE_BACKENDS = frozenset(
-    {"mva-heuristic", "schweitzer", "linearizer", "asymptotic"}
-)
-
-#: Backends whose solve function accepts a kernel ``backend=`` keyword
-#: (see :mod:`repro.backend`); the others own a single kernel.
-_KERNEL_AWARE_BACKENDS = frozenset(
-    {"mva-heuristic", "schweitzer", "linearizer", "mva-exact", "asymptotic"}
-)
-
-#: Backends accepting a ``warm_start=`` queue-length seed
-#: (see :mod:`repro.mva.warmstart`).
-_WARMSTART_BACKENDS = frozenset(
-    {"mva-heuristic", "schweitzer", "linearizer", "asymptotic"}
-)
-
-#: Backends accepting a ``lattice_cache=``
-#: (see :mod:`repro.exact.lattice_cache`).
-_LATTICE_BACKENDS = frozenset({"mva-exact"})
-
-
-def _accepts_keyword(solver: Solver, keyword: str) -> bool:
-    """True when a custom callable takes the given keyword argument."""
-    import inspect
-
-    try:
-        return keyword in inspect.signature(solver).parameters
-    except (TypeError, ValueError):
-        return False
-
-
-def _accepts_control(solver: Solver) -> bool:
-    """True when a custom callable takes a ``control`` keyword."""
-    return _accepts_keyword(solver, "control")
-
-
-def _exact_applicability(network: ClosedNetwork, limit: int) -> Optional[str]:
-    """Why exact MVA cannot be used as the last rung (None = it can)."""
-    if not network.is_fixed_rate():
-        return "needs fixed-rate single-server / IS stations"
-    from repro.exact.states import lattice_size
-
-    size = lattice_size([int(p) for p in network.populations])
-    if size > limit:
-        return f"population lattice too large ({size} > {limit})"
-    return None
+def _rung(name: str) -> Solver:
+    """The named solver for ladder backend ``name``: any but ``"resilient"``."""
+    if name == "resilient" or name not in SOLVERS:
+        raise ModelError(
+            f"unknown ladder backend {name!r}; expected one of "
+            f"{sorted(set(SOLVERS) - {'resilient'})}"
+        )
+    return SOLVERS[name]
 
 
 def _judge(solution: NetworkSolution) -> Optional[Tuple[str, str]]:
@@ -183,17 +111,18 @@ class ResilientSolver:
     Parameters
     ----------
     solver:
-        Primary backend: a ladder backend name (``"mva-heuristic"``,
-        ``"schweitzer"``, ``"linearizer"``, ``"mva-exact"``,
-        ``"convolution"``, ``"asymptotic"``) or any solver callable.  Callables accepting a
-        ``control`` keyword get the damping schedule; others are simply
-        retried once per rung (useful for transiently flaky backends).
+        Primary backend: a name from :data:`repro.solvers.SOLVERS` other
+        than ``"resilient"``, or any solver callable.  A solver that takes
+        a ``control`` keyword (:func:`repro.solvers.solver_keywords`) gets
+        the damping schedule; others are simply retried once per rung
+        (useful for transiently flaky backends).
     damping_schedule:
         Damping factors tried on the primary backend, in order.
     escalation:
         Backend names tried after the primary is exhausted (the primary is
-        skipped if it reappears here).  ``"mva-exact"`` is attempted only
-        when the population lattice is below ``exact_lattice_limit``.
+        skipped if it reappears here), checked against the same table when
+        the ladder is built.  ``"mva-exact"`` is attempted only when the
+        population lattice is within ``exact_lattice_limit``.
     control:
         Base iteration policy; tolerance/max_iterations are kept, damping
         is overridden per rung, and failures always raise internally so
@@ -230,24 +159,15 @@ class ResilientSolver:
         if backend is not None:
             resolve_backend(backend)  # validate eagerly
         self.backend = backend
-        if isinstance(solver, str):
-            self.primary_name = solver
-            self._primary = _backend(solver)
-            self._primary_iterative = solver in _ITERATIVE_BACKENDS
-            self._primary_kernel_aware = solver in _KERNEL_AWARE_BACKENDS
-            self._primary_warm = solver in _WARMSTART_BACKENDS
-            self._primary_lattice = solver in _LATTICE_BACKENDS
-        else:
-            self.primary_name = getattr(solver, "__name__", "custom")
-            self._primary = solver
-            self._primary_iterative = _accepts_control(solver)
-            self._primary_kernel_aware = _accepts_keyword(solver, "backend")
-            self._primary_warm = _accepts_keyword(solver, "warm_start")
-            self._primary_lattice = _accepts_keyword(solver, "lattice_cache")
+        self._primary = _rung(solver) if isinstance(solver, str) else solver
+        self.primary_name = getattr(self._primary, "__name__", "custom")
+        self._primary_keywords = solver_keywords(self._primary)
         self.damping_schedule = tuple(float(d) for d in damping_schedule)
         self.escalation = tuple(
             DEFAULT_ESCALATION if escalation is None else escalation
         )
+        for name in self.escalation:
+            _rung(name)  # a typo fails here, not at the first escalation
         base = control if control is not None else IterationControl()
         if not base.raise_on_failure:
             # The ladder must *see* convergence failures to act on them.
@@ -300,22 +220,23 @@ class ResilientSolver:
         health: SolveHealth,
         name: str,
         solver: Solver,
+        keywords: frozenset,
         network: ClosedNetwork,
         damping: float,
-        iterative: bool,
-        kernel_aware: bool = False,
-        extra: Optional[Dict[str, object]] = None,
+        reuse: Dict[str, object],
     ) -> Optional[NetworkSolution]:
-        """Run one rung; record the outcome; return the solution if healthy."""
+        """Run one rung; record the outcome; return the solution if healthy.
+
+        The rung gets the damped control, the kernel backend and the
+        ``reuse`` accelerators, each only if its ``keywords`` name it.
+        """
         started = time.perf_counter()
         iterations = 0
-        kwargs: Dict[str, object] = {}
-        if iterative:
+        kwargs = {k: v for k, v in reuse.items() if k in keywords}
+        if "control" in keywords:
             kwargs["control"] = self._control.damped(damping)
-        if kernel_aware:
+        if "backend" in keywords:
             kwargs["backend"] = self.backend
-        if extra:
-            kwargs.update(extra)
         try:
             # Non-converged iterates must surface as ConvergenceError here,
             # not as a ConvergenceWarning the ladder cannot catch.
@@ -381,14 +302,11 @@ class ResilientSolver:
             When every rung failed; ``.health`` carries the full record.
         """
 
-        def reuse_kwargs(warm: bool, lattice: bool) -> Dict[str, object]:
-            extra: Dict[str, object] = {}
-            if warm and warm_start is not None:
-                extra["warm_start"] = warm_start
-            if lattice and lattice_cache is not None:
-                extra["lattice_cache"] = lattice_cache
-            return extra
-
+        reuse = {
+            key: value
+            for key, value in (("warm_start", warm_start), ("lattice_cache", lattice_cache))
+            if value is not None
+        }
         health = SolveHealth(
             windows=tuple(int(p) for p in network.populations)
         )
@@ -397,20 +315,15 @@ class ResilientSolver:
         # The primary backend under the damping schedule.  A backend that
         # cannot be damped gets exactly one retry (transient faults), not
         # the whole schedule.
-        if self._primary_iterative:
+        keywords = self._primary_keywords
+        if "control" in keywords:
             primary_dampings: Tuple[float, ...] = self.damping_schedule
         else:
             primary_dampings = (1.0,) * min(2, len(self.damping_schedule))
         for damping in primary_dampings:
             solution = self._attempt(
-                health,
-                self.primary_name,
-                self._primary,
-                network,
-                damping,
-                self._primary_iterative,
-                self._primary_kernel_aware,
-                reuse_kwargs(self._primary_warm, self._primary_lattice),
+                health, self.primary_name, self._primary, keywords, network,
+                damping, reuse,
             )
             if solution is not None:
                 return solution
@@ -420,7 +333,7 @@ class ResilientSolver:
             if name == self.primary_name:
                 continue
             if name == "mva-exact":
-                reason = _exact_applicability(network, self.exact_lattice_limit)
+                reason = exact_applicability(network, self.exact_lattice_limit)
                 if reason is not None:
                     health.record(
                         SolveAttempt(
@@ -431,23 +344,14 @@ class ResilientSolver:
                         )
                     )
                     continue
-            solver = _backend(name)
-            iterative = name in _ITERATIVE_BACKENDS
+            solver = SOLVERS[name]
+            keywords = solver_keywords(solver)
             # Escalation backends start damped: an undamped retry of a
             # *different* AMVA on a network that already defeated one
             # undamped iteration is the least promising rung to spend on.
-            damping = self.damping_schedule[-1] if iterative else 1.0
+            damping = self.damping_schedule[-1] if "control" in keywords else 1.0
             solution = self._attempt(
-                health,
-                name,
-                solver,
-                network,
-                damping,
-                iterative,
-                name in _KERNEL_AWARE_BACKENDS,
-                reuse_kwargs(
-                    name in _WARMSTART_BACKENDS, name in _LATTICE_BACKENDS
-                ),
+                health, name, solver, keywords, network, damping, reuse
             )
             if solution is not None:
                 return solution

@@ -16,15 +16,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exact.states import lattice_size
+from repro.exact.states import exact_applicability
 from repro.netmodel.topology import Topology
 from repro.netmodel.traffic import TrafficClass
 from repro.queueing.network import ClosedNetwork
 from repro.solution import NetworkSolution
+from repro.solvers import SOLVERS
 
 __all__ = [
     "SolverKind",
@@ -41,10 +43,6 @@ __all__ = [
 #: Largest CTMC state space the oracle will ask the global-balance solver
 #: to enumerate (a dense linear system is solved, so keep this modest).
 CTMC_STATE_LIMIT = 4_000
-
-#: Largest population lattice for the exact recursive solvers when driven
-#: by the fuzzer (far below their own module limits; keeps sweeps fast).
-LATTICE_LIMIT = 250_000
 
 
 class SolverKind(Enum):
@@ -182,12 +180,7 @@ def _always(case: VerifyCase) -> Optional[str]:
 
 
 def _fixed_rate_lattice(case: VerifyCase) -> Optional[str]:
-    if not case.network.is_fixed_rate():
-        return "needs fixed-rate single-server / IS stations"
-    size = lattice_size([int(p) for p in case.network.populations])
-    if size > LATTICE_LIMIT:
-        return f"population lattice too large ({size} > {LATTICE_LIMIT})"
-    return None
+    return exact_applicability(case.network)
 
 
 def _single_chain(case: VerifyCase) -> Optional[str]:
@@ -214,30 +207,8 @@ def _simulatable(case: VerifyCase) -> Optional[str]:
 
 
 # ----------------------------------------------------------------------
-# backend adapters
+# adapters of the solvers that are not named solvers
 # ----------------------------------------------------------------------
-def _solve_convolution(network: ClosedNetwork) -> NetworkSolution:
-    from repro.exact.convolution import solve_convolution
-
-    return solve_convolution(network)
-
-
-def _solve_mva_exact(network: ClosedNetwork) -> NetworkSolution:
-    # Pinned to the scalar reference kernel so the registry's
-    # ``mva-exact`` / ``mva-exact-vectorized`` pair is a genuine
-    # differential check between the two kernels, independent of the
-    # process-wide default backend.
-    from repro.exact.mva_exact import solve_mva_exact
-
-    return solve_mva_exact(network, backend="scalar")
-
-
-def _solve_mva_exact_vectorized(network: ClosedNetwork) -> NetworkSolution:
-    from repro.exact.mva_exact import solve_mva_exact
-
-    return solve_mva_exact(network, backend="vectorized")
-
-
 def _solve_ctmc(network: ClosedNetwork) -> NetworkSolution:
     from repro.exact.ctmc import solve_ctmc
 
@@ -306,31 +277,6 @@ def _buzen_applicable(case: VerifyCase) -> Optional[str]:
     return None
 
 
-def _solve_heuristic(network: ClosedNetwork) -> NetworkSolution:
-    # Scalar reference kernel (see _solve_mva_exact for the rationale).
-    from repro.mva.heuristic import solve_mva_heuristic
-
-    return solve_mva_heuristic(network, backend="scalar")
-
-
-def _solve_heuristic_vectorized(network: ClosedNetwork) -> NetworkSolution:
-    from repro.mva.heuristic import solve_mva_heuristic
-
-    return solve_mva_heuristic(network, backend="vectorized")
-
-
-def _solve_schweitzer(network: ClosedNetwork) -> NetworkSolution:
-    from repro.mva.schweitzer import solve_schweitzer
-
-    return solve_schweitzer(network)
-
-
-def _solve_linearizer(network: ClosedNetwork) -> NetworkSolution:
-    from repro.mva.linearizer import solve_linearizer
-
-    return solve_linearizer(network)
-
-
 def _asymptotic_regime(case: VerifyCase) -> Optional[str]:
     """The CLT/asymptotic solver's validity gate (chain-count floor).
 
@@ -347,25 +293,6 @@ def _asymptotic_regime(case: VerifyCase) -> Optional[str]:
             f"< {ASYMPTOTIC_MIN_CHAINS})"
         )
     return None
-
-
-def _solve_asymptotic(network: ClosedNetwork) -> NetworkSolution:
-    from repro.mva.asymptotic import solve_asymptotic
-
-    return solve_asymptotic(network)
-
-
-def _solve_resilient(network: ClosedNetwork) -> NetworkSolution:
-    """The escalation-ladder runtime over the thesis heuristic.
-
-    Registering it here means every differential sweep also exercises the
-    retry/escalation machinery: its output must stay inside the same
-    approximate tolerance bands as the heuristic it wraps, whichever rung
-    ends up producing the accepted solution.
-    """
-    from repro.resilience.ladder import solve_resilient
-
-    return solve_resilient(network, "mva-heuristic")
 
 
 def simulation_spec(
@@ -412,52 +339,56 @@ def simulation_spec(
 
 
 def _build_registry() -> Dict[str, SolverSpec]:
+    exact, approximate = SolverKind.EXACT, SolverKind.APPROXIMATE
+    # The named solvers run from their table entries.  ``mva-exact`` and
+    # ``mva-heuristic`` are pinned to the scalar reference kernel, so each
+    # pair with its ``-vectorized`` twin is a genuine differential check
+    # between the two kernels, independent of the process default.
+    # ``resilient`` (the ladder over the heuristic) must stay inside the
+    # heuristic's bands whichever rung produced the accepted solution.
     specs = [
         _network_solver(
-            "convolution", SolverKind.EXACT, _solve_convolution, _fixed_rate_lattice
+            "convolution", exact, SOLVERS["convolution"], _fixed_rate_lattice
         ),
         _network_solver(
-            "mva-exact", SolverKind.EXACT, _solve_mva_exact, _fixed_rate_lattice
+            "mva-exact",
+            exact,
+            partial(SOLVERS["mva-exact"], backend="scalar"),
+            _fixed_rate_lattice,
         ),
         _network_solver(
             "mva-exact-vectorized",
-            SolverKind.EXACT,
-            _solve_mva_exact_vectorized,
+            exact,
+            partial(SOLVERS["mva-exact"], backend="vectorized"),
             _fixed_rate_lattice,
         ),
-        _network_solver("ctmc", SolverKind.EXACT, _solve_ctmc, _ctmc_applicable),
+        _network_solver("ctmc", exact, _solve_ctmc, _ctmc_applicable),
         _network_solver(
-            "gordon-newell", SolverKind.EXACT, _solve_gordon_newell, _single_chain
+            "gordon-newell", exact, _solve_gordon_newell, _single_chain
         ),
         SolverSpec(
             name="buzen",
-            kind=SolverKind.EXACT,
+            kind=exact,
             solve=_solve_buzen,
             applicability=_buzen_applicable,
         ),
         _network_solver(
-            "mva-heuristic", SolverKind.APPROXIMATE, _solve_heuristic, _always
-        ),
-        _network_solver(
-            "mva-heuristic-vectorized",
-            SolverKind.APPROXIMATE,
-            _solve_heuristic_vectorized,
+            "mva-heuristic",
+            approximate,
+            partial(SOLVERS["mva-heuristic"], backend="scalar"),
             _always,
         ),
         _network_solver(
-            "schweitzer", SolverKind.APPROXIMATE, _solve_schweitzer, _always
+            "mva-heuristic-vectorized",
+            approximate,
+            partial(SOLVERS["mva-heuristic"], backend="vectorized"),
+            _always,
         ),
+        _network_solver("schweitzer", approximate, SOLVERS["schweitzer"], _always),
+        _network_solver("linearizer", approximate, SOLVERS["linearizer"], _always),
+        _network_solver("resilient", approximate, SOLVERS["resilient"], _always),
         _network_solver(
-            "linearizer", SolverKind.APPROXIMATE, _solve_linearizer, _always
-        ),
-        _network_solver(
-            "resilient", SolverKind.APPROXIMATE, _solve_resilient, _always
-        ),
-        _network_solver(
-            "asymptotic",
-            SolverKind.APPROXIMATE,
-            _solve_asymptotic,
-            _asymptotic_regime,
+            "asymptotic", approximate, SOLVERS["asymptotic"], _asymptotic_regime
         ),
         simulation_spec(),
     ]

@@ -3,11 +3,16 @@
 import pytest
 
 from repro.exact.states import (
+    EXACT_LATTICE_LIMIT,
     compositions,
+    exact_applicability,
     lattice_size,
     population_vectors,
     population_vectors_by_total,
 )
+from repro.netmodel.examples import canadian_two_class
+from repro.queueing.network import ClosedNetwork
+from repro.queueing.station import Station
 
 
 class TestLatticeSize:
@@ -19,6 +24,47 @@ class TestLatticeSize:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             lattice_size([-1])
+
+
+class TestExactApplicability:
+    """The one exact-rung gate, read by the ladder and by the oracle."""
+
+    def test_small_fixed_rate_lattice_passes(self):
+        assert exact_applicability(canadian_two_class(18.0, 18.0, windows=(3, 4))) is None
+
+    def test_lattice_over_the_limit(self):
+        net = canadian_two_class(18.0, 18.0, windows=(3, 4))  # 20 vectors
+        assert exact_applicability(net, limit=20) is None
+        assert exact_applicability(net, limit=19) == (
+            "population lattice too large (20 > 19)"
+        )
+        big = net.with_populations((999, 999))
+        assert exact_applicability(big) == (
+            f"population lattice too large (1000000 > {EXACT_LATTICE_LIMIT})"
+        )
+
+    def test_load_dependent_station(self, tiny_two_chain_net):
+        stations = list(tiny_two_chain_net.stations)
+        stations[1] = Station.fcfs("shared", servers=2)
+        net = ClosedNetwork.build(stations, tiny_two_chain_net.chains)
+        assert exact_applicability(net) == "needs fixed-rate single-server / IS stations"
+
+    def test_ladder_and_oracle_give_the_same_reason(self):
+        from repro.errors import LadderExhaustedError, SolverError
+        from repro.resilience import ResilientSolver
+        from repro.verify.oracle import VerifyCase, get_solver
+
+        def dead(network, control=None):
+            raise SolverError("down")
+
+        net = canadian_two_class(18.0, 18.0, windows=(500, 500))  # 251,001 vectors
+        ladder = ResilientSolver(dead, escalation=("mva-exact",))
+        with pytest.raises(LadderExhaustedError) as excinfo:
+            ladder(net)
+        (skipped,) = [a for a in excinfo.value.health.attempts if a.solver == "mva-exact"]
+        case = VerifyCase.from_network("big", net)
+        assert skipped.detail == get_solver("mva-exact").applicability(case)
+        assert skipped.detail == exact_applicability(net)
 
 
 class TestPopulationVectors:
