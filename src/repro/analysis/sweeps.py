@@ -20,6 +20,7 @@ from repro.core.power import network_power
 from repro.core.windim import WindimResult, windim
 from repro.queueing.network import ClosedNetwork
 from repro.search.space import IntegerBox
+from repro.solvers import solver_name
 
 __all__ = [
     "SweepPoint",
@@ -83,10 +84,10 @@ def optimal_window_sweep(
     reports the same fleet (cumulative counters).
     """
     workers = windim_kwargs.get("workers") or 0
-    solver_name = solver if isinstance(solver, str) else None
+    name = solver_name(solver)
     share_pool = (
         workers > 1
-        and solver_name is not None
+        and name is not None
         and windim_kwargs.get("shared_pool") is None
         and not windim_kwargs.get("resilient")
     )
@@ -102,7 +103,7 @@ def optimal_window_sweep(
 
                     campaign_pool = PersistentEvalPool(
                         network,
-                        solver_name,
+                        name,
                         backend=windim_kwargs.get("backend"),
                         workers=workers,
                     )

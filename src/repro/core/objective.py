@@ -37,7 +37,7 @@ from repro.mva.soa import PackedSolution, assess
 from repro.queueing.network import ClosedNetwork
 from repro.search.cache import integral_key
 from repro.solution import NetworkSolution
-from repro.solvers import SOLVERS, resolve_solver
+from repro.solvers import SOLVERS, resolve_solver, solver_name
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.parallel.pool import PersistentEvalPool
@@ -127,7 +127,7 @@ class WindowObjective:
         if backend is not None:
             resolve_backend(backend)  # validate eagerly
         self._network = network
-        self._solver_name = solver if isinstance(solver, str) else None
+        self._solver_name = solver_name(solver)
         self._solver = resolve_solver(solver)
         self._backend = backend
         self._engine = ReuseEngine(self._solver) if reuse else None

@@ -49,6 +49,12 @@ __all__ = [
 #: Supported initialisation strategies for the mean queue lengths (STEP 1).
 INITIALIZERS = ("balanced", "bottleneck")
 
+#: Largest ``K x width`` slot count :func:`batched_increments` hands to
+#: its scalar tail: once a segment's columns, padded slots included, fit
+#: in it, each recurses to its own window in Python floats instead of one
+#: vectorized step per population (EXPERIMENTS.md A24).
+TAIL_SLOTS = 32
+
 
 def initial_queue_lengths(network: ClosedNetwork, strategy: str = "balanced") -> np.ndarray:
     """Initial mean queue lengths satisfying eq. (4.18).
@@ -155,13 +161,21 @@ def batched_increments(
     a segment's finishing columns yield their increments on its last
     step, and one ``take`` puts them back in column order.
 
+    The work runs in two regimes.  While a segment is wide, a step is
+    six numpy calls over all its columns.  Once a segment's ``K x
+    width`` slots fit in :data:`TAIL_SLOTS`, numpy's per-call cost would
+    dominate (a thesis optimum such as (1, 1, 1, 64) recurses one
+    column 63 steps past the others), so each remaining column recurses
+    to its own depth in Python floats (the scalar tail), walking only
+    its own route.
+
     Columns are independent: each column's sum runs over its slots in
     station order (:func:`~repro.mva.layout.route_sum`), and a column
     goes through the same floating-point operations whichever columns
-    share the array — a serial solve's ``(K, R)`` and a pack's
-    ``(K, B·R)`` give it bit for bit.  Against the dense scalar
-    reference (pairwise sums over all ``L`` stations) it agrees to
-    rounding.
+    share the array and whichever regime runs it — a serial solve's
+    ``(K, R)`` and a pack's ``(K, B·R)`` give it bit for bit.  Against
+    the dense scalar reference (pairwise sums over all ``L`` stations)
+    it agrees to rounding.
 
     Parameters
     ----------
@@ -188,13 +202,17 @@ def batched_increments(
         return np.zeros_like(scaled)
     if order is not None:
         scaled = scaled.take(order, axis=1)
+    depth = scaled.shape[0]
     pieces = []
     queue = None
     d = 0
-    for last, width, rest, mask in segments:
+    for index, (last, width, rest, mask) in enumerate(segments):
         part = scaled[:, :width]
         if queue is not None:
             queue = queue[:, :width]
+        if depth * width <= TAIL_SLOTS:
+            pieces.append(_scalar_tail(part, queue, mask, d, segments[index:]))
+            break
         while d < last:
             d += 1
             # At step 1 the queue is empty: part * (1.0 + 0.0) == part.
@@ -212,7 +230,77 @@ def batched_increments(
     if alive < scaled.shape[1]:
         pieces.append(np.zeros((scaled.shape[0], scaled.shape[1] - alive)))
     sigma = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
-    return sigma if inverse is None else sigma.take(inverse, axis=1)
+    if inverse is not None:
+        return sigma.take(inverse, axis=1)
+    # A lone scalar-tail piece is a transposed view.
+    return np.ascontiguousarray(sigma)
+
+
+def _scalar_tail(
+    part: np.ndarray,
+    queue: Optional[np.ndarray],
+    mask: np.ndarray,
+    done: int,
+    segments: list,
+) -> np.ndarray:
+    """The increments of ``part``'s columns, each recursed in Python floats.
+
+    ``part``, ``queue`` and ``mask`` are the leading ranked columns after
+    ``done`` vectorized steps (``queue`` is ``None`` before the first);
+    ``segments`` are the plan's segments from the one that covers all of
+    them, and say where each column stops.  Returns the ``(K, width)``
+    increments.
+    """
+    demands = part.T.tolist()
+    gates = mask.T.tolist()
+    queues = [None] * len(demands) if queue is None else queue.T.tolist()
+    columns = [None] * len(demands)
+    for last, width, rest, _mask in segments:
+        for c in range(rest, width):
+            columns[c] = _recurse(demands[c], gates[c], queues[c], done, last)
+    return np.array(columns).T
+
+
+def _recurse(
+    demand: list, gate: list, queue: Optional[list], done: int, last: int
+) -> list:
+    """One column's increments: steps ``done + 1`` to ``last`` in floats.
+
+    Each step performs the vectorized step's IEEE operations in its
+    order: ``p * (1.0 + q)`` on queueing slots, a left-to-right sum over
+    the slots, ``d / s``, then ``q = c * w``; the next step's waits are
+    built straight from ``c * w``, the same product.  The sum starts at
+    ``0.0``, and ``0.0 + w == w`` for the nonnegative waits.  (Never
+    ``sum()``: since Python 3.12 it compensates float sums.)  A route's
+    slots are positive; the padding below it holds exactly 0.0 and adds
+    exactly 0.0, so the walk stops at the column's last nonzero slot and
+    the padding's increments are 0.0.
+    """
+    size = len(demand)
+    while size and demand[size - 1] == 0.0:
+        size -= 1
+    padding = [0.0] * (len(demand) - size)
+    demand, gate = demand[:size], gate[:size]
+    if queue is None:
+        previous = [0.0] * size
+        wait = demand
+    else:
+        previous = queue[:size]
+        wait = [p * (1.0 + q) if g else p for p, q, g in zip(demand, previous, gate)]
+    for d in range(done + 1, last):
+        total = 0.0
+        for w in wait:
+            total += w
+        c = d / total
+        before = wait
+        wait = [p * (1.0 + c * w) if g else p for p, w, g in zip(demand, wait, gate)]
+    if last > done + 1:
+        previous = [c * w for w in before]
+    total = 0.0
+    for w in wait:
+        total += w
+    c = last / total
+    return [c * w - q for w, q in zip(wait, previous)] + padding
 
 
 def solve_mva_heuristic(

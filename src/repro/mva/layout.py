@@ -16,10 +16,10 @@ length, zero waiting time and add exactly nothing to any sum.
 Two reductions recur in every sweep:
 
 * **per chain, over its route** — :func:`route_sum` adds the slots one
-  after the other in station order.  It never uses ``ndarray.sum(axis=0)``:
-  numpy sums a ``(K, 1)`` column pairwise once ``K >= 9`` but a
-  ``(K, N >= 2)`` array row by row, so a one-chain solve would round
-  differently from the same chain inside a pack.
+  after the other in station order.  A bare ``ndarray.sum(axis=0)`` would
+  not do: numpy sums a ``(K, 1)`` column pairwise once ``K >= 9`` but a
+  C-ordered ``(K, N >= 2)`` array row by row, so a one-chain solve would
+  round differently from the same chain inside a pack.
 * **per station, over the chains visiting it** — ``np.bincount`` over
   :attr:`RouteLayout.bins` scatters the slots onto their stations (again
   strictly in slot order); indexing the totals with ``bins`` gathers
@@ -42,28 +42,22 @@ import numpy as np
 __all__ = ["RouteLayout", "route_sum"]
 
 
-#: Widest array :func:`route_sum` sums with one ``np.add.accumulate``
-#: call.  ``accumulate`` runs one inner loop per column and a row loop
-#: one dispatch per slot, so narrow arrays favour the first and wide
-#: ones the second; timed on ``(K, N)`` arrays with K = 3..16, the two
-#: cross between 41 and 77 columns (EXPERIMENTS.md A16).
-NARROW = 64
-
-
 def route_sum(slots: np.ndarray) -> np.ndarray:
     """Column sums of a ``(K, N)`` slot array, strictly in slot order.
 
     Every column is summed ``((s_0 + s_1) + s_2) + ...`` whatever ``N``
     is, so a column's sum does not depend on the array it sits in.
-    Both branches perform exactly these additions; they differ only in
-    speed (see :data:`NARROW`).
+    ``np.add.reduce(axis=0)`` adds whole rows in this order, one dispatch
+    for any width, while the rows are the outer loop: two or more
+    columns, and a column stride smaller than the row stride.  Otherwise
+    numpy would make each column the inner loop and add it pairwise (a
+    ``(K, 1)`` column from ``K >= 9`` on, or a Fortran-ordered array),
+    so those go through ``np.add.accumulate``, which adds in slot order
+    whatever the layout.
     """
-    if slots.shape[1] <= NARROW:
-        return np.add.accumulate(slots, axis=0)[-1]
-    total = slots[0].copy()
-    for row in slots[1:]:
-        total += row
-    return total
+    if slots.shape[1] >= 2 and abs(slots.strides[1]) < abs(slots.strides[0]):
+        return np.add.reduce(slots, axis=0)
+    return np.add.accumulate(slots, axis=0)[-1]
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:

@@ -39,15 +39,20 @@ floating-point operations in the same order:
 
 * elementwise steps act on a network's own columns;
 * sums over a chain's route run slot by slot in station order
-  (:func:`~repro.mva.layout.route_sum`), so the slots a longer route in
-  the pack adds at the bottom of a column add exactly nothing;
+  (:func:`~repro.mva.layout.route_sum`, one ``np.add.reduce`` over the
+  rows of a pack, ``np.add.accumulate`` down a lone column), so the
+  slots a longer route in the pack adds at the bottom of a column add
+  exactly nothing;
 * per-station totals are one ``np.bincount`` whose bins are offset per
   network, so a station's bin receives its own network's slots in the
   same order as the serial solve;
 * the increments recursion is column-independent
   (:func:`repro.mva.heuristic.batched_increments`): each column
   recurses to its own window, through the same operations whichever
-  columns share the array and in whatever order the pack ranks them;
+  columns share the array and in whatever order the pack ranks them,
+  and whether its last steps run vectorized or in the scalar tail's
+  Python floats (a pack hands a column to the tail later than a
+  serial solve does, so this is what keeps the two equal);
 * every network's stopping decision of a sweep comes from one
   :meth:`~repro.mva.convergence.IterationControl.residuals` call over
   the pack's throughput vector, segmented at the networks' first

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ModelError
 
@@ -118,9 +118,17 @@ class Topology:
         self._adjacency: Dict[str, List[Tuple[str, Channel]]] = {
             node: [] for node in self._nodes
         }
+        # Both directions of every node pair to the channel joining it, or
+        # None where several do.
+        self._between: Dict[Tuple[str, str], Optional[Channel]] = {}
         for channel in self._channels:
             self._adjacency[channel.node_a].append((channel.node_b, channel))
             self._adjacency[channel.node_b].append((channel.node_a, channel))
+            for pair in (
+                (channel.node_a, channel.node_b),
+                (channel.node_b, channel.node_a),
+            ):
+                self._between[pair] = None if pair in self._between else channel
 
     # ------------------------------------------------------------------
     @property
@@ -140,21 +148,18 @@ class Topology:
 
     def channel_between(self, node_a: str, node_b: str) -> Channel:
         """The channel joining two nodes (raises if absent or ambiguous)."""
-        self._require_node(node_a)
-        self._require_node(node_b)
-        matches = [
-            channel
-            for other, channel in self._adjacency[node_a]
-            if other == node_b
-        ]
-        if not matches:
-            raise ModelError(f"no channel between {node_a!r} and {node_b!r}")
-        if len(matches) > 1:
+        try:
+            channel = self._between[node_a, node_b]
+        except KeyError:
+            self._require_node(node_a)
+            self._require_node(node_b)
+            raise ModelError(f"no channel between {node_a!r} and {node_b!r}") from None
+        if channel is None:
             raise ModelError(
                 f"multiple channels between {node_a!r} and {node_b!r}; "
                 "look channels up by name"
             )
-        return matches[0]
+        return channel
 
     def has_channel(self, node_a: str, node_b: str) -> bool:
         """True if some channel joins the two nodes."""

@@ -144,27 +144,38 @@ class ClosedNetwork:
         return network
 
     def _validate_fcfs_service_times(self) -> None:
-        """Check the FCFS equal-service-time product-form requirement."""
-        for i, station in enumerate(self.stations):
-            if station.discipline is not Discipline.FCFS:
-                continue
-            per_visit: List[Tuple[str, float]] = []
-            for chain in self.chains:
-                for visited, service in zip(chain.visits, chain.service_times):
-                    if visited == station.name:
-                        per_visit.append((chain.name, service))
-            if len(per_visit) < 2:
-                continue
-            base = per_visit[0][1]
-            for chain_name, service in per_visit[1:]:
-                if abs(service - base) > _FCFS_SERVICE_TOLERANCE * max(base, service):
-                    raise ModelError(
-                        f"FCFS station {station.name!r}: chains "
-                        f"{per_visit[0][0]!r} and {chain_name!r} have different "
-                        f"mean service times ({base} vs {service}); product form "
-                        "requires them to be equal (pass strict_fcfs=False to "
-                        "override)"
-                    )
+        """Check the FCFS equal-service-time product-form requirement.
+
+        One pass over the chains' visits: each FCFS station's first visit
+        sets its service time, and the first station (in station order)
+        that a later visit disagrees with is reported.
+        """
+        fcfs = {
+            station.name: i
+            for i, station in enumerate(self.stations)
+            if station.discipline is Discipline.FCFS
+        }
+        first: Dict[str, Tuple[str, float]] = {}
+        clashes: Dict[int, Tuple[str, float, str, float]] = {}
+        for chain in self.chains:
+            for visited, service in zip(chain.visits, chain.service_times):
+                if visited not in fcfs:
+                    continue
+                base_chain, base = first.setdefault(visited, (chain.name, service))
+                if fcfs[visited] not in clashes and abs(
+                    service - base
+                ) > _FCFS_SERVICE_TOLERANCE * max(base, service):
+                    clashes[fcfs[visited]] = (base_chain, base, chain.name, service)
+        if clashes:
+            i = min(clashes)
+            base_chain, base, chain_name, service = clashes[i]
+            raise ModelError(
+                f"FCFS station {self.stations[i].name!r}: chains "
+                f"{base_chain!r} and {chain_name!r} have different "
+                f"mean service times ({base} vs {service}); product form "
+                "requires them to be equal (pass strict_fcfs=False to "
+                "override)"
+            )
 
     # ------------------------------------------------------------------
     # basic queries

@@ -26,7 +26,14 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import ModelError
 
-__all__ = ["KEYWORDS", "NamedSolver", "SOLVERS", "resolve_solver", "solver_keywords"]
+__all__ = [
+    "KEYWORDS",
+    "NamedSolver",
+    "SOLVERS",
+    "resolve_solver",
+    "solver_keywords",
+    "solver_name",
+]
 
 #: The optional keywords a caller may offer a solver: the damping policy
 #: (:class:`~repro.mva.convergence.IterationControl`), the kernel
@@ -108,6 +115,25 @@ def resolve_solver(solver: "str | Callable") -> Callable:
             f"unknown solver {solver!r}; expected one of {sorted(SOLVERS)} "
             "or a callable"
         ) from None
+
+
+def solver_name(solver: "str | Callable") -> Optional[str]:
+    """The :data:`SOLVERS` name of ``solver``, or None for a custom callable.
+
+    A name is its own; a :class:`NamedSolver` standing for an entry's
+    function (the entry itself, or a copy unpickled from it) has the
+    entry's name.
+    """
+    if isinstance(solver, str):
+        return solver
+    if isinstance(solver, NamedSolver):
+        entry = SOLVERS.get(solver.__name__)
+        if entry is not None and (entry.module, entry.function) == (
+            solver.module,
+            solver.function,
+        ):
+            return solver.__name__
+    return None
 
 
 def solver_keywords(solver: Callable) -> frozenset:

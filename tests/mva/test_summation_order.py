@@ -27,7 +27,7 @@ from repro.mva.heuristic import (
     plan_increments,
     solve_mva_heuristic,
 )
-from repro.mva.layout import NARROW, route_sum
+from repro.mva.layout import route_sum
 from repro.mva.schweitzer import solve_schweitzer
 from repro.mva.single_chain import solve_single_chain
 from repro.mva.soa import pack_networks, solve_networks_batched, solve_windows_batched
@@ -106,15 +106,27 @@ def lone_chain():
     return network
 
 
+#: One large value then sixteen half-ulps: added one at a time each
+#: half-ulp rounds away, grouped (as a pairwise or compensated sum would)
+#: they count.
+HALF_ULPS = np.array([[1.0]] + [[2.0**-53]] * 16)
+
+
 def test_route_sum_is_sequential_whatever_the_width():
-    # One large value then sixteen half-ulps: added one at a time each
-    # half-ulp rounds away, grouped (as a pairwise sum would) they count.
-    column = np.array([[1.0]] + [[2.0**-53]] * 16)
-    assert column.sum(axis=0)[0] != 1.0  # the trap this layout avoids
-    assert route_sum(column)[0] == 1.0
-    # Narrow and wide arrays take different branches of route_sum.
-    for width in (2, NARROW + 1):
-        assert np.array_equal(route_sum(np.tile(column, width)), np.ones(width))
+    assert HALF_ULPS.sum(axis=0)[0] != 1.0  # the trap this layout avoids
+    assert route_sum(HALF_ULPS)[0] == 1.0
+    rng = np.random.default_rng(3)
+    for width in (2, 65, 1275):
+        wide = np.tile(HALF_ULPS, width)
+        views = {
+            "contiguous": wide,
+            "strided": np.tile(HALF_ULPS, 2 * width)[:, ::2],
+            "taken": wide.take(rng.permutation(width), axis=1),
+            "Fortran-ordered": np.asfortranarray(wide),
+            "one column of many": wide[:, 1:2],
+        }
+        for name, view in views.items():
+            assert np.array_equal(route_sum(view), np.ones(view.shape[1])), name
 
 
 def test_increments_of_a_column_do_not_depend_on_its_neighbours(lone_chain):
