@@ -15,126 +15,73 @@ Quickstart::
     network = canadian_two_class(s1=18.0, s2=18.0)
     result = windim(network)
     print(result.summary())
+
+Every package's names resolve on first use (:mod:`repro._exports`), so
+a program imports only the modules it reads names from.
 """
 
-from repro._version import __version__
-from repro.core import (
-    PowerReport,
-    WindimResult,
-    WindowObjective,
-    hop_count_windows,
-    initial_windows,
-    inverse_power,
-    network_power,
-    power_report,
-    windim,
-)
-from repro.errors import (
-    ConvergenceError,
-    ModelError,
-    ReproError,
-    SearchError,
-    SimulationError,
-    SolverError,
-    StabilityError,
-)
-from repro.exact import (
-    solve_convolution,
-    solve_ctmc,
-    solve_gordon_newell,
-    solve_jackson,
-    solve_mixed,
-    solve_mva_exact,
-    solve_semiclosed,
-    station_queue_distribution,
-)
-from repro.mva import (
-    IterationControl,
-    solve_linearizer,
-    solve_mva_heuristic,
-    solve_schweitzer,
-    solve_single_chain,
-)
-from repro.netmodel import (
-    Channel,
-    Duplex,
-    Topology,
-    TrafficClass,
-    arpanet_fragment,
-    build_closed_network,
-    canadian_four_class,
-    canadian_topology,
-    canadian_two_class,
-    tandem_network,
-)
-from repro.queueing import ClosedChain, ClosedNetwork, Discipline, OpenChain, Station
-from repro.search import (
-    EvaluationCache,
-    IntegerBox,
-    SearchResult,
-    coordinate_descent,
-    exhaustive_search,
-    pattern_search,
-)
-from repro.solution import NetworkSolution
+from repro._exports import lazy_exports
 
-__all__ = [
-    "__version__",
+_EXPORTS = {
+    "__version__": "repro._version",
     # core
-    "windim",
-    "WindimResult",
-    "network_power",
-    "inverse_power",
-    "power_report",
-    "PowerReport",
-    "WindowObjective",
-    "initial_windows",
-    "hop_count_windows",
+    "windim": "repro.core.windim",
+    "WindimResult": "repro.core.windim",
+    "network_power": "repro.core.power",
+    "inverse_power": "repro.core.power",
+    "power_report": "repro.core.power",
+    "PowerReport": "repro.core.power",
+    "WindowObjective": "repro.core.objective",
+    "initial_windows": "repro.core.initializers",
+    "hop_count_windows": "repro.core.kleinrock",
     # model
-    "Station",
-    "Discipline",
-    "ClosedChain",
-    "OpenChain",
-    "ClosedNetwork",
-    "NetworkSolution",
+    "Station": "repro.queueing.station",
+    "Discipline": "repro.queueing.station",
+    "ClosedChain": "repro.queueing.chain",
+    "OpenChain": "repro.queueing.chain",
+    "ClosedNetwork": "repro.queueing.network",
+    "NetworkSolution": "repro.solution",
     # solvers
-    "solve_mva_heuristic",
-    "solve_schweitzer",
-    "solve_linearizer",
-    "solve_single_chain",
-    "IterationControl",
-    "solve_mva_exact",
-    "solve_convolution",
-    "solve_ctmc",
-    "solve_gordon_newell",
-    "solve_jackson",
-    "solve_mixed",
-    "solve_semiclosed",
-    "station_queue_distribution",
+    "solve_mva_heuristic": "repro.mva.heuristic",
+    "solve_schweitzer": "repro.mva.schweitzer",
+    "solve_linearizer": "repro.mva.linearizer",
+    "solve_single_chain": "repro.mva.single_chain",
+    "IterationControl": "repro.mva.convergence",
+    "solve_mva_exact": "repro.exact.mva_exact",
+    "solve_convolution": "repro.exact.convolution",
+    "solve_ctmc": "repro.exact.ctmc",
+    "solve_gordon_newell": "repro.exact.gordon_newell",
+    "solve_jackson": "repro.exact.jackson",
+    "solve_mixed": "repro.exact.mixed",
+    "solve_semiclosed": "repro.exact.semiclosed",
+    "station_queue_distribution": "repro.exact.marginals",
     # search
-    "pattern_search",
-    "exhaustive_search",
-    "coordinate_descent",
-    "EvaluationCache",
-    "IntegerBox",
-    "SearchResult",
+    "pattern_search": "repro.search.pattern",
+    "exhaustive_search": "repro.search.exhaustive",
+    "coordinate_descent": "repro.search.coordinate",
+    "EvaluationCache": "repro.search.cache",
+    "IntegerBox": "repro.search.space",
+    "SearchResult": "repro.search.result",
     # netmodel
-    "Topology",
-    "Channel",
-    "Duplex",
-    "TrafficClass",
-    "build_closed_network",
-    "canadian_topology",
-    "canadian_two_class",
-    "canadian_four_class",
-    "arpanet_fragment",
-    "tandem_network",
+    "Topology": "repro.netmodel.topology",
+    "Channel": "repro.netmodel.topology",
+    "Duplex": "repro.netmodel.topology",
+    "TrafficClass": "repro.netmodel.traffic",
+    "build_closed_network": "repro.netmodel.builder",
+    "canadian_topology": "repro.netmodel.examples",
+    "canadian_two_class": "repro.netmodel.examples",
+    "canadian_four_class": "repro.netmodel.examples",
+    "arpanet_fragment": "repro.netmodel.examples",
+    "tandem_network": "repro.netmodel.examples",
     # errors
-    "ReproError",
-    "ModelError",
-    "SolverError",
-    "ConvergenceError",
-    "StabilityError",
-    "SearchError",
-    "SimulationError",
-]
+    "ReproError": "repro.errors",
+    "ModelError": "repro.errors",
+    "SolverError": "repro.errors",
+    "ConvergenceError": "repro.errors",
+    "StabilityError": "repro.errors",
+    "SearchError": "repro.errors",
+    "SimulationError": "repro.errors",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, globals())

@@ -1,30 +1,23 @@
 """Sweeps, solver comparisons, buffer/permit dimensioning, tables."""
 
-from repro.analysis.buffers import BufferRecommendation, recommend_buffers
-from repro.analysis.compare import SolverComparison, compare_solutions, compare_solvers
-from repro.analysis.isarithmic import IsarithmicResult, dimension_isarithmic
-from repro.analysis.sensitivity import SensitivityPoint, window_sensitivity
-from repro.analysis.sweeps import (
-    SweepPoint,
-    optimal_window_sweep,
-    power_curve,
-    window_grid_power,
-)
-from repro.analysis.tables import render_table
+from repro._exports import lazy_exports
 
-__all__ = [
-    "SweepPoint",
-    "optimal_window_sweep",
-    "power_curve",
-    "window_grid_power",
-    "SolverComparison",
-    "compare_solutions",
-    "compare_solvers",
-    "render_table",
-    "BufferRecommendation",
-    "recommend_buffers",
-    "IsarithmicResult",
-    "dimension_isarithmic",
-    "SensitivityPoint",
-    "window_sensitivity",
-]
+_EXPORTS = {
+    "SweepPoint": "repro.analysis.sweeps",
+    "optimal_window_sweep": "repro.analysis.sweeps",
+    "power_curve": "repro.analysis.sweeps",
+    "window_grid_power": "repro.analysis.sweeps",
+    "SolverComparison": "repro.analysis.compare",
+    "compare_solutions": "repro.analysis.compare",
+    "compare_solvers": "repro.analysis.compare",
+    "render_table": "repro.analysis.tables",
+    "BufferRecommendation": "repro.analysis.buffers",
+    "recommend_buffers": "repro.analysis.buffers",
+    "IsarithmicResult": "repro.analysis.isarithmic",
+    "dimension_isarithmic": "repro.analysis.isarithmic",
+    "SensitivityPoint": "repro.analysis.sensitivity",
+    "window_sensitivity": "repro.analysis.sensitivity",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, globals())

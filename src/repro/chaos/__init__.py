@@ -12,65 +12,39 @@ Three layers:
   (``windim chaos`` in the CLI).
 
 With no plan armed every hook is a near-free no-op, so the instrumented
-sites stay in the production hot path permanently.
+sites stay in the production hot path permanently.  Names resolve on
+first use (:mod:`repro._exports`).  The battery imports
+:func:`repro.core.windim`, whose budget imports :mod:`repro.chaos.clock`,
+so it loads only when one of its names is read; the hooks stay
+importable from anywhere in the runtime.
 """
 
-from repro.chaos.clock import monotonic
-from repro.chaos.hooks import (
-    ENV_FUSES,
-    ENV_PLAN,
-    FaultAction,
-    FaultInjector,
-    InjectedFault,
-    WorkerChaos,
-    active,
-    fire,
-    inject,
-    perform,
-    worker_chaos,
-)
-from repro.chaos.plan import ACTIONS, SITES, FaultPlan, FaultRule, seeded_occurrence
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ACTIONS",
-    "ENV_FUSES",
-    "ENV_PLAN",
-    "FaultAction",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultRule",
-    "InjectedFault",
-    "PlanOutcome",
-    "SITES",
-    "SurvivalReport",
-    "WorkerChaos",
-    "active",
-    "builtin_plans",
-    "fire",
-    "inject",
-    "monotonic",
-    "perform",
-    "run_battery",
-    "run_plan",
-    "seeded_occurrence",
-    "worker_chaos",
-]
-
-_BATTERY_NAMES = {
-    "PlanOutcome",
-    "SurvivalReport",
-    "builtin_plans",
-    "run_battery",
-    "run_plan",
+_EXPORTS = {
+    "ACTIONS": "repro.chaos.plan",
+    "ENV_FUSES": "repro.chaos.hooks",
+    "ENV_PLAN": "repro.chaos.hooks",
+    "FaultAction": "repro.chaos.hooks",
+    "FaultInjector": "repro.chaos.hooks",
+    "FaultPlan": "repro.chaos.plan",
+    "FaultRule": "repro.chaos.plan",
+    "InjectedFault": "repro.chaos.hooks",
+    "PlanOutcome": "repro.chaos.battery",
+    "SITES": "repro.chaos.plan",
+    "SurvivalReport": "repro.chaos.battery",
+    "WorkerChaos": "repro.chaos.hooks",
+    "active": "repro.chaos.hooks",
+    "builtin_plans": "repro.chaos.battery",
+    "fire": "repro.chaos.hooks",
+    "inject": "repro.chaos.hooks",
+    "monotonic": "repro.chaos.clock",
+    "perform": "repro.chaos.hooks",
+    "run_battery": "repro.chaos.battery",
+    "run_plan": "repro.chaos.battery",
+    "seeded_occurrence": "repro.chaos.plan",
+    "worker_chaos": "repro.chaos.hooks",
 }
 
-
-def __getattr__(name):
-    # The battery imports repro.core.windim, which (via SearchBudget)
-    # reaches back into repro.chaos.clock — load it lazily to keep the
-    # low-level hooks importable from anywhere in the runtime.
-    if name in _BATTERY_NAMES:
-        from repro.chaos import battery
-
-        return getattr(battery, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, globals())

@@ -9,40 +9,36 @@
 * :mod:`~repro.core.initializers` — initial window strategies.
 """
 
-from repro.core.initializers import INITIAL_WINDOW_STRATEGIES, initial_windows
-from repro.core.kleinrock import (
-    hop_count_windows,
-    kleinrock_delay,
-    kleinrock_power,
-    kleinrock_throughput,
-    kleinrock_window_for_throughput,
-    optimal_window,
-)
-from repro.core.constraints import StationCapacityConstraint, constrained_windim
-from repro.core.multistart import windim_multistart
-from repro.core.objective import SOLVERS, WindowObjective, resolve_solver
-from repro.core.power import PowerReport, inverse_power, network_power, power_report
-from repro.core.windim import WindimResult, windim
+from repro._exports import lazy_exports
 
-__all__ = [
-    "windim",
-    "windim_multistart",
-    "constrained_windim",
-    "StationCapacityConstraint",
-    "WindimResult",
-    "network_power",
-    "inverse_power",
-    "power_report",
-    "PowerReport",
-    "WindowObjective",
-    "resolve_solver",
-    "SOLVERS",
-    "initial_windows",
-    "INITIAL_WINDOW_STRATEGIES",
-    "hop_count_windows",
-    "optimal_window",
-    "kleinrock_delay",
-    "kleinrock_throughput",
-    "kleinrock_power",
-    "kleinrock_window_for_throughput",
-]
+_EXPORTS = {
+    "windim": "repro.core.windim",
+    "windim_multistart": "repro.core.multistart",
+    "constrained_windim": "repro.core.constraints",
+    "StationCapacityConstraint": "repro.core.constraints",
+    "WindimResult": "repro.core.windim",
+    "network_power": "repro.core.power",
+    "inverse_power": "repro.core.power",
+    "power_report": "repro.core.power",
+    "PowerReport": "repro.core.power",
+    "WindowObjective": "repro.core.objective",
+    "resolve_solver": "repro.solvers",
+    "SOLVERS": "repro.solvers",
+    "initial_windows": "repro.core.initializers",
+    "INITIAL_WINDOW_STRATEGIES": "repro.core.initializers",
+    "hop_count_windows": "repro.core.kleinrock",
+    "optimal_window": "repro.core.kleinrock",
+    "kleinrock_delay": "repro.core.kleinrock",
+    "kleinrock_throughput": "repro.core.kleinrock",
+    "kleinrock_power": "repro.core.kleinrock",
+    "kleinrock_window_for_throughput": "repro.core.kleinrock",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, globals())
+
+# ``windim`` is also the name of a submodule, and importing that submodule
+# sets this package's ``windim`` attribute to the module.  Binding the
+# function here, once the submodule is loaded, keeps ``repro.core.windim``
+# the function in any import order.
+from repro.core.windim import windim  # noqa: E402

@@ -7,11 +7,13 @@ in ``tests/evalplane/`` builds both through it and certifies the
 persistent plane against the serial reference.
 """
 
-from repro.evalplane.plane import EvaluationPlane, build_plane
-from repro.evalplane.result import EvalResult
+from repro._exports import lazy_exports
 
-__all__ = [
-    "EvaluationPlane",
-    "EvalResult",
-    "build_plane",
-]
+_EXPORTS = {
+    "EvaluationPlane": "repro.evalplane.plane",
+    "EvalResult": "repro.evalplane.result",
+    "build_plane": "repro.evalplane.plane",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, globals())

@@ -12,61 +12,45 @@
 * :func:`~repro.exact.mixed.solve_mixed` — mixed open/closed networks.
 """
 
-from repro.exact.aggregation import aggregate_single_chain, flow_equivalent_rates
-from repro.exact.buzen import BuzenResult, buzen, buzen_stations
-from repro.exact.convolution import normalization_constants, solve_convolution
-from repro.exact.ctmc import solve_ctmc
-from repro.exact.finite_buffer import FiniteQueueResult, solve_mmmk
-from repro.exact.gordon_newell import solve_gordon_newell
-from repro.exact.jackson import OpenNetworkResult, OpenStationResult, solve_jackson
-from repro.exact.marginals import (
-    complement_constants,
-    station_composition_distribution,
-    station_queue_distribution,
-)
-from repro.exact.mixed import MixedNetworkResult, solve_mixed
-from repro.exact.mva_exact import solve_mva_exact
-from repro.exact.open_multiclass import (
-    OpenMulticlassResult,
-    open_view_of_network,
-    solve_open_multiclass,
-)
-from repro.exact.semiclosed import SemiclosedResult, solve_semiclosed
-from repro.exact.states import (
-    compositions,
-    lattice_size,
-    population_vectors,
-    population_vectors_by_total,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "aggregate_single_chain",
-    "flow_equivalent_rates",
-    "buzen",
-    "buzen_stations",
-    "BuzenResult",
-    "solve_convolution",
-    "normalization_constants",
-    "solve_ctmc",
-    "solve_mmmk",
-    "FiniteQueueResult",
-    "solve_gordon_newell",
-    "solve_jackson",
-    "OpenNetworkResult",
-    "OpenStationResult",
-    "solve_mixed",
-    "MixedNetworkResult",
-    "solve_mva_exact",
-    "solve_semiclosed",
-    "SemiclosedResult",
-    "solve_open_multiclass",
-    "open_view_of_network",
-    "OpenMulticlassResult",
-    "complement_constants",
-    "station_composition_distribution",
-    "station_queue_distribution",
-    "compositions",
-    "lattice_size",
-    "population_vectors",
-    "population_vectors_by_total",
-]
+_EXPORTS = {
+    "aggregate_single_chain": "repro.exact.aggregation",
+    "flow_equivalent_rates": "repro.exact.aggregation",
+    "buzen": "repro.exact.buzen",
+    "buzen_stations": "repro.exact.buzen",
+    "BuzenResult": "repro.exact.buzen",
+    "solve_convolution": "repro.exact.convolution",
+    "normalization_constants": "repro.exact.convolution",
+    "solve_ctmc": "repro.exact.ctmc",
+    "solve_mmmk": "repro.exact.finite_buffer",
+    "FiniteQueueResult": "repro.exact.finite_buffer",
+    "solve_gordon_newell": "repro.exact.gordon_newell",
+    "solve_jackson": "repro.exact.jackson",
+    "OpenNetworkResult": "repro.exact.jackson",
+    "OpenStationResult": "repro.exact.jackson",
+    "solve_mixed": "repro.exact.mixed",
+    "MixedNetworkResult": "repro.exact.mixed",
+    "solve_mva_exact": "repro.exact.mva_exact",
+    "solve_semiclosed": "repro.exact.semiclosed",
+    "SemiclosedResult": "repro.exact.semiclosed",
+    "solve_open_multiclass": "repro.exact.open_multiclass",
+    "open_view_of_network": "repro.exact.open_multiclass",
+    "OpenMulticlassResult": "repro.exact.open_multiclass",
+    "complement_constants": "repro.exact.marginals",
+    "station_composition_distribution": "repro.exact.marginals",
+    "station_queue_distribution": "repro.exact.marginals",
+    "compositions": "repro.exact.states",
+    "lattice_size": "repro.exact.states",
+    "population_vectors": "repro.exact.states",
+    "population_vectors_by_total": "repro.exact.states",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, globals())
+
+# ``buzen`` is also the name of a submodule, and importing that submodule
+# sets this package's ``buzen`` attribute to the module.  Binding the
+# function here, once the submodule is loaded, keeps ``repro.exact.buzen``
+# the function in any import order.
+from repro.exact.buzen import buzen  # noqa: E402

@@ -9,28 +9,21 @@
 * :class:`~repro.mva.convergence.IterationControl` — iteration policy.
 """
 
-from repro.mva.bounds import (
-    ThroughputBounds,
-    asymptotic_bounds,
-    balanced_job_bounds,
-    saturation_population,
-)
-from repro.mva.convergence import IterationControl
-from repro.mva.heuristic import initial_queue_lengths, solve_mva_heuristic
-from repro.mva.linearizer import solve_linearizer
-from repro.mva.schweitzer import solve_schweitzer
-from repro.mva.single_chain import SingleChainTrace, solve_single_chain
+from repro._exports import lazy_exports
 
-__all__ = [
-    "IterationControl",
-    "solve_mva_heuristic",
-    "initial_queue_lengths",
-    "solve_linearizer",
-    "solve_schweitzer",
-    "solve_single_chain",
-    "SingleChainTrace",
-    "ThroughputBounds",
-    "asymptotic_bounds",
-    "balanced_job_bounds",
-    "saturation_population",
-]
+_EXPORTS = {
+    "IterationControl": "repro.mva.convergence",
+    "solve_mva_heuristic": "repro.mva.heuristic",
+    "initial_queue_lengths": "repro.mva.heuristic",
+    "solve_linearizer": "repro.mva.linearizer",
+    "solve_schweitzer": "repro.mva.schweitzer",
+    "solve_single_chain": "repro.mva.single_chain",
+    "SingleChainTrace": "repro.mva.single_chain",
+    "ThroughputBounds": "repro.mva.bounds",
+    "asymptotic_bounds": "repro.mva.bounds",
+    "balanced_job_bounds": "repro.mva.bounds",
+    "saturation_population": "repro.mva.bounds",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, globals())

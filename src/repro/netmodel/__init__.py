@@ -9,46 +9,31 @@
 * :mod:`~repro.netmodel.generator` — seeded random instances.
 """
 
-from repro.netmodel.builder import build_closed_network, source_station_name
-from repro.netmodel.examples import (
-    arpanet_fragment,
-    canadian_four_class,
-    canadian_topology,
-    canadian_two_class,
-    tandem_network,
-)
-from repro.netmodel.generator import (
-    line_topology,
-    random_mesh_topology,
-    random_network,
-    random_traffic_classes,
-    ring_topology,
-)
-from repro.netmodel.routes import route_all_pairs, shortest_path
-from repro.netmodel.spec import load_spec, network_from_spec, parse_spec
-from repro.netmodel.topology import Channel, Duplex, Topology
-from repro.netmodel.traffic import TrafficClass
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Topology",
-    "Channel",
-    "Duplex",
-    "TrafficClass",
-    "build_closed_network",
-    "source_station_name",
-    "shortest_path",
-    "route_all_pairs",
-    "parse_spec",
-    "load_spec",
-    "network_from_spec",
-    "canadian_topology",
-    "canadian_two_class",
-    "canadian_four_class",
-    "arpanet_fragment",
-    "tandem_network",
-    "ring_topology",
-    "line_topology",
-    "random_mesh_topology",
-    "random_traffic_classes",
-    "random_network",
-]
+_EXPORTS = {
+    "Topology": "repro.netmodel.topology",
+    "Channel": "repro.netmodel.topology",
+    "Duplex": "repro.netmodel.topology",
+    "TrafficClass": "repro.netmodel.traffic",
+    "build_closed_network": "repro.netmodel.builder",
+    "source_station_name": "repro.netmodel.builder",
+    "shortest_path": "repro.netmodel.routes",
+    "route_all_pairs": "repro.netmodel.routes",
+    "parse_spec": "repro.netmodel.spec",
+    "load_spec": "repro.netmodel.spec",
+    "network_from_spec": "repro.netmodel.spec",
+    "canadian_topology": "repro.netmodel.examples",
+    "canadian_two_class": "repro.netmodel.examples",
+    "canadian_four_class": "repro.netmodel.examples",
+    "arpanet_fragment": "repro.netmodel.examples",
+    "tandem_network": "repro.netmodel.examples",
+    "ring_topology": "repro.netmodel.generator",
+    "line_topology": "repro.netmodel.generator",
+    "random_mesh_topology": "repro.netmodel.generator",
+    "random_traffic_classes": "repro.netmodel.generator",
+    "random_network": "repro.netmodel.generator",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, globals())

@@ -14,13 +14,15 @@ fleet: one demanded point at a time during a search, one ``map`` batch
 for a multistart seed list.
 """
 
-from repro.parallel.pool import CompletedEval, PersistentEvalPool
-from repro.parallel.shm import ArenaRef, DEFAULT_SEED_SLOTS, ModelArena
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ArenaRef",
-    "CompletedEval",
-    "DEFAULT_SEED_SLOTS",
-    "ModelArena",
-    "PersistentEvalPool",
-]
+_EXPORTS = {
+    "ArenaRef": "repro.parallel.shm",
+    "CompletedEval": "repro.parallel.pool",
+    "DEFAULT_SEED_SLOTS": "repro.parallel.shm",
+    "ModelArena": "repro.parallel.shm",
+    "PersistentEvalPool": "repro.parallel.pool",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, globals())

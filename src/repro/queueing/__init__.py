@@ -9,24 +9,19 @@ Public names:
 * capacity-function helpers in :mod:`repro.queueing.capacity`
 """
 
-from repro.queueing.chain import ClosedChain, OpenChain
-from repro.queueing.network import ClosedNetwork
-from repro.queueing.routing import (
-    closed_chain_visit_ratios,
-    cyclic_routing_matrix,
-    open_chain_arrival_rates,
-    validate_routing_matrix,
-)
-from repro.queueing.station import Discipline, Station
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Station",
-    "Discipline",
-    "ClosedChain",
-    "OpenChain",
-    "ClosedNetwork",
-    "open_chain_arrival_rates",
-    "closed_chain_visit_ratios",
-    "cyclic_routing_matrix",
-    "validate_routing_matrix",
-]
+_EXPORTS = {
+    "Station": "repro.queueing.station",
+    "Discipline": "repro.queueing.station",
+    "ClosedChain": "repro.queueing.chain",
+    "OpenChain": "repro.queueing.chain",
+    "ClosedNetwork": "repro.queueing.network",
+    "open_chain_arrival_rates": "repro.queueing.routing",
+    "closed_chain_visit_ratios": "repro.queueing.routing",
+    "cyclic_routing_matrix": "repro.queueing.routing",
+    "validate_routing_matrix": "repro.queueing.routing",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, globals())

@@ -20,35 +20,23 @@ respawns, store IO) shares one
 :class:`~repro.resilience.retry.RetryPolicy`.
 """
 
-from repro.resilience.budget import BudgetExhausted, SearchBudget
-from repro.resilience.health import (
-    AttemptOutcome,
-    DegradationEvent,
-    PoolEvent,
-    PoolHealth,
-    SolveAttempt,
-    SolveHealth,
-)
-from repro.resilience.retry import RetryPolicy
-from repro.resilience.ladder import (
-    DEFAULT_DAMPING_SCHEDULE,
-    DEFAULT_ESCALATION,
-    ResilientSolver,
-    solve_resilient,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "AttemptOutcome",
-    "DegradationEvent",
-    "PoolEvent",
-    "PoolHealth",
-    "RetryPolicy",
-    "SolveAttempt",
-    "SolveHealth",
-    "ResilientSolver",
-    "solve_resilient",
-    "DEFAULT_DAMPING_SCHEDULE",
-    "DEFAULT_ESCALATION",
-    "SearchBudget",
-    "BudgetExhausted",
-]
+_EXPORTS = {
+    "AttemptOutcome": "repro.resilience.health",
+    "DegradationEvent": "repro.resilience.health",
+    "PoolEvent": "repro.resilience.health",
+    "PoolHealth": "repro.resilience.health",
+    "RetryPolicy": "repro.resilience.retry",
+    "SolveAttempt": "repro.resilience.health",
+    "SolveHealth": "repro.resilience.health",
+    "ResilientSolver": "repro.resilience.ladder",
+    "solve_resilient": "repro.resilience.ladder",
+    "DEFAULT_DAMPING_SCHEDULE": "repro.resilience.ladder",
+    "DEFAULT_ESCALATION": "repro.resilience.ladder",
+    "SearchBudget": "repro.resilience.budget",
+    "BudgetExhausted": "repro.resilience.budget",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, globals())

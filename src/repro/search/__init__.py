@@ -9,21 +9,18 @@
 * :class:`~repro.search.space.IntegerBox` — integer search spaces.
 """
 
-from repro.search.cache import EvaluationCache
-from repro.search.coordinate import coordinate_descent
-from repro.search.exhaustive import exhaustive_search
-from repro.search.pattern import pattern_search
-from repro.search.result import SearchResult
-from repro.search.space import IntegerBox
-from repro.search.store import EvaluationStore, model_fingerprint
+from repro._exports import lazy_exports
 
-__all__ = [
-    "EvaluationCache",
-    "EvaluationStore",
-    "IntegerBox",
-    "SearchResult",
-    "model_fingerprint",
-    "pattern_search",
-    "exhaustive_search",
-    "coordinate_descent",
-]
+_EXPORTS = {
+    "EvaluationCache": "repro.search.cache",
+    "EvaluationStore": "repro.search.store",
+    "IntegerBox": "repro.search.space",
+    "SearchResult": "repro.search.result",
+    "model_fingerprint": "repro.search.store",
+    "pattern_search": "repro.search.pattern",
+    "exhaustive_search": "repro.search.exhaustive",
+    "coordinate_descent": "repro.search.coordinate",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, globals())

@@ -7,28 +7,25 @@
 * :class:`~repro.sim.results.SimulationResult` — measured statistics.
 """
 
-from repro.sim.engine import NetworkSimulator, simulate
-from repro.sim.flowcontrol import FlowControlConfig, FlowControlState
-from repro.sim.messages import Message
-from repro.sim.results import ChannelStats, ClassStats, SimulationResult
-from repro.sim.rng import RandomStreams
-from repro.sim.stats import TallyStatistic, TimeWeightedStatistic, batch_means
-from repro.sim.trace import EventKind, TraceCollector, TraceEvent
+from repro._exports import lazy_exports
 
-__all__ = [
-    "NetworkSimulator",
-    "simulate",
-    "FlowControlConfig",
-    "FlowControlState",
-    "Message",
-    "SimulationResult",
-    "ClassStats",
-    "ChannelStats",
-    "RandomStreams",
-    "TallyStatistic",
-    "TimeWeightedStatistic",
-    "batch_means",
-    "EventKind",
-    "TraceCollector",
-    "TraceEvent",
-]
+_EXPORTS = {
+    "NetworkSimulator": "repro.sim.engine",
+    "simulate": "repro.sim.engine",
+    "FlowControlConfig": "repro.sim.flowcontrol",
+    "FlowControlState": "repro.sim.flowcontrol",
+    "Message": "repro.sim.messages",
+    "SimulationResult": "repro.sim.results",
+    "ClassStats": "repro.sim.results",
+    "ChannelStats": "repro.sim.results",
+    "RandomStreams": "repro.sim.rng",
+    "TallyStatistic": "repro.sim.stats",
+    "TimeWeightedStatistic": "repro.sim.stats",
+    "batch_means": "repro.sim.stats",
+    "EventKind": "repro.sim.trace",
+    "TraceCollector": "repro.sim.trace",
+    "TraceEvent": "repro.sim.trace",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, globals())

@@ -18,75 +18,42 @@ package turns that redundancy into tooling:
 CLI: ``windim verify --seed N --cases K``.
 """
 
-from repro.verify.differential import (
-    TolerancePolicy,
-    check_case,
-    check_pair,
-    run_differential,
-)
-from repro.verify.fuzz import (
-    FuzzConfig,
-    case_seed,
-    generate_case,
-    generate_cases,
-    generate_named_cases,
-)
-from repro.verify.golden import (
-    GoldenCase,
-    compare_fixture,
-    compute_fixture,
-    default_golden_dir,
-    golden_case_names,
-    golden_cases,
-    load_fixture,
-    record_fixtures,
-    verify_fixtures,
-)
-from repro.verify.oracle import (
-    SolverKind,
-    SolverOutput,
-    SolverSpec,
-    VerifyCase,
-    applicable_solvers,
-    ctmc_state_count,
-    get_solver,
-    registry,
-    simulation_spec,
-    solver_names,
-)
-from repro.verify.report import CaseReport, DifferentialReport, Discrepancy, PairResult
+from repro._exports import lazy_exports
 
-__all__ = [
-    "TolerancePolicy",
-    "check_case",
-    "check_pair",
-    "run_differential",
-    "FuzzConfig",
-    "case_seed",
-    "generate_case",
-    "generate_cases",
-    "generate_named_cases",
-    "GoldenCase",
-    "compare_fixture",
-    "compute_fixture",
-    "default_golden_dir",
-    "golden_case_names",
-    "golden_cases",
-    "load_fixture",
-    "record_fixtures",
-    "verify_fixtures",
-    "SolverKind",
-    "SolverOutput",
-    "SolverSpec",
-    "VerifyCase",
-    "applicable_solvers",
-    "ctmc_state_count",
-    "get_solver",
-    "registry",
-    "simulation_spec",
-    "solver_names",
-    "CaseReport",
-    "DifferentialReport",
-    "Discrepancy",
-    "PairResult",
-]
+_EXPORTS = {
+    "TolerancePolicy": "repro.verify.differential",
+    "check_case": "repro.verify.differential",
+    "check_pair": "repro.verify.differential",
+    "run_differential": "repro.verify.differential",
+    "FuzzConfig": "repro.verify.fuzz",
+    "case_seed": "repro.verify.fuzz",
+    "generate_case": "repro.verify.fuzz",
+    "generate_cases": "repro.verify.fuzz",
+    "generate_named_cases": "repro.verify.fuzz",
+    "GoldenCase": "repro.verify.golden",
+    "compare_fixture": "repro.verify.golden",
+    "compute_fixture": "repro.verify.golden",
+    "default_golden_dir": "repro.verify.golden",
+    "golden_case_names": "repro.verify.golden",
+    "golden_cases": "repro.verify.golden",
+    "load_fixture": "repro.verify.golden",
+    "record_fixtures": "repro.verify.golden",
+    "verify_fixtures": "repro.verify.golden",
+    "SolverKind": "repro.verify.oracle",
+    "SolverOutput": "repro.verify.oracle",
+    "SolverSpec": "repro.verify.oracle",
+    "VerifyCase": "repro.verify.oracle",
+    "applicable_solvers": "repro.verify.oracle",
+    "ctmc_state_count": "repro.verify.oracle",
+    "get_solver": "repro.verify.oracle",
+    "registry": "repro.verify.oracle",
+    "simulation_spec": "repro.verify.oracle",
+    "solver_names": "repro.verify.oracle",
+    "CaseReport": "repro.verify.report",
+    "DifferentialReport": "repro.verify.report",
+    "Discrepancy": "repro.verify.report",
+    "PairResult": "repro.verify.report",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, globals())
