@@ -1,18 +1,21 @@
 """Perf-regression anchor for the MVA solver kernels.
 
-Times every dual-kernel solver (heuristic, Schweitzer, Linearizer, exact
-MVA) under both backends on the thesis fixture networks and emits
+Times every solver with a scalar reference kernel (heuristic,
+Schweitzer, Linearizer, exact MVA) on the thesis fixture networks, once
+as :mod:`repro.mva.reference` (the ``scalar`` column) and once as the
+library runs it (the ``vectorized`` column), and emits
 ``results/BENCH_mva_kernels.json`` — milliseconds per solve, solves per
 second, and the vectorized/scalar speedup per (solver, network) cell.
 
 The parity wall (``tests/test_backend_parity.py``) guarantees the two
-backends agree numerically; this file guards the *reason the vectorized
-backend exists* — its speed — against regression.
+kernels agree numerically; this file guards the *reason the vectorized
+kernels exist* — their speed — against regression.
 """
 
 import time
 
 from repro.exact.mva_exact import solve_mva_exact
+from repro.mva import reference
 from repro.mva.heuristic import solve_mva_heuristic
 from repro.mva.linearizer import solve_linearizer
 from repro.mva.schweitzer import solve_schweitzer
@@ -24,11 +27,24 @@ from repro.netmodel.examples import (
 
 from _util import publish_json
 
+#: solver -> {kernel column: solve function}.
 SOLVERS = {
-    "mva-heuristic": solve_mva_heuristic,
-    "schweitzer": solve_schweitzer,
-    "linearizer": solve_linearizer,
-    "mva-exact": solve_mva_exact,
+    "mva-heuristic": {
+        "scalar": reference.solve_mva_heuristic,
+        "vectorized": solve_mva_heuristic,
+    },
+    "schweitzer": {
+        "scalar": reference.solve_schweitzer,
+        "vectorized": solve_schweitzer,
+    },
+    "linearizer": {
+        "scalar": reference.solve_linearizer,
+        "vectorized": solve_linearizer,
+    },
+    "mva-exact": {
+        "scalar": reference.solve_mva_exact,
+        "vectorized": solve_mva_exact,
+    },
 }
 
 #: Exact MVA enumerates the window lattice, so it only runs on the
@@ -48,13 +64,13 @@ def _networks(tiny: bool) -> dict:
     }
 
 
-def _time_solver(solve, network, backend: str, repeats: int) -> float:
+def _time_solver(solve, network, repeats: int) -> float:
     """Best per-solve wall time (seconds) over ``repeats`` timed runs."""
-    solve(network, backend=backend)  # warm caches outside the timing
+    solve(network)  # warm caches outside the timing
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        solve(network, backend=backend)
+        solve(network)
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -63,14 +79,14 @@ def run_mva_kernels_bench(tiny: bool = False) -> dict:
     repeats = 1 if tiny else 10
     cells = {}
     for net_name, network in _networks(tiny).items():
-        for solver_name, solve in SOLVERS.items():
+        for solver_name, kernels in SOLVERS.items():
             if solver_name == "mva-exact" and net_name not in EXACT_NETWORKS:
                 continue
             cell = {}
-            for backend in ("scalar", "vectorized"):
-                seconds = _time_solver(solve, network, backend, repeats)
-                cell[backend] = {
-                    "backend": backend,
+            for kernel, solve in kernels.items():
+                seconds = _time_solver(solve, network, repeats)
+                cell[kernel] = {
+                    "backend": kernel,
                     "wall_seconds": seconds,
                     "ms_per_solve": seconds * 1e3,
                     "solves_per_second": 1.0 / seconds,

@@ -8,7 +8,9 @@ and exhaustive search in evaluations-to-solution.
 Also the perf-regression anchor for the search stack: emits
 ``results/BENCH_pattern_search.json`` with end-to-end window dimensioning
 throughput (evaluations/second) on the ARPANET fragment per solver
-backend, plus the multi-worker pool's throughput reported separately.
+kernel, plus the multi-worker pool's throughput reported separately.
+The ``scalar`` row searches with the reference heuristic of
+:mod:`repro.mva.reference` passed as a custom solver.
 """
 
 import time
@@ -18,6 +20,7 @@ import pytest
 from repro.analysis.tables import render_table
 from repro.core.objective import WindowObjective
 from repro.core.windim import windim
+from repro.mva import reference
 from repro.netmodel.examples import arpanet_fragment, canadian_two_class
 from repro.search.coordinate import coordinate_descent
 from repro.search.exhaustive import exhaustive_search
@@ -68,6 +71,11 @@ def test_trajectory_and_optimizer_comparison(surface):
 
     # And is never worse than coordinate descent here.
     assert pattern.best_value <= coordinate.best_value + 1e-12
+
+
+def _reference_heuristic(network, control=None):
+    """The scalar reference heuristic as a custom ``windim`` solver."""
+    return reference.solve_mva_heuristic(network, control=control)
 
 
 def _timed_windim_grid(network, repeats, configurations):
@@ -141,10 +149,10 @@ def run_pattern_search_bench(tiny: bool = False) -> dict:
     # Aitken acceleration) — identical optimum by construction, fewer
     # iterations per solve.
     configurations = {
-        "scalar": dict(base, backend="scalar"),
-        "vectorized": dict(base, backend="vectorized"),
-        "pool": dict(base, backend="vectorized", workers=pool_workers),
-        "reuse": dict(base, backend="vectorized", reuse=True),
+        "scalar": dict(base, solver=_reference_heuristic),
+        "vectorized": base,
+        "pool": dict(base, workers=pool_workers),
+        "reuse": dict(base, reuse=True),
     }
     timed = _timed_windim_grid(network, repeats, configurations)
     annotations = {
@@ -154,8 +162,11 @@ def run_pattern_search_bench(tiny: bool = False) -> dict:
         "reuse": ("vectorized", 1),
     }
     runs = {
-        name: dict(timed[name], backend=annotations[name][0],
-                   workers=annotations[name][1])
+        name: {
+            **timed[name],
+            "backend": annotations[name][0],
+            "workers": annotations[name][1],
+        }
         for name in configurations
     }
 
@@ -193,7 +204,7 @@ def test_pattern_search_perf_regression():
     assert runs["vectorized"]["best_windows"] == runs["scalar"]["best_windows"]
     assert runs["vectorized"]["evaluations"] == runs["scalar"]["evaluations"]
     # The vectorized kernels must keep their >= 2x end-to-end win on the
-    # ARPANET dimensioning run (the acceptance bar of the backend work).
+    # ARPANET dimensioning run (the acceptance bar of the kernel work).
     assert payload["vectorized_speedup_vs_scalar"] >= 2.0
     # The persistent pool must make the serial search's evaluations and
     # walk its *identical accepted-move trajectory*, on a fleet that never

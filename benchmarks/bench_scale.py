@@ -28,8 +28,8 @@ Two jobs, one file:
 Emits ``results/BENCH_scale.json`` (full) / ``BENCH_scale_tiny.json``
 (smoke); the tiny file is the CI regression baseline.
 
-Scalar cells are timed on a few windows only (the scalar kernel exists
-for auditability, not speed — at 120+ chains a single scalar solve costs
+Scalar cells time :func:`repro.mva.reference.solve_mva_heuristic` on a
+few windows only (the reference kernel exists for auditability, not speed — at 120+ chains a single scalar solve costs
 minutes) and the per-solve figures are reported alongside how many
 windows were actually timed, so nothing is extrapolated silently.
 """
@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.core.objective import WindowObjective
 from repro.core.windim import windim
-from repro.mva import autobatch
+from repro.mva import autobatch, reference
 from repro.mva.heuristic import solve_mva_heuristic
 from repro.mva.soa import solve_networks_batched, solve_windows_batched
 from repro.netmodel.generator import (
@@ -98,30 +98,33 @@ def _per_solve(seconds: float, solves: int) -> dict:
 def _sweep_cell(network, repeats: int, scalar_windows: int) -> dict:
     windows = _sweep(network)
 
-    def per_network(batch, backend):
+    def per_network(batch, solve):
         for w in batch:
-            solve_mva_heuristic(network.with_populations(w), backend=backend)
+            solve(network.with_populations(w))
 
     cell = {
         "chains": network.num_chains,
         "stations": network.num_stations,
         "batched": _per_solve(
             _time(
-                lambda: solve_windows_batched(
-                    network, windows, "mva-heuristic", backend="vectorized"
-                ),
+                lambda: solve_windows_batched(network, windows, "mva-heuristic"),
                 repeats,
             ),
             len(windows),
         ),
         "per_network": _per_solve(
-            _time(lambda: per_network(windows, "vectorized"), repeats),
+            _time(lambda: per_network(windows, solve_mva_heuristic), repeats),
             len(windows),
         ),
     }
     if scalar_windows > 0:
         cell["scalar"] = _per_solve(
-            _time(lambda: per_network(windows[:scalar_windows], "scalar"), 1),
+            _time(
+                lambda: per_network(
+                    windows[:scalar_windows], reference.solve_mva_heuristic
+                ),
+                1,
+            ),
             scalar_windows,
         )
         cell["scalar_speedup"] = (
@@ -158,9 +161,9 @@ def _hetero_cell(repeats: int) -> dict:
     """Mixed-topology campaign batching vs the serial per-network loop."""
     networks = _hetero_networks()
 
-    def serial(backend):
+    def serial():
         for net in networks:
-            solve_mva_heuristic(net, backend=backend)
+            solve_mva_heuristic(net)
 
     cell = {
         "chains": max(n.num_chains for n in networks),
@@ -174,7 +177,7 @@ def _hetero_cell(repeats: int) -> dict:
             len(networks),
         ),
         "per_network": _per_solve(
-            _time(lambda: serial("vectorized"), repeats), len(networks)
+            _time(serial, repeats), len(networks)
         ),
     }
     cell["batched_speedup"] = (
@@ -187,7 +190,7 @@ def _autobatch_section(networks: dict, cells: dict) -> dict:
     """The auto-engagement decision next to each measured cell."""
     decisions = {}
     for name, cell in cells.items():
-        objective = WindowObjective(networks[name], backend="vectorized")
+        objective = WindowObjective(networks[name])
         engage, reason = objective.soa_assessment(SWEEP_WINDOWS)
         decisions[name] = {
             "auto_engaged": engage,

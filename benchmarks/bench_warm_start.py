@@ -39,12 +39,12 @@ def _iteration_sweep(solve, network, windows_line):
     previous_seed = None
     for windows in windows_line:
         candidate = network.with_populations(windows)
-        cold = solve(candidate, backend="vectorized")
+        cold = solve(candidate)
         cold_total += cold.iterations
         if previous_seed is None:
             warm_total += cold.iterations
         else:
-            warm = solve(candidate, backend="vectorized", warm_start=previous_seed)
+            warm = solve(candidate, warm_start=previous_seed)
             warm_total += warm.iterations
         previous_seed = cold.queue_lengths
     solves = len(windows_line)
@@ -91,7 +91,7 @@ def run_warm_start_bench(tiny: bool = False) -> dict:
 
     results, best = _timed_windim_pair(
         network, repeats,
-        dict(backend="vectorized", start=start, max_window=max_window),
+        dict(start=start, max_window=max_window),
     )
     off_result, off_seconds = results["off"], best["off"]
     on_result, on_seconds = results["on"], best["on"]

@@ -146,11 +146,11 @@ def check_warm_start(fresh: dict, baseline: dict) -> "list[str]":
 def check_mva_kernels(fresh: dict, baseline: dict) -> "list[str]":
     failures = []
     for cell, fresh_stats, stats in shared_rows(fresh, baseline, "cells"):
-        for backend in ("scalar", "vectorized"):
+        for kernel in ("scalar", "vectorized"):
             failure = compare_metric(
-                f"mva_kernels[{cell}][{backend}].ms_per_solve",
-                fresh_stats[backend]["ms_per_solve"],
-                stats[backend]["ms_per_solve"],
+                f"mva_kernels[{cell}][{kernel}].ms_per_solve",
+                fresh_stats[kernel]["ms_per_solve"],
+                stats[kernel]["ms_per_solve"],
                 WALL_TOLERANCE,
                 higher_is_better=False,
             )

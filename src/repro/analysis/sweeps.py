@@ -101,12 +101,7 @@ def optimal_window_sweep(
                 if campaign_pool is None:
                     from repro.parallel.pool import PersistentEvalPool
 
-                    campaign_pool = PersistentEvalPool(
-                        network,
-                        name,
-                        backend=windim_kwargs.get("backend"),
-                        workers=workers,
-                    )
+                    campaign_pool = PersistentEvalPool(network, name, workers=workers)
                 kwargs["shared_pool"] = campaign_pool
             result = windim(
                 network, solver=solver, max_window=max_window, **kwargs
@@ -125,7 +120,6 @@ def power_curve(
     rate_vectors: Sequence[Sequence[float]],
     windows: Sequence[int],
     solver: Union[str, Solver] = "mva-heuristic",
-    backend: Union[str, None] = None,
 ) -> List[Tuple[Tuple[float, ...], float]]:
     """Power at each load point for one fixed window vector (Fig. 4.9).
 
@@ -143,7 +137,7 @@ def power_curve(
     ]
     if not networks:
         return []
-    objective = WindowObjective(networks[0], solver, backend=backend)
+    objective = WindowObjective(networks[0], solver)
     return [
         (
             tuple(float(r) for r in rates),

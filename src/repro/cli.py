@@ -74,7 +74,6 @@ import sys
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.tables import render_table
-from repro.backend import BACKENDS, BACKEND_ENV_VAR
 from repro.core.power import power_report
 from repro.core.windim import windim
 from repro.errors import LadderExhaustedError, ReproError
@@ -141,7 +140,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     result = windim(
         network,
         solver=args.solver,
-        backend=args.solver_backend,
         workers=args.workers,
         max_window=args.max_window,
         start=args.start,
@@ -171,9 +169,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             f"need {network.num_chains} windows, got {len(args.windows)}"
         )
     solver = SOLVERS[args.solver]
-    solution = solver(
-        network.with_populations(args.windows), backend=args.solver_backend
-    )
+    solution = solver(network.with_populations(args.windows))
     print(solution.summary())
     report = power_report(solution)
     print(report.summary())
@@ -285,7 +281,6 @@ def _cmd_multistart(args: argparse.Namespace) -> int:
     result = windim_multistart(
         network,
         solver=args.solver,
-        backend=args.solver_backend,
         workers=args.workers,
         max_window=args.max_window,
         reuse=args.reuse,
@@ -399,14 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
             choices=sorted(SOLVERS),
             default="mva-heuristic",
             help="performance solver",
-        )
-        p.add_argument(
-            "--solver-backend",
-            choices=BACKENDS,
-            default=None,
-            dest="solver_backend",
-            help="solver kernel: vectorized dense arrays (default) or the "
-            f"scalar reference loops; also settable via {BACKEND_ENV_VAR}",
         )
 
     solve = sub.add_parser(

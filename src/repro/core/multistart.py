@@ -15,8 +15,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.initializers import INITIAL_WINDOW_STRATEGIES, initial_windows
 from repro.core.objective import Solver, WindowObjective
-from repro.core.windim import WindimResult, _run
-from repro.errors import ModelError
+from repro.core.windim import WindimResult, _run, start_windows
 from repro.queueing.network import ClosedNetwork
 from repro.search.space import IntegerBox
 
@@ -26,7 +25,6 @@ __all__ = ["windim_multistart"]
 def windim_multistart(
     network: ClosedNetwork,
     solver: Union[str, Solver] = "mva-heuristic",
-    backend: Optional[str] = None,
     workers: Optional[int] = None,
     extra_starts: Optional[Sequence[Sequence[int]]] = None,
     max_window: int = 64,
@@ -43,8 +41,8 @@ def windim_multistart(
     mid-range probe, plus any ``extra_starts``.  All runs share one
     evaluation cache, so overlapping trajectories cost nothing.
 
-    ``backend`` selects the solver kernel and ``workers`` a process-pool
-    size (as in :func:`repro.core.windim.windim`).  With workers, the
+    ``workers`` is a process-pool size (as in
+    :func:`repro.core.windim.windim`).  With workers, the
     whole deduplicated seed list is batch-solved up front in one
     :meth:`~repro.core.objective.WindowObjective.batch_solve` call over
     one long-lived worker fleet, which then serves every start's
@@ -76,19 +74,12 @@ def windim_multistart(
             for _ in range(network.num_chains)
         )
     )
-    for start in extra_starts or ():
-        if len(start) != network.num_chains:
-            raise ModelError(
-                f"start {tuple(start)} has wrong dimension "
-                f"(expected {network.num_chains})"
-            )
-        starts.append(tuple(int(w) for w in start))
+    starts.extend(start_windows(network, start) for start in extra_starts or ())
 
     space = IntegerBox.windows(network.num_chains, max_window)
     objective = WindowObjective(
         network,
         solver,
-        backend=backend,
         workers=workers,
         reuse=reuse,
     )

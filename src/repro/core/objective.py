@@ -29,7 +29,6 @@ from typing import (
 
 import numpy as np
 
-from repro.backend import resolve_backend
 from repro.core.power import inverse_pack_power, inverse_power
 from repro.core.reuse import ReuseEngine
 from repro.errors import ModelError, SolverError
@@ -74,11 +73,6 @@ class WindowObjective:
         Solver name from :data:`SOLVERS` or any
         ``ClosedNetwork -> NetworkSolution`` callable.
         Defaults to the thesis MVA heuristic.
-    backend:
-        Kernel backend forwarded to named solvers (``"scalar"`` /
-        ``"vectorized"``; ``None`` = process default, see
-        :mod:`repro.backend`).  Ignored for custom callables, which own
-        their kernels.
     workers:
         When > 1 *and* the solver is a registry name,
         :meth:`batch_solve` fans its points out over a persistent
@@ -119,17 +113,13 @@ class WindowObjective:
         self,
         network: ClosedNetwork,
         solver: "str | Solver" = "mva-heuristic",
-        backend: Optional[str] = None,
         workers: Optional[int] = None,
         reuse: bool = False,
         max_solutions: int = DEFAULT_MAX_SOLUTIONS,
     ):
-        if backend is not None:
-            resolve_backend(backend)  # validate eagerly
         self._network = network
         self._solver_name = solver_name(solver)
         self._solver = resolve_solver(solver)
-        self._backend = backend
         self._engine = ReuseEngine(self._solver) if reuse else None
         self._workers = int(workers) if workers else 0
         if self._workers < 0:
@@ -154,11 +144,6 @@ class WindowObjective:
         return self._network
 
     @property
-    def backend(self) -> Optional[str]:
-        """Kernel backend forwarded to named solvers (None = default)."""
-        return self._backend
-
-    @property
     def parallel(self) -> bool:
         """True when :meth:`batch_solve` dispatches to a process pool."""
         return self._workers > 1 and self._solver_name is not None
@@ -172,7 +157,7 @@ class WindowObjective:
         """The lazily created persistent pool backing this objective.
 
         Only meaningful for a parallel objective; the pool is created
-        on first use with the objective's network/solver/backend and is
+        on first use with the objective's network and solver and is
         reused for every later demand, batch and multistart phase of the
         run.
         """
@@ -184,7 +169,6 @@ class WindowObjective:
             self._eval_pool = PersistentEvalPool(
                 self._network,
                 self._solver_name,
-                backend=self._backend,
                 workers=self._workers,
             )
             self._eval_pool_owned = True
@@ -198,7 +182,7 @@ class WindowObjective:
         :meth:`close`: its owner (e.g. a campaign sweep) outlives any
         single ``windim`` run.
         """
-        pool.update_model(self._network, backend=self._backend)
+        pool.update_model(self._network)
         self._eval_pool = pool
         self._eval_pool_owned = False
 
@@ -312,8 +296,6 @@ class WindowObjective:
         self.evaluations += 1
         candidate = self._network.with_populations(key)
         kwargs: Dict[str, object] = {}
-        if self._solver_name is not None:
-            kwargs["backend"] = self._backend
         warmed = False
         if self._engine is not None:
             extra = self._engine.solver_kwargs(key)
@@ -335,13 +317,11 @@ class WindowObjective:
         with a batched fixed point, no reuse engine — warm starts are
         inherently per-key (each solve seeds from its nearest already-
         solved neighbour, which may be *in the same batch*), so the
-        reuse path keeps the serial loop — the vectorized backend and at
-        least two networks.  Returns ``(engage, reason)``; callers log
-        declines so caps are never silent.
+        reuse path keeps the serial loop — and at least two networks.
+        Returns ``(engage, reason)``; callers log declines so caps are
+        never silent.
         """
-        return assess(
-            self._solver_name, self._engine is not None, self._backend, batch_size
-        )
+        return assess(self._solver_name, self._engine is not None, batch_size)
 
     @property
     def soa_batchable(self) -> bool:
@@ -399,18 +379,13 @@ class WindowObjective:
         if self._engage_packs(len(networks)):
             from repro.mva import soa
 
-            packed = soa.solve_networks_batched(
-                networks, solver=self._solver_name, backend=self._backend
-            )
+            packed = soa.solve_networks_batched(networks, solver=self._solver_name)
             results = list(zip(inverse_pack_power(packed).tolist(), packed))
         else:
-            kwargs: Dict[str, object] = {}
-            if self._solver_name is not None:
-                kwargs["backend"] = self._backend
             results = []
             for network in networks:
                 try:
-                    solution = self._solver(network, **kwargs)
+                    solution = self._solver(network)
                 except SolverError:
                     results.append((float("inf"), None))
                 else:
@@ -475,8 +450,7 @@ class WindowObjective:
             if len(unique) < len(keys):
                 windows = np.array(unique, dtype=np.int64)
             packed = soa.solve_windows_batched(
-                self._network, windows, solver=self._solver_name,
-                backend=self._backend,
+                self._network, windows, solver=self._solver_name
             )
             values = inverse_pack_power(packed).tolist()
             self.evaluations += len(unique)

@@ -37,7 +37,7 @@ from repro.queueing.network import ClosedNetwork
 from repro.resilience.budget import SearchBudget
 from repro.resilience.health import DegradationEvent, PoolHealth, SolveHealth
 from repro.resilience.ladder import ResilientSolver
-from repro.search.cache import EvaluationCache
+from repro.search.cache import EvaluationCache, integral_key
 from repro.search.pattern import pattern_search
 from repro.search.result import SearchResult
 from repro.search.space import IntegerBox
@@ -199,7 +199,6 @@ class WindimResult:
 def windim(
     network: ClosedNetwork,
     solver: Union[str, Solver] = "mva-heuristic",
-    backend: Optional[str] = None,
     workers: Optional[int] = None,
     pool_mode: Optional[str] = None,
     shared_pool: Optional["PersistentEvalPool"] = None,
@@ -225,13 +224,9 @@ def windim(
     solver:
         Performance solver used for objective evaluations — the thesis
         uses ``"mva-heuristic"``; ``"mva-exact"``/``"convolution"`` give
-        the (expensive) exact variant for comparison.
-    backend:
-        Solver kernel backend (``"scalar"``/``"vectorized"``;
-        ``None`` = process default, see :mod:`repro.backend`).  A
-        kernel choice, not an algorithm choice: a store written under
-        one backend resumes cleanly under the other (the parity wall
-        pins them to ≤ 1e-8).
+        the (expensive) exact variant for comparison.  Any
+        ``ClosedNetwork -> NetworkSolution`` callable is accepted too,
+        e.g. a scalar reference kernel of :mod:`repro.mva.reference`.
     workers:
         When > 1 (named solvers only), objective evaluations run on a
         persistent pool of this size: the workers are created once and
@@ -255,6 +250,8 @@ def windim(
         network.
     start:
         Explicit initial window vector; overrides ``initial_strategy``.
+        Integer-valued: ``(2.0, 3.0)`` is accepted, ``(1.5, 2)`` raises
+        :class:`~repro.errors.ModelError`.
     initial_strategy:
         Named initialiser (``"hops"`` default; thesis §4.4).
     max_window:
@@ -301,11 +298,7 @@ def windim(
     if start is None:
         start_point: Tuple[int, ...] = initial_windows(network, initial_strategy)
     else:
-        if len(start) != network.num_chains:
-            raise ModelError(
-                f"expected {network.num_chains} initial windows, got {len(start)}"
-            )
-        start_point = tuple(int(w) for w in start)
+        start_point = start_windows(network, start)
 
     if budget is not None and max_seconds is not None:
         raise SearchError("pass either budget or max_seconds, not both")
@@ -321,13 +314,12 @@ def windim(
                 'solver="resilient" instead to parallelise ladder solves'
             )
         primary = "mva-heuristic" if solver == "resilient" else solver
-        resilient_solver = ResilientSolver(primary, backend=backend)
+        resilient_solver = ResilientSolver(primary)
         solver = resilient_solver
 
     objective = WindowObjective(
         network,
         solver,
-        backend=backend,
         workers=workers,
         reuse=reuse,
     )
@@ -350,6 +342,23 @@ def windim(
         budget=budget,
         ladder=resilient_solver,
     )
+
+
+def start_windows(network: ClosedNetwork, start: Sequence[int]) -> Tuple[int, ...]:
+    """``start`` as a window vector of ``network``: one integer per chain.
+
+    A fractional window is rejected, never truncated (the guard of
+    :func:`~repro.search.cache.integral_key`).
+    """
+    try:
+        key = integral_key(start)
+    except ValueError as error:
+        raise ModelError(str(error)) from None
+    if len(key) != network.num_chains:
+        raise ModelError(
+            f"expected {network.num_chains} initial windows, got {len(key)}"
+        )
+    return key
 
 
 def _run(
@@ -421,21 +430,21 @@ def _run(
     # fleet or serial) from the objective's configuration, and the
     # context manager closes it on every exit path — a budget-exhausted,
     # raising or interrupted run can no longer leave workers alive.
-    plane = build_plane(
-        objective,
-        cache=cache,
-        space=space,
-        budget=budget,
-        max_evaluations=max_evaluations,
-        on_evaluation=note_evaluation if store is not None else None,
-        seed_for=objective.seed_for if reuse else None,
-    )
     distinct = list(dict.fromkeys(starts))
     runs: List[SearchResult] = []
     # The store appends each fresh evaluation as it completes, so an
     # interrupted run (KeyboardInterrupt included) has nothing left to
     # flush: close() only compacts, syncs and releases the file.
     try:
+        plane = build_plane(
+            objective,
+            cache=cache,
+            space=space,
+            budget=budget,
+            max_evaluations=max_evaluations,
+            on_evaluation=note_evaluation if store is not None else None,
+            seed_for=objective.seed_for if reuse else None,
+        )
         with plane:
             if len(starts) > 1 and (objective.parallel or objective.soa_batchable):
                 # Fanned over the pool, or one SoA pack (bit-identical to

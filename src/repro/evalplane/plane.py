@@ -66,7 +66,8 @@ class EvaluationPlane:
         before every *fresh* evaluation (:class:`BudgetExhausted`
         propagates to the search, which converts it to best-so-far).
     max_evaluations:
-        Hard cap on fresh evaluations through this plane.
+        Hard cap on fresh evaluations through this plane: 0 or more, or
+        :class:`~repro.errors.SearchError` (a cap of 0 evaluates nothing).
     on_evaluation:
         Fired with the cache after every fresh evaluation — exactly once
         each, whether the value was computed in-process, solved in a
@@ -96,6 +97,10 @@ class EvaluationPlane:
         self.cache = cache if cache is not None else EvaluationCache(objective)
         if self.cache.objective is not objective:
             raise SearchError("plane cache wraps a different objective")
+        if max_evaluations < 0:
+            raise SearchError(
+                f"max_evaluations must be >= 0, got {max_evaluations}"
+            )
         self.space = space
         self.budget = budget
         self.max_evaluations = max_evaluations

@@ -3,7 +3,7 @@
 Every execution path — serial objective call or persistent shared-memory
 fleet — answers a :meth:`~repro.evalplane.plane.EvaluationPlane.submit`
 with the same :class:`EvalResult`, so callers (and the conformance suite)
-never need to know which backend produced a number.
+never need to know which execution path produced a number.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ Point = Tuple[int, ...]
 
 @dataclass(frozen=True)
 class EvalResult:
-    """One completed objective evaluation, backend-agnostic.
+    """One completed objective evaluation, whichever plane produced it.
 
     Attributes
     ----------

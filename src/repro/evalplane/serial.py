@@ -7,7 +7,7 @@ keep its plain-function interface.
 
 ``submit_many`` has a cross-network SoA fast path: when the wrapped
 objective is a :class:`~repro.core.objective.WindowObjective` whose
-solver, reuse and backend settings allow packing (the one decision is
+solver and reuse settings allow packing (the one decision is
 :meth:`~repro.core.objective.WindowObjective.engages_packs`; network
 size plays no part), the fresh slice of a seed list goes to
 :meth:`~repro.core.objective.WindowObjective.batch_solve` and is solved
@@ -97,7 +97,7 @@ class SerialPlane(EvaluationPlane):
         """Batch evaluation, as one SoA tensor pass where the objective allows.
 
         Falls back to the base per-point loop for plain callables and for
-        non-batchable solver/backend configurations.  Caps are honoured
+        non-batchable solver or reuse configurations.  Caps are honoured
         quietly either way (trim to room, never raise).
         """
         engages_packs = getattr(self._objective, "engages_packs", None)

@@ -13,15 +13,11 @@ increasing total population.  The operation count is
 heuristic of §4.2 — but for the small windows of the thesis examples it is
 perfectly feasible and serves as the reproduction's exact reference.
 
-Two kernels implement the walk (see :mod:`repro.backend`):
-
-``"scalar"``
-    The reference: one population vector at a time, one chain at a time.
-``"vectorized"`` (default)
-    Level-batched: all vectors of one total population are gathered into
-    dense ``(V, R, L)`` arrays and processed with a handful of batched
-    NumPy operations (chunked so memory stays bounded).  Per (vector,
-    chain) the floating-point operations match the scalar walk exactly.
+The walk is level-batched: all vectors of one total population are
+gathered into dense ``(V, R, L)`` arrays and processed with a handful of
+batched NumPy operations (chunked so memory stays bounded).  Per (vector,
+chain) the floating-point operations match the one-vector-at-a-time walk
+of :func:`repro.mva.reference.solve_mva_exact` exactly.
 """
 
 from __future__ import annotations
@@ -30,13 +26,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.backend import resolve_backend
 from repro.errors import ModelError, SolverError
-from repro.exact.states import lattice_size, population_vectors, population_vectors_by_total
+from repro.exact.states import lattice_size, population_vectors
 from repro.queueing.network import ClosedNetwork
 from repro.solution import NetworkSolution
 
-__all__ = ["solve_mva_exact"]
+__all__ = ["solve_mva_exact", "check_lattice"]
 
 #: Refuse lattices beyond this many population vectors — the caller almost
 #: certainly wanted the heuristic instead.
@@ -49,7 +44,6 @@ _LEVEL_CHUNK = 8192
 
 def solve_mva_exact(
     network: ClosedNetwork,
-    backend: Optional[str] = None,
     lattice_cache: Optional["LatticeCache"] = None,
 ) -> NetworkSolution:
     """Solve a closed multichain network by exact MVA.
@@ -62,18 +56,12 @@ def solve_mva_exact(
     ----------
     network:
         The closed network to solve.
-    backend:
-        ``"vectorized"`` (default) walks the population lattice one
-        total-population level at a time on dense arrays; ``"scalar"``
-        is the per-vector reference walk.  Both produce the same numbers
-        to machine precision.
     lattice_cache:
         Optional :class:`~repro.exact.lattice_cache.LatticeCache`.  The
-        vectorized kernel loads previously computed per-vector station
-        totals from it and only recomputes missing lattice rows, making
-        repeated solves on overlapping lattices (``E`` then ``E + e_r``)
-        incremental; reuse is bit-exact.  The scalar reference kernel
-        ignores it.
+        walk loads previously computed per-vector station totals from it
+        and only recomputes missing lattice rows, making repeated solves
+        on overlapping lattices (``E`` then ``E + e_r``) incremental;
+        reuse is bit-exact.
 
     Returns
     -------
@@ -86,6 +74,16 @@ def solve_mva_exact(
         If the population lattice exceeds ``MAX_LATTICE_SIZE`` vectors or
         the network has unsupported station types.
     """
+    limits, size = check_lattice(network)
+    return _solve_vectorized(network, limits, size, lattice_cache)
+
+
+def check_lattice(network: ClosedNetwork) -> Tuple[List[int], int]:
+    """The population limits and lattice size of a network exact MVA takes.
+
+    Raises :class:`~repro.errors.SolverError` as :func:`solve_mva_exact`
+    documents.
+    """
     if not network.is_fixed_rate():
         raise SolverError(
             "exact MVA supports fixed-rate single-server and IS stations only"
@@ -97,80 +95,7 @@ def solve_mva_exact(
             f"population lattice has {size} vectors (> {MAX_LATTICE_SIZE}); "
             "use the MVA heuristic for problems of this size"
         )
-    if resolve_backend(backend) == "vectorized":
-        return _solve_vectorized(network, limits, size, lattice_cache)
-    return _solve_scalar(network, limits, size)
-
-
-def _solve_scalar(
-    network: ClosedNetwork, limits: List[int], size: int
-) -> NetworkSolution:
-    """Reference walk: one population vector and one chain at a time."""
-    demands = network.demands
-    num_chains, num_stations = demands.shape
-    delay_mask = np.asarray([s.is_delay for s in network.stations], dtype=bool)
-    visit_mask = network.visit_counts > 0
-
-    # queue_totals maps a population vector to its (L,) total mean queue
-    # length vector.  Only the previous total-population level is needed
-    # to process the current one, so older levels are dropped as the walk
-    # proceeds — memory is O(width of one level), not O(lattice).
-    previous_level: Dict[Tuple[int, ...], np.ndarray] = {
-        tuple([0] * num_chains): np.zeros(num_stations)
-    }
-    current_level: Dict[Tuple[int, ...], np.ndarray] = {}
-    current_total = 0
-
-    target = tuple(limits)
-    final_wait = np.zeros((num_chains, num_stations))
-    final_throughput = np.zeros(num_chains)
-    final_queue = np.zeros((num_chains, num_stations))
-
-    for vector in population_vectors_by_total(limits):
-        total = sum(vector)
-        if total == 0:
-            continue
-        if total != current_total:
-            if current_total != 0:
-                previous_level = current_level
-            current_level = {}
-            current_total = total
-        waits = np.zeros((num_chains, num_stations))
-        throughputs = np.zeros(num_chains)
-        per_chain_queue = np.zeros((num_chains, num_stations))
-        for r in range(num_chains):
-            if vector[r] == 0:
-                continue
-            predecessor = list(vector)
-            predecessor[r] -= 1
-            seen = previous_level[tuple(predecessor)]
-            wait_r = np.where(delay_mask, demands[r], demands[r] * (1.0 + seen))
-            wait_r = np.where(visit_mask[r], wait_r, 0.0)
-            cycle_time = wait_r.sum()
-            if cycle_time <= 0:
-                raise ModelError(
-                    f"chain {network.chains[r].name!r} has zero total demand"
-                )
-            lam = vector[r] / cycle_time
-            waits[r] = wait_r
-            throughputs[r] = lam
-            per_chain_queue[r] = lam * wait_r
-        current_level[vector] = per_chain_queue.sum(axis=0)
-        if vector == target:
-            final_wait = waits
-            final_throughput = throughputs
-            final_queue = per_chain_queue
-
-    return NetworkSolution(
-        network=network,
-        throughputs=final_throughput,
-        queue_lengths=final_queue,
-        waiting_times=final_wait,
-        method="mva-exact",
-        iterations=0,
-        converged=True,
-        extras={"lattice_size": float(size)},
-    )
+    return limits, size
 
 
 def _levels(limits: List[int]) -> List[List[Tuple[int, ...]]]:

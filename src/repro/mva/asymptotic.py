@@ -44,7 +44,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.backend import resolve_backend
 from repro.errors import ModelError
 from repro.mva.accel import AitkenAccelerator, solve_extras
 from repro.mva.convergence import IterationControl
@@ -72,21 +71,15 @@ def asymptotic_applicability(network: ClosedNetwork) -> bool:
 def solve_asymptotic(
     network: ClosedNetwork,
     control: Optional[IterationControl] = None,
-    backend: Optional[str] = None,
     warm_start: Optional[np.ndarray] = None,
 ) -> NetworkSolution:
     """Solve the mean-field (CLT-limit) fixed point of a closed network.
 
     Parameters mirror :func:`repro.mva.heuristic.solve_mva_heuristic`.
-    ``backend="scalar"`` and ``"vectorized"`` coincide (the iteration is
-    a single dense fixed point — no per-population recursion to pick a
-    kernel for).  Returns a solution with ``method="asymptotic"``.
+    Returns a solution with ``method="asymptotic"``.
     """
     if control is None:
         control = IterationControl()
-    # scalar and vectorized coincide (a single dense fixed point, no
-    # per-population recursion); the backend is only validated.
-    resolve_backend(backend)
 
     demands = network.demands
     num_chains, _num_stations = demands.shape

@@ -11,7 +11,7 @@ norms of many networks' throughput changes at once, one per contiguous
 segment of a packed vector.  A SoA pack (:mod:`repro.mva.soa`) takes
 every network's stopping decision of a sweep in that one call, and
 :meth:`IterationControl.residual` is its one-segment case, so the
-heuristic, Schweitzer, Linearizer, asymptotic and dense reference loops
+heuristic, Schweitzer, Linearizer, asymptotic and reference loops
 all round ``CRIT`` the same way.
 """
 

@@ -28,12 +28,10 @@ from typing import Optional
 
 import numpy as np
 
-from repro.backend import resolve_backend
 from repro.errors import ModelError
-from repro.mva.accel import AitkenAccelerator, solve_extras
+from repro.mva.accel import AitkenAccelerator
 from repro.mva.convergence import IterationControl
 from repro.mva.layout import route_sum
-from repro.mva.single_chain import solve_single_chain
 from repro.mva.soa import fixed_point, pack_networks
 from repro.mva.warmstart import validate_warm_start
 from repro.queueing.network import ClosedNetwork
@@ -307,7 +305,6 @@ def solve_mva_heuristic(
     network: ClosedNetwork,
     control: Optional[IterationControl] = None,
     initializer: str = "balanced",
-    backend: Optional[str] = None,
     warm_start: Optional[np.ndarray] = None,
 ) -> NetworkSolution:
     """Solve a closed multichain network with the thesis §4.2 heuristic.
@@ -323,12 +320,6 @@ def solve_mva_heuristic(
     initializer:
         Queue-length initialisation strategy (``"balanced"`` default, or
         ``"bottleneck"``; thesis §4.2 rules 1 and 2).
-    backend:
-        Kernel implementation: ``"vectorized"`` (the default: the
-        route-compacted fixed point of :func:`repro.mva.soa.fixed_point`,
-        solving the network as a pack of one) or ``"scalar"`` (the dense
-        per-chain reference loops); see :mod:`repro.backend`.  The two
-        agree to rounding.
     warm_start:
         Optional ``(R, L)`` queue-length seed replacing the
         ``initializer`` start — typically the converged ``queue_lengths``
@@ -344,126 +335,27 @@ def solve_mva_heuristic(
     """
     if control is None:
         control = IterationControl()
-    if resolve_backend(backend) == "scalar":
-        solution = _solve_dense_reference(network, control, initializer, warm_start)
-    else:
-        layout = network.route_layout
-        accelerator = None
-        start = None
-        if warm_start is not None:
-            start = layout.gather(validate_warm_start(network, warm_start))
-            # A seed from a converged neighbour usually starts the
-            # iteration near its asymptotic linear regime, where Aitken
-            # extrapolation pays; the accelerator switches itself off when
-            # an extrapolation does not shorten the plain step.  Cold
-            # solves stay the plain thesis iteration (see repro.mva.accel).
-            # Damping changes the error dynamics the ratio estimate
-            # assumes, so it disables this.
-            if control.damping >= 1.0:
-                accelerator = AitkenAccelerator()
-        elif initializer != "balanced":
-            start = layout.gather(initial_queue_lengths(network, initializer))
-        (solution,) = fixed_point(
-            pack_networks([network]), "mva-heuristic", control, start, accelerator
-        )
+    layout = network.route_layout
+    accelerator = None
+    start = None
+    if warm_start is not None:
+        start = layout.gather(validate_warm_start(network, warm_start))
+        # A seed from a converged neighbour usually starts the iteration
+        # near its asymptotic linear regime, where Aitken extrapolation
+        # pays; the accelerator switches itself off when an extrapolation
+        # does not shorten the plain step.  Cold solves stay the plain
+        # thesis iteration (see repro.mva.accel).  Damping changes the
+        # error dynamics the ratio estimate assumes, so it disables this.
+        if control.damping >= 1.0:
+            accelerator = AitkenAccelerator()
+    elif initializer != "balanced":
+        start = layout.gather(initial_queue_lengths(network, initializer))
+    (solution,) = fixed_point(
+        pack_networks([network]), "mva-heuristic", control, start, accelerator
+    )
     if not solution.converged:
         # Warned from here, so the warning points at the caller.
         control.on_exhausted(
             "mva-heuristic", solution.iterations, solution.extras["residual"]
         )
     return solution
-
-
-def _solve_dense_reference(
-    network: ClosedNetwork,
-    control: IterationControl,
-    initializer: str,
-    warm_start: Optional[np.ndarray],
-) -> NetworkSolution:
-    """The scalar reference: dense ``(R, L)`` state, per-chain recursions.
-
-    Each sweep isolates every chain in turn and runs the exact
-    single-chain recursion (:func:`~repro.mva.single_chain.
-    solve_single_chain`) over all ``L`` stations — the thesis recurrences
-    line by line, kept as the executable specification the vectorized
-    tier is diffed against.
-    """
-    demands = network.demands
-    num_chains = demands.shape[0]
-    populations = network.populations.astype(float)
-    layout = network.route_layout
-    delay_mask = layout.delay_mask
-
-    if warm_start is not None:
-        queue_lengths = validate_warm_start(network, warm_start)
-        accelerator = AitkenAccelerator() if control.damping >= 1.0 else None
-    else:
-        queue_lengths = initial_queue_lengths(network, initializer)
-        accelerator = None
-    throughputs = np.zeros(num_chains)
-    waiting = np.zeros_like(demands)
-    sigma = np.zeros_like(demands)
-    active = [r for r in range(num_chains) if populations[r] > 0]
-    active_mask = populations > 0
-
-    visited_demand = np.where(layout.visit_mask, demands, 0.0).sum(axis=1)
-    if np.any(active_mask & (visited_demand <= 0)):
-        bad = int(np.flatnonzero(active_mask & (visited_demand <= 0))[0])
-        raise ModelError(
-            f"chain {network.chains[bad].name!r} has zero total demand"
-        )
-
-    delay_row = delay_mask[None, :]
-    invisible = ~layout.visit_mask
-
-    iterations = 0
-    residual = float("inf")
-    for iterations in range(1, control.max_iterations + 1):
-        # STEP 2 — own-chain queue-length increments from the isolated
-        # single-chain problem with inflated service times.
-        total_by_station = queue_lengths.sum(axis=0)
-        others = total_by_station[None, :] - queue_lengths
-        scaled = np.where(delay_row, demands, demands * (1.0 + others))
-        sigma[:] = 0.0
-        for r in active:
-            trace = solve_single_chain(
-                scaled[r], int(network.populations[r]), delay_station=delay_mask
-            )
-            sigma[r] = trace.increment()
-
-        # STEP 3 — arrival theorem with N(D - u_r) ~= N(D) - sigma(r-).
-        seen = np.maximum(total_by_station[None, :] - sigma, 0.0)
-        waiting = np.where(delay_row, demands, demands * (1.0 + seen))
-        waiting[invisible] = 0.0
-
-        # STEP 4 — Little's law for chains.
-        cycle_times = waiting.sum(axis=1)
-        new_throughputs = np.where(
-            active_mask,
-            populations / np.where(cycle_times > 0, cycle_times, 1.0),
-            0.0,
-        )
-        new_throughputs = control.apply_damping(new_throughputs, throughputs)
-
-        # STEP 5 — Little's law for queues.
-        queue_lengths = new_throughputs[:, None] * waiting
-
-        # STEP 6 — stopping criterion on the throughput vector.
-        residual = control.residual(new_throughputs, throughputs)
-        throughputs = new_throughputs
-        if residual < control.tolerance:
-            break
-        if accelerator is not None:
-            accelerated = accelerator.push(queue_lengths)
-            if accelerated is not None:
-                queue_lengths = accelerated
-    return NetworkSolution(
-        network=network,
-        throughputs=throughputs,
-        queue_lengths=queue_lengths,
-        waiting_times=waiting,
-        method="mva-heuristic",
-        iterations=iterations,
-        converged=residual < control.tolerance,
-        extras=solve_extras(residual, accelerator),
-    )

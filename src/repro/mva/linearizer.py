@@ -25,7 +25,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.backend import resolve_backend
 from repro.errors import ModelError
 from repro.mva.convergence import IterationControl
 from repro.mva.warmstart import validate_warm_start
@@ -42,68 +41,27 @@ def _core_fixed_point(
     visit_mask: np.ndarray,
     deltas: np.ndarray,
     control: IterationControl,
-    vectorized: bool = True,
+    core,
     seed: Optional[np.ndarray] = None,
 ):
     """Solve one population vector with frozen fraction corrections.
 
     ``deltas[j, r, i]`` estimates ``F_ri(D - u_j) - F_ri(D)``.  ``seed``
-    optionally replaces the balanced queue-length start.  Returns
+    optionally replaces the balanced queue-length start; ``core`` runs
+    the fixed point from that start.  Returns
     ``(throughputs, queue_lengths, waiting, iterations, residual)``.
     """
-    num_chains, num_stations = demands.shape
-    active = [r for r in range(num_chains) if populations[r] > 0]
-
     if seed is not None:
         queue_lengths = seed.copy()
     else:
         queue_lengths = np.zeros_like(demands)
-        for r in active:
-            stations = np.flatnonzero(visit_mask[r])
-            queue_lengths[r, stations] = populations[r] / stations.size
-
-    if vectorized:
-        return _core_vectorized(
-            demands,
-            populations,
-            delay_mask,
-            visit_mask,
-            deltas,
-            control,
-            queue_lengths,
-        )
-
-    throughputs = np.zeros(num_chains)
-    waiting = np.zeros_like(demands)
-    iterations = 0
-    residual = float("inf")
-    for iterations in range(1, control.max_iterations + 1):
-        fractions = np.zeros_like(demands)
-        for r in active:
-            fractions[r] = queue_lengths[r] / populations[r]
-
-        new_throughputs = np.zeros(num_chains)
-        for j in active:
-            # Estimated queue lengths seen by an arriving chain-j customer.
-            seen = np.zeros(num_stations)
-            for r in active:
-                reduced = populations[r] - (1.0 if r == j else 0.0)
-                seen += reduced * np.clip(fractions[r] + deltas[j, r], 0.0, 1.0)
-            wait_j = np.where(delay_mask, demands[j], demands[j] * (1.0 + seen))
-            wait_j = np.where(visit_mask[j], wait_j, 0.0)
-            cycle_time = wait_j.sum()
-            if cycle_time <= 0:
-                raise ModelError("chain with zero total demand")
-            new_throughputs[j] = populations[j] / cycle_time
-            waiting[j] = wait_j
-
-        new_throughputs = control.apply_damping(new_throughputs, throughputs)
-        queue_lengths = new_throughputs[:, None] * waiting
-        residual = control.residual(new_throughputs, throughputs)
-        throughputs = new_throughputs
-        if residual < control.tolerance:
-            break
-    return throughputs, queue_lengths, waiting, iterations, residual
+        for r in range(demands.shape[0]):
+            if populations[r] > 0:
+                stations = np.flatnonzero(visit_mask[r])
+                queue_lengths[r, stations] = populations[r] / stations.size
+    return core(
+        demands, populations, delay_mask, visit_mask, deltas, control, queue_lengths
+    )
 
 
 def _core_vectorized(
@@ -119,7 +77,7 @@ def _core_vectorized(
 
     ``seen[j] = sum_r (D_r - [r == j]) * clip(F_r + delta[j, r], 0, 1)``
     is evaluated as one ``(R, R, L)`` contraction instead of the nested
-    per-``j``/per-``r`` Python loops of the scalar reference.
+    per-``j``/per-``r`` loops of :func:`repro.mva.reference.solve_linearizer`.
     """
     num_chains, _num_stations = demands.shape
     active_mask = populations > 0
@@ -165,7 +123,6 @@ def solve_linearizer(
     network: ClosedNetwork,
     control: Optional[IterationControl] = None,
     refinements: int = 2,
-    backend: Optional[str] = None,
     warm_start: Optional[np.ndarray] = None,
 ) -> NetworkSolution:
     """Solve a closed multichain network with the Linearizer AMVA.
@@ -177,10 +134,6 @@ def solve_linearizer(
     refinements:
         Number of outer delta-refinement passes (2 is the classical
         choice; 0 degenerates to Schweitzer–Bard).
-    backend:
-        ``"vectorized"`` (default) batches the per-arriving-chain core
-        update into one dense contraction; ``"scalar"`` keeps the nested
-        reference loops.  Both agree to machine precision.
     warm_start:
         Optional ``(R, L)`` queue-length seed for the *initial*
         full-population core solve (see :mod:`repro.mva.warmstart`);
@@ -193,11 +146,15 @@ def solve_linearizer(
     NetworkSolution
         With ``method="linearizer"``.
     """
+    return _linearize(network, control, refinements, warm_start, _core_vectorized)
+
+
+def _linearize(network, control, refinements, warm_start, core) -> NetworkSolution:
+    """The refinement passes of :func:`solve_linearizer` around ``core``."""
     if control is None:
         control = IterationControl()
     if refinements < 0:
         raise ModelError(f"refinements must be >= 0, got {refinements}")
-    vectorized = resolve_backend(backend) == "vectorized"
 
     demands = network.demands
     num_chains, num_stations = demands.shape
@@ -214,8 +171,8 @@ def solve_linearizer(
     )
 
     result = _core_fixed_point(
-        demands, populations, delay_mask, visit_mask, deltas, control,
-        vectorized, seed=seed,
+        demands, populations, delay_mask, visit_mask, deltas, control, core,
+        seed=seed,
     )
     total_iterations += result[3]
 
@@ -233,7 +190,7 @@ def solve_linearizer(
             reduced = populations.copy()
             reduced[j] -= 1.0
             sub = _core_fixed_point(
-                demands, reduced, delay_mask, visit_mask, deltas, control, vectorized
+                demands, reduced, delay_mask, visit_mask, deltas, control, core
             )
             total_iterations += sub[3]
             sub_queue = sub[1]
@@ -248,7 +205,7 @@ def solve_linearizer(
         # (tolerance-sized) stopping slack through the refreshed deltas
         # and can push the final throughputs past the 1e-8 parity band.
         result = _core_fixed_point(
-            demands, populations, delay_mask, visit_mask, deltas, control, vectorized
+            demands, populations, delay_mask, visit_mask, deltas, control, core
         )
         total_iterations += result[3]
 

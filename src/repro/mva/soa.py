@@ -98,7 +98,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import resolve_backend
 from repro.errors import ModelError
 from repro.mva.accel import AitkenAccelerator, solve_extras
 from repro.mva.convergence import IterationControl
@@ -127,14 +126,13 @@ BATCHABLE_SOLVERS = ("mva-heuristic", "schweitzer")
 def assess(
     solver_name: Optional[str],
     has_reuse: bool = False,
-    backend: Optional[str] = None,
     batch_size: int = 2,
 ) -> Tuple[bool, str]:
     """The single SoA engagement decision: ``(engage, reason)``.
 
-    A named solver in :data:`BATCHABLE_SOLVERS`, no reuse engine, the
-    vectorized backend and at least two networks.  ``reason`` explains
-    the decision either way; callers pass declines to
+    A named solver in :data:`BATCHABLE_SOLVERS`, no reuse engine and at
+    least two networks.  ``reason`` explains the decision either way;
+    callers pass declines to
     :func:`repro.mva.autobatch.record_declined` so every batch that
     stays serial is logged.
     """
@@ -149,9 +147,6 @@ def assess(
             "seed from a neighbour in the same batch), so batches stay "
             "serial"
         )
-    resolved = resolve_backend(backend)
-    if resolved != "vectorized":
-        return False, f"backend {resolved!r} runs the scalar reference loops"
     if batch_size < 2:
         return False, "batch of one network: nothing to batch"
     return True, f"{batch_size} networks packed on the vectorized kernel"
@@ -466,7 +461,6 @@ def solve_windows_batched(
     windows: Sequence[Sequence[int]],
     solver: str = "mva-heuristic",
     control: Optional[IterationControl] = None,
-    backend: Optional[str] = None,
 ) -> Sequence[NetworkSolution]:
     """Solve one topology under B window vectors in packed tensor passes.
 
@@ -486,7 +480,6 @@ def solve_windows_batched(
             pack_networks((network,) * len(chunk), populations=chunk),
             solver=solver,
             control=control,
-            backend=backend,
         )
         for chunk in (windows[i : i + per_pack] for i in range(0, count, per_pack))
     ])
@@ -496,7 +489,6 @@ def solve_networks_batched(
     networks: Sequence[ClosedNetwork],
     solver: str = "mva-heuristic",
     control: Optional[IterationControl] = None,
-    backend: Optional[str] = None,
 ) -> Sequence[NetworkSolution]:
     """Solve B arbitrary (mixed-topology) networks in packs.
 
@@ -520,9 +512,7 @@ def solve_networks_batched(
     if not chunks:
         return []
     return PackResult.concatenate([
-        solve_packed(
-            pack_networks(chunk), solver=solver, control=control, backend=backend
-        )
+        solve_packed(pack_networks(chunk), solver=solver, control=control)
         for chunk in chunks
     ])
 
@@ -531,15 +521,11 @@ def solve_packed(
     pack: WindowPack,
     solver: str = "mva-heuristic",
     control: Optional[IterationControl] = None,
-    backend: Optional[str] = None,
 ) -> PackResult:
     """Run the batched fixed point, cold, over every network in ``pack``."""
-    engage, reason = assess(solver, backend=backend)
+    engage, reason = assess(solver)
     if not engage:
-        raise ModelError(
-            f"SoA packs need a batchable solver on the dense kernel "
-            f"backend: {reason}"
-        )
+        raise ModelError(f"SoA packs need a batchable solver: {reason}")
     control = control or IterationControl()
     result = fixed_point(pack, solver, control)
     for b in np.flatnonzero(~result.converged):

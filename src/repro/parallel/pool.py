@@ -219,11 +219,11 @@ def _worker_main(
             eval_id, key, seed_slot, _task_gen = message
             try:
                 if arena.generation != generation or network is None:
-                    network, solver_name, backend = arena.model()
+                    network, solver_name = arena.model()
                     solver = SOLVERS[solver_name]
                     keywords = solver_keywords(solver)
                     generation = arena.generation
-                kwargs: Dict[str, object] = {"backend": backend}
+                kwargs: Dict[str, object] = {}
                 warmed = False
                 if seed_slot is not None and "warm_start" in keywords:
                     kwargs["warm_start"] = arena.read_seed(seed_slot)
@@ -273,8 +273,6 @@ class PersistentEvalPool:
         The network template broadcast to workers (populations ignored).
     solver:
         Named solver from :data:`repro.solvers.SOLVERS`.
-    backend:
-        Kernel backend forwarded to the solver in every worker.
     workers:
         Fleet size (>= 1).
     start_method:
@@ -307,7 +305,6 @@ class PersistentEvalPool:
         self,
         network: ClosedNetwork,
         solver: str,
-        backend: Optional[str] = None,
         workers: int = 2,
         start_method: Optional[str] = None,
         seed_slots: Optional[int] = None,
@@ -346,12 +343,9 @@ class PersistentEvalPool:
         )
         self._ctx = multiprocessing.get_context(start_method)
         self._solver_name = solver
-        self._backend = backend
         self.workers = int(workers)
         slots = seed_slots if seed_slots is not None else max(4 * workers, 8)
-        self.arena = ModelArena.create(
-            network, solver, backend=backend, seed_slots=slots
-        )
+        self.arena = ModelArena.create(network, solver, seed_slots=slots)
         self.health = PoolHealth(
             workers=self.workers,
             start_method=self._ctx.get_start_method(),
@@ -700,9 +694,7 @@ class PersistentEvalPool:
     # ------------------------------------------------------------------
     # model updates / shutdown
     # ------------------------------------------------------------------
-    def update_model(
-        self, network: ClosedNetwork, backend: Optional[str] = None
-    ) -> None:
+    def update_model(self, network: ClosedNetwork) -> None:
         """Point the live fleet at a new same-shape scenario.
 
         Requires a quiescent pool (no in-flight tasks): generation
@@ -715,9 +707,7 @@ class PersistentEvalPool:
                 f"cannot update the pool model with {self.inflight} tasks "
                 "in flight"
             )
-        self._generation = self.arena.update_model(
-            network, self._solver_name, backend if backend is not None else self._backend
-        )
+        self._generation = self.arena.update_model(network, self._solver_name)
 
     def close(self) -> None:
         """Stop the fleet and release the arena. Idempotent."""

@@ -20,10 +20,10 @@ Layout of the segment (offsets precomputed at creation)::
     visits     float64[R*L]
     sources    int64[R]
     seeds      float64[slots*R*L]   warm-start queue-length slots
-    blob       uint8[capacity]      pickled (stations, chains, solver, backend)
+    blob       uint8[capacity]      pickled (stations, chains, solver)
 
 The *blob* carries only the structural Python objects (stations, chains,
-solver name, kernel backend); the numeric payload stays in the dense
+solver name); the numeric payload stays in the dense
 regions, which :meth:`ModelArena.update_model` can rewrite in place to
 re-target a running pool at a new scenario of the same shape (a campaign
 sweep changes demands, never topology shape).  Workers detect the bumped
@@ -139,7 +139,7 @@ class ModelArena:
         self._sources = region(np.int64, (R,))
         self._seeds = region(np.float64, (ref.seed_slots, R, L))
         self._blob = region(np.uint8, (ref.blob_capacity,))
-        self._model_cache: Optional[Tuple[int, ClosedNetwork, str, Optional[str]]] = None
+        self._model_cache: Optional[Tuple[int, ClosedNetwork, str]] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -149,12 +149,11 @@ class ModelArena:
         cls,
         network: ClosedNetwork,
         solver_name: str,
-        backend: Optional[str] = None,
         seed_slots: int = DEFAULT_SEED_SLOTS,
         blob_capacity: Optional[int] = None,
     ) -> "ModelArena":
         """Allocate a segment and broadcast ``network`` into it."""
-        blob = cls._encode_blob(network, solver_name, backend)
+        blob = cls._encode_blob(network, solver_name)
         if blob_capacity is None:
             # Headroom for update_model: structural pickles of sibling
             # scenarios differ only in float payloads, so 2x + slack is
@@ -181,12 +180,10 @@ class ModelArena:
         return cls(_attach_segment(ref.name), ref, owner=False)
 
     @staticmethod
-    def _encode_blob(
-        network: ClosedNetwork, solver_name: str, backend: Optional[str]
-    ) -> bytes:
+    def _encode_blob(network: ClosedNetwork, solver_name: str) -> bytes:
         # Structure only: the dense arrays travel in their own regions.
         return pickle.dumps(
-            (network.stations, network.chains, solver_name, backend),
+            (network.stations, network.chains, solver_name),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
 
@@ -208,12 +205,7 @@ class ModelArena:
     # ------------------------------------------------------------------
     # owner-side updates
     # ------------------------------------------------------------------
-    def update_model(
-        self,
-        network: ClosedNetwork,
-        solver_name: str,
-        backend: Optional[str] = None,
-    ) -> int:
+    def update_model(self, network: ClosedNetwork, solver_name: str) -> int:
         """Re-broadcast a same-shape model in place; returns the generation.
 
         Campaign sweeps re-dimension the same topology under different
@@ -231,9 +223,7 @@ class ModelArena:
                 f"({self.ref.num_chains}, {self.ref.num_stations})); "
                 "create a fresh pool instead"
             )
-        self._write_model(
-            network, self._encode_blob(network, solver_name, backend)
-        )
+        self._write_model(network, self._encode_blob(network, solver_name))
         return self.generation
 
     def write_seed(self, slot: int, queue_lengths: np.ndarray) -> None:
@@ -251,8 +241,8 @@ class ModelArena:
     def generation(self) -> int:
         return int(self._header[_GENERATION])
 
-    def model(self) -> Tuple[ClosedNetwork, str, Optional[str]]:
-        """The broadcast ``(network, solver name, backend)`` triple.
+    def model(self) -> Tuple[ClosedNetwork, str]:
+        """The broadcast ``(network, solver name)`` pair.
 
         The network's dense arrays are **read-only zero-copy views** into
         the segment, so the per-worker memory cost of the numeric model
@@ -262,10 +252,10 @@ class ModelArena:
         """
         generation = self.generation
         if self._model_cache is not None and self._model_cache[0] == generation:
-            _, network, solver_name, backend = self._model_cache
-            return network, solver_name, backend
+            _, network, solver_name = self._model_cache
+            return network, solver_name
         blob_len = int(self._header[_BLOB_LEN])
-        stations, chains, solver_name, backend = pickle.loads(
+        stations, chains, solver_name = pickle.loads(
             self._blob[:blob_len].tobytes()
         )
         demands = self._demands.view()
@@ -282,8 +272,8 @@ class ModelArena:
             populations=populations,
             source_index=sources,
         )
-        self._model_cache = (generation, network, solver_name, backend)
-        return network, solver_name, backend
+        self._model_cache = (generation, network, solver_name)
+        return network, solver_name
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -41,7 +41,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.backend import resolve_backend
 from repro.errors import (
     ConvergenceWarning,
     LadderExhaustedError,
@@ -129,10 +128,6 @@ class ResilientSolver:
         the ladder sees them (``raise_on_failure`` is forced True).
     exact_lattice_limit:
         State-space gate for the exact-MVA rung.
-    backend:
-        Kernel backend (``"scalar"``/``"vectorized"``; ``None`` = process
-        default) forwarded to every rung whose solver has dual kernels —
-        the ladder escalates *algorithms*, never silently switches kernel.
     max_health_records:
         Cap on :attr:`health_log` (oldest dropped first) so a very long
         pattern search cannot grow memory without bound.
@@ -151,14 +146,10 @@ class ResilientSolver:
         escalation: Optional[Sequence[str]] = None,
         control: Optional[IterationControl] = None,
         exact_lattice_limit: int = EXACT_LATTICE_LIMIT,
-        backend: Optional[str] = None,
         max_health_records: int = 10_000,
     ):
         if not damping_schedule:
             raise ModelError("damping_schedule must not be empty")
-        if backend is not None:
-            resolve_backend(backend)  # validate eagerly
-        self.backend = backend
         self._primary = _rung(solver) if isinstance(solver, str) else solver
         self.primary_name = getattr(self._primary, "__name__", "custom")
         self._primary_keywords = solver_keywords(self._primary)
@@ -227,16 +218,14 @@ class ResilientSolver:
     ) -> Optional[NetworkSolution]:
         """Run one rung; record the outcome; return the solution if healthy.
 
-        The rung gets the damped control, the kernel backend and the
-        ``reuse`` accelerators, each only if its ``keywords`` name it.
+        The rung gets the damped control and the ``reuse`` accelerators,
+        each only if its ``keywords`` name it.
         """
         started = time.perf_counter()
         iterations = 0
         kwargs = {k: v for k, v in reuse.items() if k in keywords}
         if "control" in keywords:
             kwargs["control"] = self._control.damped(damping)
-        if "backend" in keywords:
-            kwargs["backend"] = self.backend
         try:
             # Non-converged iterates must surface as ConvergenceError here,
             # not as a ConvergenceWarning the ladder cannot catch.

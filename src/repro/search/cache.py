@@ -7,12 +7,11 @@ were done previously").  :class:`EvaluationCache` is the same idea with a
 dictionary, plus bookkeeping of hit/miss counts used by the benchmarks to
 report how much work memoisation saves the pattern search.
 
-Cache keys are *only* the integer window vectors — deliberately agnostic
-of which solver kernel backend produced the value, so a cache (or
-evaluation store) populated by a ``"scalar"`` run is reused verbatim under
-``"vectorized"`` and vice versa.  The parity test wall pins the two
-backends to ≤ 1e-8 relative error, far inside the tolerance of any
-search decision, which is what makes the sharing sound.
+Cache keys are *only* the integer window vectors: every point the
+objective solves is a window vector, and a cache belongs to one
+objective, so nothing else (solver, kernel) can tell two values apart.
+:func:`integral_key` is the one normalisation — a fractional coordinate
+is rejected, never truncated.
 
 All mutating and reading operations take an internal re-entrant lock, so
 a cache shared by concurrent batch evaluations cannot be corrupted

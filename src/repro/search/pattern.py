@@ -20,7 +20,7 @@ Search suffices" (§4.1).
 All evaluations flow through an
 :class:`~repro.evalplane.plane.EvaluationPlane`: the search demands
 each value with :meth:`~repro.evalplane.plane.EvaluationPlane.submit`
-and needs it before it picks the next point.  Which execution backend
+and needs it before it picks the next point.  Which execution path
 sits behind that call — in-process serial or the persistent
 shared-memory fleet — is entirely the plane's business; the
 conformance suite (``tests/evalplane/``) certifies that both make the

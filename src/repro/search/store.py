@@ -47,9 +47,9 @@ is always either the old store or the complete new one.
 
 The header fingerprint (:func:`model_fingerprint`) hashes everything that
 determines an objective value *except* the chain populations (those are
-the decision variables the store is indexed by) and the kernel backend
-(the parity wall pins backends to <= 1e-8 of each other, far inside any
-search decision).  Opening a store whose fingerprint does not match the
+the decision variables the store is indexed by); no kernel choice enters
+it, so stores written when the scalar kernel was a run-time option stay
+valid.  Opening a store whose fingerprint does not match the
 current network+solver raises :class:`~repro.errors.SearchError`: a stale
 store can never poison a different instance.
 """
@@ -106,11 +106,12 @@ def model_fingerprint(network: ClosedNetwork, solver_label: str) -> str:
     Included: the demand and visit-count matrices, each station's
     discipline/servers/rate multipliers, per-chain source queues, and the
     solving algorithm's label.  Excluded: chain populations (the store's
-    keys *are* window vectors) and the kernel backend: a ``"scalar"``
-    store is valid under ``"vectorized"`` and vice versa, because the
-    two kernels agree to rounding (pinned at ``PARITY_RTOL``).  They do
-    not agree bit for bit, so resuming under the other kernel can break
-    a near-tie differently from a fresh run under that kernel.
+    keys *are* window vectors).  A custom solver is labelled by its
+    ``__name__``, so a search that passes a reference kernel of
+    :mod:`repro.mva.reference` keeps a store apart from the named
+    solver's: the two kernels agree to rounding (pinned at
+    ``PARITY_RTOL``), not bit for bit, and could break a near-tie
+    differently.
     """
     digest = hashlib.sha256()
     digest.update(b"windim-store-v1")

@@ -10,7 +10,7 @@ Each entry is a :class:`NamedSolver`, a small picklable callable.  On
 every call it looks its function up by module attribute, so a wrapper
 installed on that attribute later (a tracer, a test's monkeypatch) is
 the one that runs.  It passes on only the keywords that function
-accepts: convolution, for one, never sees ``backend=``.
+accepts: convolution, for one, never sees ``warm_start=``.
 
 :func:`solver_keywords` says which of :data:`KEYWORDS` a solver takes,
 for named solvers and custom callables alike.  It reads a signature once
@@ -36,10 +36,9 @@ __all__ = [
 ]
 
 #: The optional keywords a caller may offer a solver: the damping policy
-#: (:class:`~repro.mva.convergence.IterationControl`), the kernel
-#: (:mod:`repro.backend`) and the two reuse accelerators
-#: (:mod:`repro.mva.warmstart`, :mod:`repro.exact.lattice_cache`).
-KEYWORDS = frozenset({"control", "backend", "warm_start", "lattice_cache"})
+#: (:class:`~repro.mva.convergence.IterationControl`) and the two reuse
+#: accelerators (:mod:`repro.mva.warmstart`, :mod:`repro.exact.lattice_cache`).
+KEYWORDS = frozenset({"control", "warm_start", "lattice_cache"})
 
 
 def _accepted(function: Callable) -> Optional[frozenset]:

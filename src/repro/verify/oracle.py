@@ -16,12 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exact.states import exact_applicability
+from repro.mva import reference
 from repro.netmodel.topology import Topology
 from repro.netmodel.traffic import TrafficClass
 from repro.queueing.network import ClosedNetwork
@@ -341,9 +341,9 @@ def simulation_spec(
 def _build_registry() -> Dict[str, SolverSpec]:
     exact, approximate = SolverKind.EXACT, SolverKind.APPROXIMATE
     # The named solvers run from their table entries.  ``mva-exact`` and
-    # ``mva-heuristic`` are pinned to the scalar reference kernel, so each
-    # pair with its ``-vectorized`` twin is a genuine differential check
-    # between the two kernels, independent of the process default.
+    # ``mva-heuristic`` are the scalar reference kernels
+    # (:mod:`repro.mva.reference`), so each pair with its ``-vectorized``
+    # twin, the table entry, is a differential check between the two.
     # ``resilient`` (the ladder over the heuristic) must stay inside the
     # heuristic's bands whichever rung produced the accepted solution.
     specs = [
@@ -351,16 +351,10 @@ def _build_registry() -> Dict[str, SolverSpec]:
             "convolution", exact, SOLVERS["convolution"], _fixed_rate_lattice
         ),
         _network_solver(
-            "mva-exact",
-            exact,
-            partial(SOLVERS["mva-exact"], backend="scalar"),
-            _fixed_rate_lattice,
+            "mva-exact", exact, reference.solve_mva_exact, _fixed_rate_lattice
         ),
         _network_solver(
-            "mva-exact-vectorized",
-            exact,
-            partial(SOLVERS["mva-exact"], backend="vectorized"),
-            _fixed_rate_lattice,
+            "mva-exact-vectorized", exact, SOLVERS["mva-exact"], _fixed_rate_lattice
         ),
         _network_solver("ctmc", exact, _solve_ctmc, _ctmc_applicable),
         _network_solver(
@@ -373,16 +367,10 @@ def _build_registry() -> Dict[str, SolverSpec]:
             applicability=_buzen_applicable,
         ),
         _network_solver(
-            "mva-heuristic",
-            approximate,
-            partial(SOLVERS["mva-heuristic"], backend="scalar"),
-            _always,
+            "mva-heuristic", approximate, reference.solve_mva_heuristic, _always
         ),
         _network_solver(
-            "mva-heuristic-vectorized",
-            approximate,
-            partial(SOLVERS["mva-heuristic"], backend="vectorized"),
-            _always,
+            "mva-heuristic-vectorized", approximate, SOLVERS["mva-heuristic"], _always
         ),
         _network_solver("schweitzer", approximate, SOLVERS["schweitzer"], _always),
         _network_solver("linearizer", approximate, SOLVERS["linearizer"], _always),

@@ -8,7 +8,7 @@ from repro.cli import EXIT_BUDGET_EXHAUSTED, _exit_code_for
 from repro.core.multistart import windim_multistart
 from repro.core.objective import WindowObjective
 from repro.core.windim import windim
-from repro.errors import ConvergenceWarning, ModelError
+from repro.errors import ConvergenceWarning, ModelError, SearchError
 from repro.mva.convergence import IterationControl
 from repro.mva.heuristic import solve_mva_heuristic
 from repro.netmodel.examples import canadian_four_class, canadian_two_class
@@ -48,6 +48,17 @@ class TestMultistart:
         net = canadian_two_class(18.0, 18.0)
         with pytest.raises(ModelError):
             windim_multistart(net, extra_starts=[(1, 2, 3)])
+
+    def test_fractional_extra_start_rejected(self):
+        net = canadian_two_class(18.0, 18.0)
+        with pytest.raises(ModelError, match="non-integral"):
+            windim_multistart(net, max_window=8, extra_starts=[(1.5, 2)])
+        assert windim_multistart(net, max_window=8, extra_starts=[(2.0, 3.0)]).power > 0
+
+    def test_negative_evaluation_cap_rejected(self):
+        net = canadian_two_class(18.0, 18.0)
+        with pytest.raises(SearchError, match="max_evaluations must be >= 0"):
+            windim_multistart(net, max_window=8, max_evaluations=-1)
 
     def test_pooled_run_matches_serial(self):
         """One fleet serves the seed batch and every start, and pays for
@@ -108,11 +119,8 @@ class TestRunsOnWindimsPath:
             assert reloaded.seeds == {}
 
     def test_cross_packs_are_reported(self):
-        # Cross packs exist only on the vectorized kernel.
         result = windim_multistart(
-            canadian_four_class(20, 20, 20, 40),
-            backend="vectorized",
-            max_window=8,
+            canadian_four_class(20, 20, 20, 40), max_window=8
         )
         assert result.solved_ahead >= result.ahead_used > 0
         assert "cross packs" in result.summary()

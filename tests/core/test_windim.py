@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.power import network_power
 from repro.core.windim import windim
-from repro.errors import ModelError
+from repro.errors import ModelError, SearchError
 from repro.exact.mva_exact import solve_mva_exact
 from repro.netmodel.examples import canadian_two_class, tandem_network
 from repro.search.exhaustive import exhaustive_search
@@ -31,6 +31,17 @@ class TestBasicRun:
         net = canadian_two_class(18.0, 18.0)
         with pytest.raises(ModelError):
             windim(net, start=(2, 2, 2))
+
+    def test_fractional_start_rejected(self):
+        net = canadian_two_class(18.0, 18.0)
+        with pytest.raises(ModelError, match="non-integral"):
+            windim(net, start=(1.5, 2))
+        assert windim(net, start=(2.0, 3.0)).initial_windows == (2, 3)
+
+    def test_negative_evaluation_cap_rejected(self):
+        net = canadian_two_class(18.0, 18.0)
+        with pytest.raises(SearchError, match="max_evaluations must be >= 0"):
+            windim(net, max_evaluations=-5)
 
     def test_summary_text(self):
         result = windim(canadian_two_class(25.0, 25.0))

@@ -1,4 +1,4 @@
-"""Harness shared by the cross-backend conformance suite.
+"""Harness shared by the cross-plane conformance suite.
 
 Every test in this package parametrises over both evaluation planes,
 :data:`PLANES`, each built by :func:`repro.evalplane.build_plane`, the

@@ -149,3 +149,12 @@ class TestExitCodes:
         code = main(["solve", "--network", "canadian2"])  # --rates missing
         assert code == EXIT_ERROR == 2
         assert "error" in capsys.readouterr().err.lower()
+
+    def test_negative_evaluation_cap_exits_2(self, capsys):
+        from repro.cli import EXIT_ERROR
+
+        code = main(BASE + ["--max-evaluations", "-1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert "max_evaluations must be >= 0" in captured.err
+        assert "optimal windows" not in captured.out

@@ -1,4 +1,4 @@
-"""Cross-backend conformance wall for :mod:`repro.evalplane`.
+"""Cross-plane conformance wall for :mod:`repro.evalplane`.
 
 One battery, both planes: a pattern search driven through
 any evaluation plane must make the same fresh evaluations, walk the
@@ -203,7 +203,7 @@ class TestGoldenTrajectoryParity:
 
 
 class TestFuzzTrajectoryEquivalence:
-    """Bitwise-identical search on 25 seeded fuzz networks per backend."""
+    """Bitwise-identical search on 25 seeded fuzz networks per plane."""
 
     @pytest.mark.parametrize("fuzz_name", _fuzz_params)
     def test_identical_trajectory_and_optimum(self, plane_name, fuzz_name):
@@ -232,7 +232,7 @@ class TestBudgetSemantics:
             "serial", moderate_net, 12, max_evaluations=5
         )
         assert result.status == "budget_exhausted"
-        # Every backend spends the cap on the serial run's points.
+        # Every plane spends the cap on the serial run's points.
         assert plane.cache.evaluations == 5
         assert plane.cache.history == serial_plane.cache.history
         _assert_identical(result, serial, f"cap 5 via {plane_name}")
@@ -332,7 +332,7 @@ class TestWarmSeedsAndBounds:
 
 
 class TestHeterogeneousBatches:
-    """submit_networks: mixed-shape batches through every backend."""
+    """submit_networks: mixed-shape batches through every plane."""
 
     def _mixed_networks(self):
         from repro.netmodel.examples import canadian_two_class
@@ -347,7 +347,6 @@ class TestHeterogeneousBatches:
         ]
 
     def test_mixed_shapes_match_serial_solves(self, plane_name, moderate_net):
-        from repro.backend import resolve_backend
         from repro.core.power import power_report
         from repro.core.objective import resolve_solver
 
@@ -363,14 +362,9 @@ class TestHeterogeneousBatches:
             assert res.source == plane_name
             assert res.windows == tuple(int(p) for p in network.populations)
             assert res.solution is not None
-            ref = solve(network, backend="vectorized")
-            expected = power_report(ref).power
-            if resolve_backend(None) == "vectorized":
-                # Packs and serial solves are one floating-point program.
-                assert res.value == 1.0 / expected
-            else:
-                # The scalar reference loops agree to the parity band.
-                assert res.value == pytest.approx(1.0 / expected, rel=1e-8)
+            expected = power_report(solve(network)).power
+            # Packs and serial solves are one floating-point program.
+            assert res.value == 1.0 / expected
             if res.solution.converged:
                 np.testing.assert_array_equal(
                     np.asarray(res.warm_seed),
@@ -380,30 +374,27 @@ class TestHeterogeneousBatches:
         # bypasses it entirely (foreign topologies share window shapes).
         assert plane.cache.evaluations == 0
 
-    def test_engagement_is_observable(self, moderate_net, monkeypatch):
-        from repro.backend import BACKEND_ENV_VAR
+    def test_engagement_is_observable(self, moderate_net):
         from repro.mva import autobatch
 
         networks = self._mixed_networks()
-        # The solver-mix evidence under each kernel: the batch engages on
-        # the vectorized kernel (tiny networks) and is declined, with a
-        # counted reason, on the scalar reference loops — never silent
-        # either way.
-        for kernel in ("vectorized", "scalar"):
-            monkeypatch.setenv(BACKEND_ENV_VAR, kernel)
-            _objective, plane = build_harness("serial", moderate_net)
+        # The solver-mix evidence: the batch engages for a batchable
+        # solver (tiny networks) and is declined, with a counted reason,
+        # for one without a pack — never silent either way.
+        for solver in ("mva-heuristic", "linearizer"):
+            _objective, plane = build_harness("serial", moderate_net, solver=solver)
             autobatch.reset_stats()
             with plane:
                 plane.submit_networks(networks)
             stats = autobatch.batch_stats()
-            if kernel == "vectorized":
+            if solver == "mva-heuristic":
                 assert stats["engaged_batches"] == 1
                 assert stats["declined_batches"] == 0
             else:
                 assert stats["engaged_batches"] == 0
                 assert stats["declined_batches"] == 1
                 ((reason, count),) = stats["declined_reasons"].items()
-                assert reason.startswith("backend 'scalar'")
+                assert reason.startswith("solver 'linearizer'")
                 assert count == 1
 
     def test_closed_plane_rejects_and_empty_is_empty(self, moderate_net):

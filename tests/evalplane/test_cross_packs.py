@@ -12,10 +12,6 @@ order, the ``on_evaluation`` calls and the store file they write.
 
 Under caps and deadlines a banked value is worth nothing until it is
 demanded: none may be counted, stored or returned as best-so-far.
-
-The CI conformance job runs this file under both kernels.  On the
-scalar kernel nothing packs, so the two runs are trivially equal; the
-vectorized run is the one that certifies the bank.
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.backend import resolve_backend
 from repro.core.initializers import initial_windows
 from repro.core.objective import WindowObjective
 from repro.errors import ConvergenceWarning, SolverError
@@ -47,10 +42,7 @@ from tests.evalplane.test_conformance import (
 def _banks(network) -> bool:
     """Whether the serial plane packs crosses of ``network`` here."""
     chains = network.num_chains
-    return (
-        resolve_backend(None) == "vectorized"
-        and (2 * chains + 1) * chains <= CROSS_COLUMNS
-    )
+    return (2 * chains + 1) * chains <= CROSS_COLUMNS
 
 
 class _Run:

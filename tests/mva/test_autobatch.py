@@ -7,48 +7,43 @@ import os
 import subprocess
 import sys
 
-import pytest
-
 import repro
-from repro.backend import BACKEND_ENV_VAR
 from repro.mva import autobatch, soa
-
-
-@pytest.fixture(autouse=True)
-def vectorized_kernel(monkeypatch):
-    """``backend=None`` resolves to the process default; pin the
-    vectorized kernel so the scalar-backend reason cannot mask the one a
-    test asks about."""
-    monkeypatch.setenv(BACKEND_ENV_VAR, "vectorized")
 
 
 class TestAssess:
     def test_unbatchable_solver_declines(self):
-        engage, reason = soa.assess("linearizer", False, None, 4)
+        engage, reason = soa.assess("linearizer", False, 4)
         assert not engage
         assert "no batched SoA kernel" in reason
 
     def test_reuse_engine_declines(self):
-        engage, reason = soa.assess("mva-heuristic", True, None, 4)
+        engage, reason = soa.assess("mva-heuristic", True, 4)
         assert not engage
         assert "reuse" in reason
 
     def test_scalar_backend_declines(self):
-        engage, reason = soa.assess("mva-heuristic", False, "scalar", 4)
+        # The scalar reference runs as a custom solver, which never packs.
+        from repro.core.objective import WindowObjective
+        from repro.mva import reference
+        from repro.netmodel.examples import canadian_two_class
+
+        objective = WindowObjective(
+            canadian_two_class(18.0, 18.0), reference.solve_mva_heuristic
+        )
+        engage, reason = objective.soa_assessment(4)
         assert not engage
-        assert "scalar" in reason
+        assert "no batched SoA kernel" in reason
 
     def test_batch_of_one_declines(self):
-        engage, reason = soa.assess("mva-heuristic", False, None, 1)
+        engage, reason = soa.assess("mva-heuristic", False, 1)
         assert not engage
         assert "nothing to batch" in reason
 
     def test_small_network_engages(self):
         # Network size is no reason either way: any batch of two or more
-        # on the vectorized kernel engages.
-        engage, reason = soa.assess(
-            "mva-heuristic", False, "vectorized", 4
-        )
+        # engages.
+        engage, reason = soa.assess("mva-heuristic", False, 4)
         assert engage
         assert "4 networks packed" in reason
 
@@ -87,7 +82,6 @@ def test_serial_search_never_imports_logging():
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    env[BACKEND_ENV_VAR] = "vectorized"
     child = subprocess.run(
         [sys.executable, "-c", _SEARCH_PROBE],
         env=env,

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.backend import BACKENDS
 from repro.errors import ConvergenceError, ConvergenceWarning, ModelError
+from repro.mva import reference
 from repro.mva.convergence import IterationControl
 from repro.mva.heuristic import solve_mva_heuristic
 from repro.mva.schweitzer import solve_schweitzer
@@ -113,13 +113,15 @@ def _two_chain_network():
 class TestWarningLocation:
     """A cut solve's ConvergenceWarning points at the code that called it."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("kernel", ["reference", "vectorized"])
     @pytest.mark.parametrize("solve", [solve_mva_heuristic, solve_schweitzer])
-    def test_serial_solve_warns_at_the_caller(self, solve, backend):
+    def test_serial_solve_warns_at_the_caller(self, solve, kernel):
+        if kernel == "reference":
+            solve = getattr(reference, solve.__name__)
         network = _two_chain_network()
         control = IterationControl(max_iterations=1)
         with pytest.warns(ConvergenceWarning) as record:
-            solution = solve(network, control=control, backend=backend)
+            solution = solve(network, control=control)
         assert not solution.converged
         assert [w.filename for w in record] == [__file__]
 
@@ -139,14 +141,11 @@ class TestWarningLocation:
         control = IterationControl(max_iterations=1)
         for solve in (
             lambda: solve_windows_batched(
-                network, windows, control=control, backend="vectorized"
-            ),
+                network, windows, control=control),
             lambda: solve_networks_batched(
-                networks, control=control, backend="vectorized"
-            ),
+                networks, control=control),
             lambda: solve_packed(
-                pack_networks(networks), control=control, backend="vectorized"
-            ),
+                pack_networks(networks), control=control),
         ):
             with pytest.warns(ConvergenceWarning) as record:
                 solutions = solve()

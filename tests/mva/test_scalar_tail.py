@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 
 import repro.mva.heuristic as heuristic
-from repro.backend import BACKEND_ENV_VAR
 from repro.core.windim import windim
 from repro.errors import ConvergenceWarning
 from repro.mva.heuristic import batched_increments, plan_increments, solve_mva_heuristic
@@ -37,11 +36,6 @@ from tests.mva.test_summation_order import BUDGETS, HALF_ULPS, _control, _ring
 
 #: Thresholds that switch the tail off and send every call through it.
 OFF, ALL = 0, 10**9
-
-
-@pytest.fixture(autouse=True)
-def vectorized_kernel(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV_VAR, "vectorized")
 
 
 def _with_tail(monkeypatch, slots, run):
@@ -107,7 +101,7 @@ def test_half_ulp_recursion_matches_numpy(monkeypatch):
 
 
 def _campaign(network, max_window):
-    result = windim(network, max_window=max_window, backend="vectorized")
+    result = windim(network, max_window=max_window)
     search = result.search
     return (
         result.windows,

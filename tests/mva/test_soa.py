@@ -14,7 +14,6 @@ import pytest
 
 import repro.mva.heuristic as heuristic
 import repro.mva.soa as soa
-from repro.backend import BACKEND_ENV_VAR
 from repro.core.objective import WindowObjective
 from repro.core.power import inverse_power, network_power, pack_power
 from repro.errors import ModelError, SolverError
@@ -46,14 +45,6 @@ TABLE_4_12 = [
 GRID = np.indices((6,) * 4).reshape(4, -1).T + 1
 
 
-@pytest.fixture(autouse=True)
-def vectorized_kernel(monkeypatch):
-    """Packs exist only on the vectorized kernel: pin it, so this file
-    checks the same pack/serial contract whatever the process default.
-    """
-    monkeypatch.setenv(BACKEND_ENV_VAR, "vectorized")
-
-
 def _assert_same_solution(sol, ref):
     assert np.array_equal(sol.throughputs, ref.throughputs)
     assert np.array_equal(sol.queue_lengths, ref.queue_lengths)
@@ -65,10 +56,10 @@ def _assert_same_solution(sol, ref):
 
 
 def _assert_bitwise(network, windows, solver):
-    batched = solve_windows_batched(network, windows, solver, backend="vectorized")
+    batched = solve_windows_batched(network, windows, solver)
     assert len(batched) == len(windows)
     for w, sol in zip(windows, batched):
-        ref = SERIAL[solver](network.with_populations(w), backend="vectorized")
+        ref = SERIAL[solver](network.with_populations(w))
         _assert_same_solution(sol, ref)
 
 
@@ -113,7 +104,7 @@ class TestHeterogeneousPack:
         for solver in BATCHABLE_SOLVERS:
             solutions = solve_packed(pack, solver)
             for network, sol in zip(networks, solutions):
-                ref = SERIAL[solver](network, backend="vectorized")
+                ref = SERIAL[solver](network)
                 _assert_same_solution(sol, ref)
                 # Solution dims are the network's own.
                 assert sol.throughputs.shape == (network.num_chains,)
@@ -164,7 +155,7 @@ class TestHeterogeneousPack:
         batched = soa.solve_networks_batched(networks, solver=solver)
         assert len(batched) == len(networks)
         for network, sol in zip(networks, batched):
-            _assert_same_solution(sol, SERIAL[solver](network, backend="vectorized"))
+            _assert_same_solution(sol, SERIAL[solver](network))
 
     def test_hetero_chunking_is_bitwise(self, monkeypatch):
         # Networks in a pack never interact, so chunking regroups columns
@@ -231,7 +222,7 @@ class TestSegmentedStopping:
             solutions = solve_packed(pack_networks(networks), solver)
             for network, sol in zip(networks, solutions):
                 _assert_same_solution(
-                    sol, SERIAL[solver](network, backend="vectorized")
+                    sol, SERIAL[solver](network)
                 )
 
     def test_one_residuals_call_per_sweep(self, monkeypatch):
@@ -378,9 +369,12 @@ class TestGates:
             solve_packed(pack, solver="linearizer")
 
     def test_scalar_backend_rejected(self):
+        # Packs are named solvers' only: the scalar reference has none.
+        from repro.mva import reference
+
         pack = pack_networks([canadian_two_class(4.0, 4.0, windows=(1, 1))])
-        with pytest.raises(ModelError, match="dense kernel backend"):
-            solve_packed(pack, backend="scalar")
+        with pytest.raises(ModelError, match="no batched SoA kernel"):
+            solve_packed(pack, solver=reference.solve_mva_heuristic)
 
     def test_empty_networks_rejected(self):
         with pytest.raises(ModelError):
@@ -441,8 +435,7 @@ class TestObjectiveIntegration:
         assert stats["declined_batches"] == 0
         for key, value in zip(keys, values):
             ref = solve_mva_heuristic(
-                network.with_populations(key), backend="vectorized"
-            )
+                network.with_populations(key))
             assert value == inverse_power(ref)
             _assert_same_solution(objective.cached_solution(key), ref)
 
@@ -466,7 +459,7 @@ class TestObjectiveIntegration:
         assert len(results) == len(networks)
         assert objective.evaluations == len(networks)
         for network, (value, solution) in zip(networks, results):
-            ref = solve_mva_heuristic(network, backend="vectorized")
+            ref = solve_mva_heuristic(network)
             assert solution is not None
             _assert_same_solution(solution, ref)
             assert value == inverse_power(ref)
@@ -480,10 +473,8 @@ class TestObjectiveIntegration:
         networks = [
             canadian_two_class(4.0 + k, 6.0, windows=(2, 2)) for k in range(3)
         ]
-        # The scalar reference loops have no pack: the batch declines.
-        objective = WindowObjective(
-            canadian_two_class(4.0, 4.0), "mva-heuristic", backend="scalar"
-        )
+        # Linearizer has no pack: the batch declines.
+        objective = WindowObjective(canadian_two_class(4.0, 4.0), "linearizer")
         results = objective.batch_solve_networks(networks)
         assert all(sol is not None for _, sol in results)
         stats = autobatch.batch_stats()
@@ -563,7 +554,7 @@ def _assert_pack_matches_serial(network, windows):
     """Pack power, iterations and flags against serial solves, bitwise."""
     packed = solve_windows_batched(network, windows)
     serial = [
-        solve_mva_heuristic(network.with_populations(w), backend="vectorized")
+        solve_mva_heuristic(network.with_populations(w))
         for w in windows
     ]
     assert np.array_equal(
@@ -629,10 +620,10 @@ class TestPackPower:
 
         rates = [(4.0, 4.0), (8.0, 8.0), (12.0, 12.0)]
 
-        def failing_at_eight(network, backend=None):
+        def failing_at_eight(network):
             if network.demands.max() == canadian_two_class(8.0, 8.0).demands.max():
                 raise SolverError("injected failure")
-            return solve_mva_heuristic(network, backend=backend)
+            return solve_mva_heuristic(network)
 
         packed = power_curve(canadian_two_class, rates, windows=(3, 3))
         serial = power_curve(
@@ -702,7 +693,7 @@ class TestColumnarGrid:
         assert counts["solutions"] == 1
         _assert_same_solution(
             solution,
-            solve_mva_heuristic(network.with_populations(last), backend="vectorized"),
+            solve_mva_heuristic(network.with_populations(last)),
         )
         assert solution.network.populations.tolist() == list(last)
 

@@ -19,7 +19,6 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.backend import BACKEND_ENV_VAR
 from repro.errors import ConvergenceWarning
 from repro.mva.convergence import IterationControl
 from repro.mva.heuristic import (
@@ -37,14 +36,6 @@ from repro.queueing.network import ClosedNetwork
 from repro.queueing.station import Station
 
 SERIAL = {"mva-heuristic": solve_mva_heuristic, "schweitzer": solve_schweitzer}
-
-
-@pytest.fixture(autouse=True)
-def vectorized_kernel(monkeypatch):
-    """Packs exist only on the vectorized kernel: pin it, so this file
-    checks the same pack/serial contract whatever the process default.
-    """
-    monkeypatch.setenv(BACKEND_ENV_VAR, "vectorized")
 
 
 def _ring(prefix, num_stations, populations, seed, delay_station=None):
@@ -226,7 +217,6 @@ def test_one_chain_solve_equals_same_topology_pack(lone_chain, solver, budget):
             SERIAL[solver],
             lone_chain.with_populations(w),
             control=control,
-            backend="vectorized",
         )
         _assert_same(sol, ref)
 
@@ -246,6 +236,6 @@ def test_one_chain_solve_equals_heterogeneous_pack(lone_chain, solver, budget):
     packed = _quietly(solve_networks_batched, networks, solver, control)
     for network, sol in zip(networks, packed):
         ref = _quietly(
-            SERIAL[solver], network, control=control, backend="vectorized"
+            SERIAL[solver], network, control=control
         )
         _assert_same(sol, ref)

@@ -17,7 +17,7 @@ from repro.parallel import ModelArena
 @pytest.fixture
 def arena():
     net = canadian_two_class(18.0, 18.0)
-    arena = ModelArena.create(net, "mva-heuristic", backend="vectorized")
+    arena = ModelArena.create(net, "mva-heuristic")
     yield arena
     arena.close(unlink=True)
 
@@ -26,9 +26,8 @@ def test_attach_round_trips_the_model(arena):
     original = canadian_two_class(18.0, 18.0)
     attached = ModelArena.attach(arena.ref)
     try:
-        network, solver_name, backend = attached.model()
+        network, solver_name = attached.model()
         assert solver_name == "mva-heuristic"
-        assert backend == "vectorized"
         assert network.num_chains == original.num_chains
         assert network.num_stations == original.num_stations
         np.testing.assert_array_equal(network.demands, original.demands)
@@ -44,11 +43,11 @@ def test_update_model_bumps_generation_in_place(arena):
     try:
         gen0 = arena.generation
         retargeted = canadian_two_class(25.0, 25.0)
-        arena.update_model(retargeted, "mva-heuristic", backend="vectorized")
+        arena.update_model(retargeted, "mva-heuristic")
         assert arena.generation == gen0 + 1
         # The attacher sees the new scenario without re-attaching.
         assert attached.generation == gen0 + 1
-        network, _, _ = attached.model()
+        network, _ = attached.model()
         np.testing.assert_array_equal(network.demands, retargeted.demands)
     finally:
         attached.close()

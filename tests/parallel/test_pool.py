@@ -33,14 +33,14 @@ def network():
 
 
 def _serial_values(network, keys):
-    with WindowObjective(network, backend="vectorized") as objective:
+    with WindowObjective(network) as objective:
         return {key: objective(key) for key in keys}
 
 
 def test_map_matches_in_process_objective(network):
     expected = _serial_values(network, KEYS)
     with PersistentEvalPool(network, "mva-heuristic",
-                            backend="vectorized", workers=2) as pool:
+                            workers=2) as pool:
         completions = pool.map(KEYS)
         pids = pool.worker_pids
         assert all(done.ok for done in completions.values())
@@ -59,7 +59,7 @@ def test_map_matches_in_process_objective(network):
 
 def test_warm_seed_travels_by_arena_slot(network):
     with PersistentEvalPool(network, "mva-heuristic",
-                            backend="vectorized", workers=1) as pool:
+                            workers=1) as pool:
         cold = pool.map([(3, 3)])[(3, 3)]
         assert cold.payload["warmed"] is False
         seed = np.asarray(cold.payload["queue_lengths"], dtype=np.float64)
@@ -72,7 +72,7 @@ def test_warm_seed_travels_by_arena_slot(network):
 def test_killed_worker_is_respawned_and_tasks_complete(network):
     expected = _serial_values(network, KEYS)
     with PersistentEvalPool(network, "mva-heuristic",
-                            backend="vectorized", workers=2) as pool:
+                            workers=2) as pool:
         victim = pool.worker_pids[0]
         os.kill(victim, signal.SIGKILL)
         deadline = time.monotonic() + 10.0
@@ -96,8 +96,7 @@ def test_pool_under_spawn_start_method(network):
     # spawn re-imports the worker module and re-attaches the arena by
     # name — the portability path (macOS / Windows defaults).
     expected = _serial_values(network, KEYS[:2])
-    with PersistentEvalPool(network, "mva-heuristic", backend="vectorized",
-                            workers=2, start_method="spawn") as pool:
+    with PersistentEvalPool(network, "mva-heuristic", workers=2, start_method="spawn") as pool:
         assert pool.health.start_method == "spawn"
         completions = pool.map(KEYS[:2])
         for key, done in completions.items():
@@ -106,7 +105,7 @@ def test_pool_under_spawn_start_method(network):
 
 def test_update_model_requires_quiescence(network):
     with PersistentEvalPool(network, "mva-heuristic",
-                            backend="vectorized", workers=1) as pool:
+                            workers=1) as pool:
         pool.submit((3, 3))
         with pytest.raises(SearchError):
             pool.update_model(canadian_two_class(25.0, 25.0))
@@ -115,7 +114,7 @@ def test_update_model_requires_quiescence(network):
 
 def test_update_model_retargets_live_fleet(network):
     with PersistentEvalPool(network, "mva-heuristic",
-                            backend="vectorized", workers=2) as pool:
+                            workers=2) as pool:
         before = pool.map([(3, 3)])[(3, 3)].value
         pids = pool.worker_pids
         retargeted = canadian_two_class(25.0, 25.0)
@@ -132,13 +131,12 @@ def test_requeue_and_respawn_limits_read_from_env(network, monkeypatch):
     monkeypatch.setenv("REPRO_MAX_RESPAWNS", "11")
     monkeypatch.setenv("REPRO_TASK_DEADLINE", "2.5")
     with PersistentEvalPool(network, "mva-heuristic",
-                            backend="vectorized", workers=1) as pool:
+                            workers=1) as pool:
         assert pool.max_requeues == 7
         assert pool.max_respawns == 11
         assert pool.task_deadline == 2.5
     # Explicit constructor arguments beat the environment.
-    with PersistentEvalPool(network, "mva-heuristic", backend="vectorized",
-                            workers=1, max_requeues=1, max_respawns=2,
+    with PersistentEvalPool(network, "mva-heuristic", workers=1, max_requeues=1, max_respawns=2,
                             task_deadline=9.0) as pool:
         assert pool.max_requeues == 1
         assert pool.max_respawns == 2
@@ -166,7 +164,7 @@ def test_watchdog_kills_hung_worker_and_requeues(network):
     started = time.monotonic()
     with inject(plan):
         with PersistentEvalPool(network, "mva-heuristic",
-                                backend="vectorized", workers=2,
+                                workers=2,
                                 task_deadline=0.5) as pool:
             completions = pool.map(KEYS)
     assert time.monotonic() - started < 30.0  # never waited out the hang
@@ -188,7 +186,7 @@ def test_poll_timeout_expires_while_worker_hangs(network):
     )
     with inject(plan):
         with PersistentEvalPool(network, "mva-heuristic",
-                                backend="vectorized", workers=1) as pool:
+                                workers=1) as pool:
             pool.submit((3, 3))
             started = time.monotonic()
             assert pool.poll(timeout=0.3) is None
@@ -205,7 +203,7 @@ def test_respawn_budget_exhaustion_raises_pool_failure(network):
     )
     with inject(plan):
         with PersistentEvalPool(network, "mva-heuristic",
-                                backend="vectorized", workers=1,
+                                workers=1,
                                 max_respawns=1) as pool:
             with pytest.raises(PoolFailure, match="respawn budget"):
                 pool.map(KEYS)
@@ -216,7 +214,7 @@ def test_objective_with_live_pool_pickles(network):
     # Campaign tasks pickle the objective into spawn workers; a live
     # persistent pool (queues, processes, shared memory) must never ride
     # along.
-    objective = WindowObjective(network, backend="vectorized", workers=2)
+    objective = WindowObjective(network, workers=2)
     try:
         objective.ensure_pool()
         baseline = objective((3, 3))

@@ -120,6 +120,12 @@ class TestValidation:
                 sphere, (1, 1), IntegerBox.windows(2, 5), max_halvings=-1
             )
 
+    def test_negative_evaluation_cap_rejected(self):
+        with pytest.raises(SearchError, match="max_evaluations must be >= 0"):
+            pattern_search(
+                sphere, (1, 1), IntegerBox.windows(2, 5), max_evaluations=-1
+            )
+
     def test_foreign_cache_rejected(self):
         cache = EvaluationCache(ridge)
         with pytest.raises(SearchError):

@@ -10,9 +10,7 @@ relies on:
   point is evaluated exactly once, racing ``prime`` calls elect a single
   winner, and a snapshot is mutually consistent;
 * a parallel run interrupted mid-batch resumes from its evaluation store
-  to the same optimum as an uninterrupted serial run;
-* stores are backend-agnostic: a scalar-populated store is replayed for
-  free under ``--solver-backend vectorized``.
+  to the same optimum as an uninterrupted serial run.
 """
 
 from __future__ import annotations
@@ -143,24 +141,3 @@ class TestParallelStoreResume:
         assert resumed.windows == baseline.windows
         assert resumed.power == pytest.approx(baseline.power)
         assert resumed.store_seeded == stored
-
-    def test_scalar_store_replays_free_under_vectorized(self, tmp_path):
-        """Regression: store keys carry no backend tag, so a store
-        written by a scalar run must resume for free under the vectorized
-        backend (and land on the same optimum)."""
-        network = canadian_two_class(*self.NETWORK_ARGS)
-        path = str(tmp_path / "scalar.store")
-        scalar = windim(
-            network, max_window=16, backend="scalar", store_path=path
-        )
-        resumed = windim(
-            network,
-            max_window=16,
-            backend="vectorized",
-            store_path=path,
-        )
-        assert resumed.windows == scalar.windows
-        assert resumed.store_seeded == scalar.search.evaluations
-        assert resumed.search.evaluations == 0, (
-            "a backend-tagged store key forced re-evaluation"
-        )

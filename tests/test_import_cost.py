@@ -11,11 +11,10 @@ import subprocess
 import sys
 
 import repro
-from repro.backend import BACKEND_ENV_VAR
 
 #: ``repro.*`` modules the README quickstart campaign loads (72 when every
 #: package ``__init__`` imported all of its submodules).
-QUICKSTART_MODULES = 50
+QUICKSTART_MODULES = 48
 
 #: Modules the quickstart never runs, so it must never import them.
 NOT_ON_QUICKSTART = (
@@ -31,6 +30,7 @@ NOT_ON_QUICKSTART = (
     "repro.mva.linearizer",
     "repro.mva.schweitzer",
     "repro.mva.bounds",
+    "repro.mva.reference",
     "repro.search.coordinate",
     "repro.search.exhaustive",
     "repro.netmodel.generator",
@@ -61,13 +61,11 @@ print(json.dumps([packed.ahead_used > 0, sorted(set(sys.modules) - before)]))
 
 
 def run_fresh(script):
-    """Run ``script`` in a fresh interpreter on this checkout under the
-    vectorized kernel (the one that packs crosses); parse its last stdout
-    line as JSON."""
+    """Run ``script`` in a fresh interpreter on this checkout; parse its
+    last stdout line as JSON."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    env[BACKEND_ENV_VAR] = "vectorized"
     child = subprocess.run(
         [sys.executable, "-c", script],
         env=env,

@@ -3,8 +3,7 @@
 The parity classes pin what each named solver is offered by every caller
 (the objective's reuse engine, the ladder, ``windim evaluate``).  Their
 expected values were recorded before the table replaced the per-module
-maps, on ``canadian_two_class(18, 18)``; they hold under either kernel,
-except where the exact lattice cache shows which kernel ran.
+maps, on ``canadian_two_class(18, 18)``.
 """
 
 import contextlib
@@ -14,7 +13,6 @@ import pickle
 
 import pytest
 
-from repro.backend import default_backend
 from repro.cli import main
 from repro.core.objective import WindowObjective
 from repro.core.windim import windim
@@ -30,15 +28,6 @@ from repro.verify.oracle import VerifyCase, get_solver
 LADDER_NAMES = [name for name in SOLVERS if name != "resilient"]
 
 
-def _computed(vectors):
-    """Lattice vectors an exact solve computes into a shared cache.
-
-    Only the vectorized exact kernel fills the cache, so the count shows
-    which kernel reached the solver.
-    """
-    return vectors if default_backend() == "vectorized" else 0
-
-
 @pytest.fixture
 def net():
     return canadian_two_class(18.0, 18.0, windows=(3, 4))
@@ -51,10 +40,10 @@ class TestTable:
             assert solver.__name__ == name
 
     def test_keywords_come_from_the_functions(self):
-        iterative = {"control", "backend", "warm_start"}
+        iterative = {"control", "warm_start"}
         assert {name: solver_keywords(s) for name, s in SOLVERS.items()} == {
             "mva-heuristic": iterative,
-            "mva-exact": {"backend", "lattice_cache"},
+            "mva-exact": {"lattice_cache"},
             "convolution": set(),
             "schweitzer": iterative,
             "linearizer": iterative,
@@ -84,7 +73,7 @@ class TestTable:
             return real(network)
 
         monkeypatch.setattr(convolution, "solve_convolution", solve_convolution)
-        SOLVERS["convolution"](net, backend="scalar", warm_start=None)
+        SOLVERS["convolution"](net, control=None, warm_start=None)
         assert seen == [net]
 
     def test_signature_is_read_once_per_function(self, net, monkeypatch):
@@ -100,7 +89,7 @@ class TestTable:
         monkeypatch.setattr(inspect, "signature", counting)
         solver = NamedSolver("h", "repro.mva.heuristic", "solve_mva_heuristic")
         for _ in range(3):
-            solver(net, backend=None)
+            solver(net, control=None)
         solver_keywords(solver)
         assert len(reads) == 1
 
@@ -140,13 +129,13 @@ class TestEntriesAsObjects:
             WindowObjective(net, solver=solve_mva_heuristic, workers=2)
 
     def test_an_entry_packs_its_crosses_like_its_name(self):
-        # The entry used to count as a custom callable: no backend, no
-        # packs, no pool.  Same optimum and evaluations either way, but
-        # by name the serial plane solves 14 cross points ahead.
+        # The entry used to count as a custom callable: no packs, no
+        # pool.  Same optimum and evaluations either way, but by name the
+        # serial plane solves 14 cross points ahead.
         network = canadian_two_class(18.0, 18.0)
         entry = SOLVERS["mva-heuristic"]
-        by_name = windim(network, solver="mva-heuristic", backend="vectorized")
-        by_entry = windim(network, solver=entry, backend="vectorized")
+        by_name = windim(network, solver="mva-heuristic")
+        by_entry = windim(network, solver=entry)
         assert by_entry.windows == by_name.windows
         assert by_entry.power == by_name.power
         assert by_entry.search.evaluations == by_name.search.evaluations == 13
@@ -174,7 +163,7 @@ class TestCallTimeLookup:
 
         @functools.wraps(solve_mva_heuristic)
         def traced(*args, **kwargs):
-            calls.append(kwargs.get("backend"))
+            calls.append(sorted(kwargs))
             return solve_mva_heuristic(*args, **kwargs)
 
         monkeypatch.setattr(heuristic, "solve_mva_heuristic", traced)
@@ -183,7 +172,7 @@ class TestCallTimeLookup:
         ladder(net)
         assert len(calls) == 2
         spec.solve(VerifyCase.from_network("c2", net))
-        assert calls[2:] == ["vectorized"]
+        assert calls[2:] == [[]]
 
 
 class TestLadderNames:
@@ -305,7 +294,7 @@ class TestKeywordParity:
         assert {k: stats[k] for k in counters} == counters
         lattice = {k: v for k, v in stats.items() if k.startswith("lattice_")}
         if name in ("mva-exact", "resilient"):
-            computed = _computed(29) if name == "mva-exact" else 0
+            computed = 29 if name == "mva-exact" else 0
             assert lattice["lattice_computed"] == computed
             assert set(lattice) == {
                 "lattice_computed", "lattice_hits", "lattice_resets", "lattice_vectors"
@@ -316,7 +305,7 @@ class TestKeywordParity:
 
     @pytest.mark.parametrize("name", LADDER_NAMES)
     def test_ladder_primary_and_rung(self, name, net):
-        computed = _computed(19) if name == "mva-exact" else 0
+        computed = 19 if name == "mva-exact" else 0
         (damping, iterations, total), (rung_damping, rung_iterations, rung_total) = (
             LADDER[name]
         )
@@ -344,7 +333,7 @@ class TestKeywordParity:
             ("mva-exact", 1.0, "ok", 0),
         ]
         assert total == "0x1.95de147aa51e6p+4"
-        assert computed == _computed(19)
+        assert computed == 19
 
     @pytest.mark.parametrize("name", list(SOLVERS))
     def test_windim_evaluate(self, name):
