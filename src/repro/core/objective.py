@@ -96,9 +96,9 @@ class WindowObjective:
     Attributes
     ----------
     evaluations:
-        Solves this objective ran, including points an evaluation plane
-        solved ahead and never used
-        (:meth:`~repro.evalplane.serial.SerialPlane.solve_ahead`).  A
+        Solves this objective ran, including points a pattern search
+        solved ahead in cross packs and never used
+        (:mod:`repro.search.pattern`).  A
         search's own count of fresh evaluations, the one caps and
         budgets charge, is ``SearchResult.evaluations``.
 

@@ -98,10 +98,11 @@ class WindimResult:
         quarantined to its ``.quarantine`` sidecar on load (0 when no
         store was used or the store was clean).
     solved_ahead / ahead_used:
-        Points the serial plane solved ahead in cross packs, and how
-        many of them the search then demanded (see
-        :mod:`repro.evalplane.serial`); both 0 on paths that never pack
-        a cross.  Only the used ones count in ``search.evaluations``.
+        Points the pattern search solved ahead in cross packs, and how
+        many of them it then demanded, summed over every start's search
+        (see :mod:`repro.search.pattern`); both 0 on paths that never
+        pack a cross.  Only the used ones count in
+        ``search.evaluations``.
     """
 
     windows: Tuple[int, ...]
@@ -279,7 +280,9 @@ def windim(
         ``reuse=True`` each record also carries the converged queue
         lengths as a warm-start seed.  The store is fingerprinted to
         the network + solver; reusing it on a different instance raises
-        :class:`~repro.errors.SearchError`.
+        :class:`~repro.errors.SearchError`.  A custom solver is named
+        by its ``__name__``: a lambda or an unnamed callable raises
+        :class:`~repro.errors.ModelError` before the file is opened.
     budget / max_seconds:
         Search budget.  ``max_seconds`` is shorthand for
         ``SearchBudget(max_seconds=...)``; passing both is an error.  When
@@ -393,6 +396,11 @@ def _run(
         label = solver if isinstance(solver, str) else getattr(
             solver, "primary_name", getattr(solver, "__name__", "custom")
         )
+        if label in ("<lambda>", "custom"):  # shared by many solvers
+            raise ModelError(
+                f"store label {label!r} does not identify the solver; "
+                "pass a named function or a SOLVERS name"
+            )
         store = EvaluationStore.open(
             store_path, model_fingerprint(objective.network, str(label))
         )
@@ -499,6 +507,6 @@ def _run(
         pool_health=plane.pool_health,
         degradations=plane.degradations,
         store_quarantined=store.quarantined if store is not None else 0,
-        solved_ahead=getattr(plane, "solved_ahead", 0),
-        ahead_used=getattr(plane, "ahead_used", 0),
+        solved_ahead=sum(run.solved_ahead for run in runs),
+        ahead_used=sum(run.ahead_used for run in runs),
     )

@@ -7,14 +7,13 @@ shared-memory pool — sits behind :class:`EvaluationPlane`, so
 
 * :meth:`~EvaluationPlane.submit` — blocking ``windows -> EvalResult``
   through the shared evaluation cache, with budget/cap enforcement and
-  the ``on_evaluation`` hook fired exactly once per fresh evaluation;
+  the ``on_evaluation`` hook fired exactly once per fresh evaluation.
+  A caller that already solved the point (the pattern search's cross
+  packs) passes the value along, and it is gated, counted and stored
+  like any other;
 * :meth:`~EvaluationPlane.submit_many` — best-effort batch evaluation
-  (multistart seed lists), trimmed to the remaining budget room;
-* :meth:`~EvaluationPlane.solve_ahead` — a hint naming the points the
-  search's next exploratory move can demand.  The serial plane may
-  solve them as one cross pack and bank the values; a banked value is
-  counted, cached and stored only when :meth:`~EvaluationPlane.submit`
-  demands it, so the hint never changes what a search observes;
+  (multistart seed lists), trimmed to the remaining evaluation
+  :attr:`~EvaluationPlane.room`;
 * :meth:`~EvaluationPlane.close` — releases the backing resources
   (idempotent; the planes are context managers, so every exit path
   closes).  No evaluation is ever in flight between two plane calls,
@@ -32,7 +31,7 @@ the suite builds both planes through it.
 from __future__ import annotations
 
 import warnings
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import SearchError
 from repro.evalplane.result import EvalResult
@@ -143,13 +142,23 @@ class EvaluationPlane:
                 f"{self.max_evaluations})"
             )
 
+    @property
+    def room(self) -> int:
+        """Fresh evaluations the plane's and the budget's caps still admit.
+
+        Never below 0.  The budget's clock is not read.
+        """
+        room = self.max_evaluations - self.cache.evaluations
+        if self.budget is not None and self.budget.max_evaluations is not None:
+            room = min(room, self.budget.max_evaluations - self.cache.evaluations)
+        return max(0, room)
+
     def _caps_spent(self) -> bool:
         """Quiet variant of :meth:`_check_caps` for best-effort batches."""
-        if self.cache.evaluations >= self.max_evaluations:
-            return True
-        if self.budget is not None:
-            return self.budget.exhausted_reason(self.cache.evaluations) is not None
-        return False
+        return self.room == 0 or (
+            self.budget is not None
+            and self.budget.exhausted_reason(self.cache.evaluations) is not None
+        )
 
     def _fulfil(self, key: Point) -> float:
         """Produce the value of an uncached ``key`` and cache it.
@@ -159,7 +168,9 @@ class EvaluationPlane:
         """
         return self.cache(key)
 
-    def submit(self, windows: Sequence[int]) -> EvalResult:
+    def submit(
+        self, windows: Sequence[int], solved: Optional[float] = None, /
+    ) -> EvalResult:
         """Evaluate one window vector, blocking until its value is known.
 
         The single choke point every search flows through: cache hits are
@@ -167,13 +178,21 @@ class EvaluationPlane:
         budget and the evaluation cap (raising
         :class:`~repro.resilience.budget.BudgetExhausted` *before* any
         work is started) and fire ``on_evaluation`` exactly once.
+        ``solved`` is the point's value when the caller already has it
+        (a cross pack of :func:`~repro.search.pattern.pattern_search`):
+        a fresh point is then primed with it instead of being solved,
+        after the same gate; a cached point ignores it.
         """
         self._check_open()
         key = integral_key(windows)
         fresh = key not in self.cache.values
         if fresh:
             self._check_caps()
-            value = self._fulfil(key)
+            if solved is None:
+                value = self._fulfil(key)
+            else:
+                self.cache.prime_key(key, solved)
+                value = solved
             if self.on_evaluation is not None:
                 self.on_evaluation(self.cache)
         else:
@@ -202,18 +221,6 @@ class EvaluationPlane:
             except BudgetExhausted:  # deadline crossed mid-batch
                 break
         return results
-
-    def solve_ahead(self, points: Iterable[Point]) -> None:
-        """Hint: the next move may demand some of ``points``.
-
-        :func:`~repro.search.pattern.pattern_search` calls this before
-        each exploratory move with the move's centre and ``±step``
-        cross.  It is never a demand: nothing is counted, cached or
-        stored until :meth:`submit` asks.  The base plane ignores it;
-        the serial plane may solve the points as one pack and bank the
-        values (:meth:`~repro.evalplane.serial.SerialPlane.solve_ahead`).
-        """
-        self._check_open()
 
     def submit_networks(self, networks: Sequence[object]) -> List[EvalResult]:
         """Evaluate a mixed-topology batch of networks (best-effort).
@@ -316,8 +323,7 @@ class EvaluationPlane:
         keys = [integral_key(w) for w in batch]
         cached = self.cache.values
         seen = dict.fromkeys(key for key in keys if key not in cached)
-        room = self.max_evaluations - self.cache.evaluations
-        fresh = list(seen)[: max(0, room)]
+        fresh = list(seen)[: self.room]
         if fresh and not self._caps_spent():
             values = self._objective.batch_solve(fresh)
             for key, value in zip(fresh, values):

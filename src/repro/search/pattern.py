@@ -17,32 +17,34 @@ reductions.  Because window sizes are integers, steps are integers here —
 "since we are interested only in integral window settings … the Pattern
 Search suffices" (§4.1).
 
-All evaluations flow through an
-:class:`~repro.evalplane.plane.EvaluationPlane`: the search demands
-each value with :meth:`~repro.evalplane.plane.EvaluationPlane.submit`
-and needs it before it picks the next point.  Which execution path
-sits behind that call — in-process serial or the persistent
-shared-memory fleet — is entirely the plane's business; the
-conformance suite (``tests/evalplane/``) certifies that both make the
-same evaluations and walk the same trajectory.  Budget/cap enforcement
-and the ``on_evaluation`` store hook live in the plane, at the single
-choke point every fresh evaluation passes through.
+The moves run as a stepper, :func:`_steps`: a generator that yields
+each point it demands and is sent its value, which it needs before it
+picks the next point.  Before each exploratory move it also yields the
+move's cross (:func:`_cross`): the centre and its in-box ``±step``
+points, all the move can demand before it first improves.
 
-Before each exploratory move the search also tells the plane which
-points that move can demand — its centre and the in-box ``±step``
-cross around it (:func:`_cross`) — through
-:meth:`~repro.evalplane.plane.EvaluationPlane.solve_ahead`.  That is
-a hint, never a demand: the serial plane may solve the cross as one
-SoA pack and bank the values, but a banked value is counted, stored and
-becomes best-so-far only when :meth:`submit` asks for it, so the
-search's evaluations, lookups and trajectory do not depend on it.
+:func:`pattern_search` drives it, demanding every value through an
+:class:`~repro.evalplane.plane.EvaluationPlane`'s ``submit``: the one
+gate where budgets, caps and the ``on_evaluation`` store hook act, on
+the serial and the pooled path alike (``tests/evalplane/`` certifies
+that both walk the same trajectory).  Where a whole cross is at most
+:data:`CROSS_COLUMNS` columns wide — ``(2R + 1) * R``, so up to 10
+chains — on a non-parallel ``soa_batchable`` objective, the driver
+solves a cross's uncached points as one pack through
+``objective.batch_solve`` and banks the values uncounted.  A banked
+value is handed to ``submit`` only when its point is demanded, and is
+gated, counted and stored there like an in-process solve, so every
+observable of the search is that of a run without packs, bit for bit;
+only the number of fixed points run changes.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, Tuple
+import warnings
+from typing import TYPE_CHECKING, Callable, Dict, Generator, Iterator, List
+from typing import Optional, Sequence, Tuple, Union
 
-from repro.errors import SearchError
+from repro.errors import ConvergenceWarning, ReproError, SearchError
 from repro.resilience.budget import BudgetExhausted, SearchBudget
 from repro.search.cache import EvaluationCache
 from repro.search.result import SearchResult
@@ -51,65 +53,153 @@ from repro.search.space import IntegerBox
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.evalplane.plane import EvaluationPlane
 
-__all__ = ["pattern_search"]
+__all__ = ["pattern_search", "CROSS_COLUMNS"]
 
 Point = Tuple[int, ...]
 
-Evaluator = Callable[[Point], float]
+#: A stepper yields a point it demands now (a tuple, sent back its
+#: value) or a cross it may demand next (an iterator, sent None), and
+#: returns the last base point and its value.
+Stepper = Generator[
+    Union[Point, Iterator[Point]], Optional[float], Tuple[Point, float]
+]
+
+#: Widest ``±step`` cross, in pack columns (``(2R + 1) * R`` for R
+#: chains), that the search solves ahead.  A cross pack costs 1.3-2.6
+#: serial solves up to 12 chains, but the search uses a smaller share of
+#: a wider cross.  In every probe up to 10 chains (210 columns) whole
+#: campaigns ran faster with cross packs than without; from 11 chains on
+#: some ran slower, capped 25- and 120-chain searches among them
+#: (EXPERIMENTS.md A23).
+CROSS_COLUMNS = 210
+
+
+def _axis_moves(
+    space: IntegerBox, point: Point, axis: int, step: int
+) -> Iterator[Point]:
+    """``point`` moved by ``+step``, then ``-step``, along ``axis``; in-box only."""
+    for direction in (+1, -1):
+        candidate = list(point)
+        candidate[axis] += direction * step
+        candidate_t = tuple(candidate)
+        if candidate_t in space:
+            yield candidate_t
 
 
 def _cross(space: IntegerBox, centre: Point, step: int) -> Iterator[Point]:
     """``centre`` and its in-box ``±step`` cross, in :func:`_explore`'s order.
 
     Every point an exploratory move around ``centre`` can probe before
-    it first improves.  Lazy, so a plane that ignores the hint never
+    it first improves.  Lazy, so a driver that packs no cross never
     builds it (a 120-chain cross is 241 points).
     """
     yield centre
     for axis in range(space.dimensions):
-        for direction in (+1, -1):
-            candidate = list(centre)
-            candidate[axis] += direction * step
-            candidate_t = tuple(candidate)
-            if candidate_t in space:
-                yield candidate_t
+        yield from _axis_moves(space, centre, axis, step)
 
 
 def _explore(
-    evaluate: Evaluator,
-    ahead: Callable[[Iterable[Point]], None],
-    space: IntegerBox,
-    point: Point,
-    value: Optional[float],
-    step: int,
-) -> Tuple[Point, float]:
+    space: IntegerBox, point: Point, value: Optional[float], step: int
+) -> Stepper:
     """One exploratory move (Fig. 4.2): perturb each coordinate by ±step.
 
     ``value`` is the objective at ``point``, or None for a pattern
-    landing point the move evaluates first.  Before any evaluation the
-    move hands ``ahead`` (the plane's
-    :meth:`~repro.evalplane.plane.EvaluationPlane.solve_ahead`) the
-    points it can demand, :func:`_cross`; what it then demands, and in
+    landing point the move demands first.  The move yields its
+    :func:`_cross` before any demand; what it then demands, and in
     which order, is the thesis move's alone.
     """
-    ahead(_cross(space, point, step))
+    yield _cross(space, point, step)
     if value is None:
-        value = evaluate(point)
-    current = list(point)
-    current_value = value
+        value = yield point
+    current, current_value = point, value
     for axis in range(space.dimensions):
-        for direction in (+1, -1):
-            candidate = list(current)
-            candidate[axis] += direction * step
-            candidate_t = tuple(candidate)
-            if candidate_t not in space:
-                continue
-            candidate_value = evaluate(candidate_t)
+        for candidate in _axis_moves(space, current, axis, step):
+            candidate_value = yield candidate
             if candidate_value < current_value:
-                current = candidate
-                current_value = candidate_value
+                current, current_value = candidate, candidate_value
                 break  # keep the improvement; next axis
-    return tuple(current), current_value
+    return current, current_value
+
+
+def _steps(
+    space: IntegerBox,
+    base: Point,
+    step: int,
+    max_halvings: int,
+    trajectory: List[Point],
+) -> Stepper:
+    """The thesis moves from ``base`` (Figs. 4.2-4.3), one request at a time.
+
+    Each accepted base point, the start first, is appended to
+    ``trajectory`` as it is accepted, so a driver stopped by a budget
+    still reads the trajectory so far.
+    """
+    trajectory.append(base)
+    yield _cross(space, base, step)
+    base_value = yield base
+    halvings = 0
+    while step >= 1 and halvings <= max_halvings:
+        probe, probe_value = yield from _explore(space, base, base_value, step)
+        if not probe_value < base_value:  # NaN included
+            step //= 2
+            halvings += 1
+        # Pattern phase: ride the established direction while it improves.
+        while probe_value < base_value:
+            previous, base, base_value = base, probe, probe_value
+            trajectory.append(base)
+            pattern_point = space.clip(
+                tuple(2 * b - p for b, p in zip(base, previous))
+            )
+            probe, probe_value = yield from _explore(
+                space, pattern_point, None, step
+            )
+    return base, base_value
+
+
+def _packs_crosses(objective) -> bool:
+    """True when the driver solves ``objective``'s crosses ahead.
+
+    Asks ``soa_batchable``, which logs nothing: a declined cross is not
+    a declined batch.
+    """
+    if getattr(objective, "parallel", False) or not getattr(
+        objective, "soa_batchable", False
+    ):
+        return False
+    chains = objective.network.num_chains
+    return (2 * chains + 1) * chains <= CROSS_COLUMNS
+
+
+def _solve_ahead(
+    plane: "EvaluationPlane", bank: Dict[Point, float], cross: Iterator[Point]
+) -> int:
+    """Solve the uncached, unbanked points of ``cross`` as one pack.
+
+    Only the first points the plane's remaining room
+    (:attr:`~repro.evalplane.plane.EvaluationPlane.room`) admits are
+    solved, and only when at least two are left; returns how many were.
+    The budget's clock is not read, so deadlines fire on the same checks
+    as in a run without packs.  The pack's convergence warnings are held
+    back and an unconverged member is not banked (its demand solves it
+    again and warns then); a pack that raises banks nothing.
+    """
+    cached = plane.cache.values
+    fresh = [p for p in cross if p not in cached and p not in bank]
+    del fresh[plane.room:]
+    if len(fresh) < 2:
+        return 0
+    objective = plane.objective
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            values = objective.batch_solve(fresh)
+    except ReproError:
+        return 0
+    for key, value in zip(fresh, values):
+        solution = objective.retained(key)
+        if solution is not None and solution.converged:
+            bank[key] = value
+    return len(fresh)
 
 
 def pattern_search(
@@ -165,14 +255,13 @@ def pattern_search(
         them), and the caller keeps ownership: the search never closes
         it.  Every plane makes the same fresh evaluations as a serial
         run, so the accepted-move trajectory and the optimum are
-        bitwise-identical to it.  Each exploratory move hands the plane
-        its cross (:meth:`~repro.evalplane.plane.EvaluationPlane.
-        solve_ahead`), which it may solve ahead but never counts.
+        bitwise-identical to it.
 
     Returns
     -------
     SearchResult
-        The best point found and the search trajectory.
+        The best point found and the search trajectory, with the cross
+        pack counts ``solved_ahead`` and ``ahead_used``.
     """
     if initial_step < 1:
         raise SearchError(f"initial_step must be >= 1, got {initial_step}")
@@ -201,58 +290,41 @@ def pattern_search(
             )
     cache = plane.cache
 
-    def evaluate(point: Point) -> float:
-        return plane.submit(point).value
-
-    base = space.clip(start)
-    trajectory = [base]
-    step = initial_step
-    halvings = 0
-    status = "completed"
-    stop_reason = ""
-    base_value = float("inf")
-
+    packs = _packs_crosses(objective)
+    bank: Dict[Point, float] = {}
+    solved_ahead = ahead_used = 0
+    trajectory: List[Point] = []
+    stepper = _steps(
+        space, space.clip(start), initial_step, max_halvings, trajectory
+    )
+    status, stop_reason = "completed", ""
+    value: Optional[float] = None
     try:
-        plane.solve_ahead(_cross(space, base, step))
-        base_value = evaluate(base)
-        while step >= 1 and halvings <= max_halvings:
-            probe, probe_value = _explore(
-                evaluate, plane.solve_ahead, space, base, base_value, step
-            )
-            if probe_value < base_value:
-                # Pattern phase: ride the established direction.
-                previous = base
-                base, base_value = probe, probe_value
-                trajectory.append(base)
-                while True:
-                    pattern_point = space.clip(
-                        tuple(2 * b - p for b, p in zip(base, previous))
-                    )
-                    probe2, probe2_value = _explore(
-                        evaluate, plane.solve_ahead, space, pattern_point,
-                        None, step,
-                    )
-                    if probe2_value < base_value:
-                        previous = base
-                        base, base_value = probe2, probe2_value
-                        trajectory.append(base)
-                    else:
-                        break
+        while True:
+            request = stepper.send(value)
+            if isinstance(request, tuple):
+                banked = bank.pop(request, None)
+                value = plane.submit(request, banked).value
+                # A banked point is fresh: only its demand caches it.
+                ahead_used += banked is not None
             else:
-                step //= 2
-                halvings += 1
+                value = None
+                if packs:
+                    solved_ahead += _solve_ahead(plane, bank, request)
+    except StopIteration as done:
+        base, base_value = done.value
     except BudgetExhausted as exc:
         status = "budget_exhausted"
         stop_reason = exc.reason
         # Best-so-far: the cache may hold a better explored-but-not-yet-
         # accepted point than the current base (or the start may never
         # have been evaluated at all under a zero budget).
+        base = trajectory[-1]
+        base_value = cache.values.get(base, float("inf"))
         cached_best, cached_value = plane.best()
-        if cached_best is None:
-            base_value = float("inf")
-        elif not trajectory or cached_value < base_value:
+        if cached_value < base_value:
             base, base_value = cached_best, cached_value
-            if not trajectory or trajectory[-1] != base:
+            if trajectory[-1] != base:
                 trajectory.append(base)
 
     return SearchResult(
@@ -264,4 +336,6 @@ def pattern_search(
         method="pattern-search",
         status=status,
         stop_reason=stop_reason,
+        solved_ahead=solved_ahead,
+        ahead_used=ahead_used,
     )

@@ -36,6 +36,11 @@ class SearchResult:
         then the best point seen so far, not a certified local optimum.
     stop_reason:
         Human-readable cause when ``status != "completed"``.
+    solved_ahead / ahead_used:
+        Points the search solved ahead in cross packs, and how many of
+        them it then demanded (:mod:`repro.search.pattern`); both 0 when
+        it packed no cross.  Only the used ones count in
+        ``evaluations``.
     """
 
     best_point: Point
@@ -46,6 +51,8 @@ class SearchResult:
     method: str = ""
     status: str = "completed"
     stop_reason: str = ""
+    solved_ahead: int = 0
+    ahead_used: int = 0
 
     @property
     def budget_exhausted(self) -> bool:

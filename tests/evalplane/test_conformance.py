@@ -270,6 +270,27 @@ class TestBudgetSemantics:
             for res in results:
                 assert res.windows in plane.cache
 
+    def test_submit_many_is_trimmed_to_the_budget_cap(self, plane_name):
+        # A batch packed in one call stops where the per-point loop of
+        # a plain callable does: at the budget's cap, not the plane's.
+        from repro.evalplane.serial import SerialPlane
+        from repro.netmodel.examples import canadian_four_class
+
+        network = canadian_four_class(20.0, 20.0, 20.0, 40.0)
+        batch = [(1, 1, 1, w) for w in range(1, 10)]
+        objective, plane = build_harness(
+            plane_name, network, budget=SearchBudget(max_evaluations=5)
+        )
+        looped = SerialPlane(
+            lambda windows: objective(windows),
+            budget=SearchBudget(max_evaluations=5),
+        )
+        with plane, looped:
+            assert len(plane.submit_many(batch)) == 5
+            assert len(looped.submit_many(batch)) == 5
+            assert plane.cache.evaluations == looped.cache.evaluations == 5
+            assert plane.cache.history == looped.cache.history
+
 
 class TestSeededResume:
     """Store-style cache seeding: a resumed run pays nothing."""

@@ -1,8 +1,8 @@
 """Cross packs against the never-packing reference.
 
-Before each exploratory move the serial plane may solve the move's
-``±step`` cross as one SoA pack and bank the values
-(:mod:`repro.evalplane.serial`).  This wall searches every golden thesis
+Before each exploratory move the pattern search's driver may solve the
+move's ``±step`` cross as one SoA pack and bank the values
+(:mod:`repro.search.pattern`).  This wall searches every golden thesis
 fixture and the fast fuzz slice twice: through the banking serial
 plane, and through the same :class:`~repro.core.objective.
 WindowObjective` wrapped as a plain callable, which never packs.  The
@@ -25,9 +25,9 @@ import pytest
 from repro.core.initializers import initial_windows
 from repro.core.objective import WindowObjective
 from repro.errors import ConvergenceWarning, SolverError
-from repro.evalplane.serial import CROSS_COLUMNS, SerialPlane
+from repro.evalplane.serial import SerialPlane
 from repro.resilience.budget import SearchBudget
-from repro.search.pattern import pattern_search
+from repro.search.pattern import CROSS_COLUMNS, pattern_search
 from repro.search.space import IntegerBox
 from repro.search.store import EvaluationStore
 
@@ -40,7 +40,7 @@ from tests.evalplane.test_conformance import (
 
 
 def _banks(network) -> bool:
-    """Whether the serial plane packs crosses of ``network`` here."""
+    """Whether the search packs crosses of ``network`` here."""
     chains = network.num_chains
     return (2 * chains + 1) * chains <= CROSS_COLUMNS
 
@@ -107,10 +107,10 @@ def _assert_same(banked: _Run, plain: _Run) -> None:
     assert banked.plane.cache.values == plain.plane.cache.values
     assert banked.hooks == plain.hooks == a.evaluations
     assert banked.stored() == plain.stored()
-    assert plain.plane.solved_ahead == 0
+    assert plain.result.solved_ahead == 0
     # Every banked value the search used was one of its evaluations.
-    assert banked.plane.ahead_used <= a.evaluations
-    assert banked.plane.ahead_used <= banked.plane.solved_ahead
+    assert banked.result.ahead_used <= a.evaluations
+    assert banked.result.ahead_used <= banked.result.solved_ahead
 
 
 class TestAgainstThePlainCallable:
@@ -121,7 +121,7 @@ class TestAgainstThePlainCallable:
         banked, plain = _pair(network, max_window, tmp_path)
         _assert_same(banked, plain)
         if _banks(network):
-            assert banked.plane.ahead_used > 0
+            assert banked.result.ahead_used > 0
 
     @pytest.mark.parametrize("fuzz_name", FUZZ_NAMES[:FUZZ_FAST])
     def test_fuzz_search_is_bitwise_the_plain_one(self, fuzz_name, tmp_path):
@@ -129,7 +129,7 @@ class TestAgainstThePlainCallable:
         banked, plain = _pair(network, 4, tmp_path)
         _assert_same(banked, plain)
         if not _banks(network):
-            assert banked.plane.solved_ahead == 0
+            assert banked.result.solved_ahead == 0
 
 
 class TestBankedValuesCountOnlyWhenDemanded:
@@ -138,7 +138,7 @@ class TestBankedValuesCountOnlyWhenDemanded:
         _assert_same(banked, plain)
         assert banked.result.status == "budget_exhausted"
         assert banked.result.best_value == float("inf")
-        assert banked.plane.solved_ahead == 0
+        assert banked.result.solved_ahead == 0
         assert banked.stored() == []
 
     @pytest.mark.parametrize("cap", [1, 2, 5])
@@ -152,7 +152,7 @@ class TestBankedValuesCountOnlyWhenDemanded:
         assert len(banked.stored()) == cap
         if cap == 1:
             # No room for a second point: nothing is worth solving ahead.
-            assert banked.plane.solved_ahead == 0
+            assert banked.result.solved_ahead == 0
 
     def test_search_budget_cap_bounds_the_pack(self, moderate_net, tmp_path):
         budget = SearchBudget(max_evaluations=3)
@@ -187,8 +187,8 @@ class TestBankedValuesCountOnlyWhenDemanded:
         assert banked.stored() == []
         if _banks(moderate_net):
             # The start's cross was solved, and none of it counted.
-            assert banked.plane.solved_ahead > 0
-        assert banked.plane.ahead_used == 0
+            assert banked.result.solved_ahead > 0
+        assert banked.result.ahead_used == 0
 
     def test_deadline_mid_search_keeps_the_serial_best(
         self, moderate_net, tmp_path
@@ -215,7 +215,7 @@ class TestBankedValuesCountOnlyWhenDemanded:
             best_value,
         )
         if _banks(moderate_net):
-            assert banked.plane.solved_ahead > banked.plane.ahead_used
+            assert banked.result.solved_ahead > banked.result.ahead_used
 
 
 class _PackableFake:
@@ -256,26 +256,43 @@ class _PackableFake:
 
 
 class TestBankEdges:
+    """The driver's bank, on a search from (2, 2) with step 1.
+
+    The start's cross is (2, 2), (3, 2), (1, 2), (2, 3), (2, 1): one
+    pack of five before the first demand.
+    """
+
+    @staticmethod
+    def _search(objective):
+        return pattern_search(
+            objective, (2, 2), IntegerBox.windows(2, 8),
+            initial_step=1, max_halvings=0,
+        )
+
     def test_unconverged_member_is_solved_again_on_demand(self):
         fake = _PackableFake(bad=(3, 2))
-        plane = SerialPlane(fake, space=IntegerBox.windows(2, 8))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            plane.solve_ahead([(2, 2), (3, 2), (1, 2)])
-        assert not caught  # the pack's warning is held back
-        assert plane.solved_ahead == 3
-        assert plane.submit((2, 2)).value == 4.0
-        assert fake.serial == []  # banked: no serial solve
-        with pytest.warns(ConvergenceWarning):
-            assert plane.submit((3, 2)).value == 5.0
-        assert fake.serial == [(3, 2)]
-        assert plane.ahead_used == 1
-        assert plane.cache.evaluations == 2
+            result = self._search(fake)
+        plain = self._search(lambda windows: float(sum(windows)))
+        assert result.base_points == plain.base_points
+        assert (result.evaluations, result.lookups) == (
+            plain.evaluations,
+            plain.lookups,
+        )
+        assert result.solved_ahead == 5
+        # (2, 2) and (1, 2) were banked and used; (3, 2) was not banked,
+        # so its demand solved it serially and warned then, once: the
+        # pack's own warning was held back.
+        assert fake.serial[0] == (3, 2)
+        assert (2, 2) not in fake.serial and (1, 2) not in fake.serial
+        assert [w.category for w in caught] == [ConvergenceWarning]
+        assert result.ahead_used == 3
+        assert result.evaluations == result.ahead_used + len(fake.serial)
 
     def test_pack_that_raises_banks_nothing(self):
         fake = _PackableFake(bad=None, fail_packs=True)
-        plane = SerialPlane(fake, space=IntegerBox.windows(2, 8))
-        plane.solve_ahead([(2, 2), (3, 2)])
-        assert plane.solved_ahead == 0
-        assert plane.submit((2, 2)).value == 4.0
-        assert fake.serial == [(2, 2)]
+        result = self._search(fake)
+        assert result.solved_ahead == result.ahead_used == 0
+        assert fake.serial[:3] == [(2, 2), (3, 2), (1, 2)]
+        assert len(fake.serial) == result.evaluations

@@ -310,7 +310,7 @@ class TestCrossPackCounts:
         self, fixed_points
     ):
         # 25 chains: a cross of 51 points would be 1,275 columns, far
-        # past repro.evalplane.serial.CROSS_COLUMNS, so nothing is
+        # past repro.search.pattern.CROSS_COLUMNS, so nothing is
         # solved ahead.
         from repro.core.windim import windim
 

@@ -132,6 +132,42 @@ def test_keyboard_interrupt_leaves_every_completed_evaluation(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "case", ["lambda", "partial", "resilient-lambda", "multistart-lambda"]
+)
+def test_unnamed_custom_solver_cannot_label_a_store(tmp_path, case):
+    """Every lambda, and every callable without a name, would share one
+    store fingerprint and replay one another's values: refused before
+    the store file exists."""
+    import functools
+
+    from repro.core.multistart import windim_multistart
+    from repro.errors import ModelError
+
+    network = canadian_two_class(18.0, 18.0)
+    path = tmp_path / "run.store"
+    solver = lambda net, control=None: solve_mva_heuristic(  # noqa: E731
+        net, control=control
+    )
+    runs = {
+        "lambda": lambda: windim(network, solver=solver, store_path=str(path)),
+        "partial": lambda: windim(
+            network,
+            solver=functools.partial(solve_mva_heuristic),
+            store_path=str(path),
+        ),
+        "resilient-lambda": lambda: windim(
+            network, solver=solver, resilient=True, store_path=str(path)
+        ),
+        "multistart-lambda": lambda: windim_multistart(
+            network, solver=solver, store_path=str(path)
+        ),
+    }
+    with pytest.raises(ModelError, match="does not identify the solver"):
+        runs[case]()
+    assert not path.exists()
+
+
 def test_cli_interrupt_names_the_store_to_resume_from(
     tmp_path, capsys, monkeypatch
 ):

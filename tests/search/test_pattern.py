@@ -5,7 +5,7 @@ import pytest
 from repro.errors import SearchError
 from repro.search.cache import EvaluationCache
 from repro.search.exhaustive import exhaustive_search
-from repro.search.pattern import pattern_search
+from repro.search.pattern import _steps, pattern_search
 from repro.search.space import IntegerBox
 
 
@@ -130,3 +130,55 @@ class TestValidation:
         cache = EvaluationCache(ridge)
         with pytest.raises(SearchError):
             pattern_search(sphere, (1, 1), IntegerBox.windows(2, 5), cache=cache)
+
+
+class TestStepperProtocol:
+    """The stepper driven by hand, answering each demand directly."""
+
+    @staticmethod
+    def _drive(objective, start, space):
+        trajectory = []
+        stepper = _steps(space, space.clip(start), 2, 8, trajectory)
+        demanded = []
+        cross, reference = (), None
+        value = None
+        try:
+            while True:
+                request = stepper.send(value)
+                if not isinstance(request, tuple):
+                    cross = list(request)
+                    reference = objective(cross[0])
+                    value = None
+                    continue
+                demanded.append(request)
+                value = objective(request)
+                if reference is not None:
+                    # Up to and including its first improvement, a move
+                    # demands only points of the cross it yielded.
+                    assert request in cross
+                    if value < reference:
+                        reference = None
+        except StopIteration as done:
+            return demanded, trajectory, done.value
+
+    @pytest.mark.parametrize(
+        "objective, start, space",
+        [
+            (sphere, (1, 1, 1), IntegerBox.windows(3, 20)),
+            (ridge, (1, 1), IntegerBox.windows(2, 30)),
+            (rosenbrock_int, (5, 1), IntegerBox.windows(2, 30)),
+            (sphere, (50, -4), IntegerBox.windows(2, 10)),
+        ],
+    )
+    def test_demands_are_the_search_history(self, objective, start, space):
+        demanded, trajectory, (best, value) = self._drive(
+            objective, start, space
+        )
+        cache = EvaluationCache(objective)
+        result = pattern_search(objective, start, space, cache=cache)
+        assert list(dict.fromkeys(demanded)) == [p for p, _ in cache.history]
+        assert result.lookups == len(demanded)
+        assert trajectory == result.base_points
+        assert (best, value) == (result.best_point, result.best_value)
+        # A plain function packs no cross.
+        assert result.solved_ahead == result.ahead_used == 0
